@@ -30,8 +30,7 @@ print(f"mean NLL at t=1: {fit.nll_at_unit:.4f}   at t*: {fit.nll_at_t_star:.4f}"
 
 for t, tag in ((1.0, "before"), (fit.t_star, "after")):
     probs = softmax_t(val_logits, t)
-    records = [dc.PredictionRecord(probs[i], int(y_val[i])) for i in range(len(y_val))]
-    print(f"rank-1 ece {tag} rescaling: {dc.ece(records, 1, 15).ece:.4f}")
+    print(f"rank-1 ece {tag} rescaling: {dc.ece(probs, y_val, 1, 15).ece:.4f}")
 
 print("\n=== combining two score streams at independent temperatures ===")
 hyps = [

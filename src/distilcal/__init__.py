@@ -31,10 +31,10 @@ from .alignment import (
 )
 from .calibration import (
     BinStats,
-    PredictionRecord,
     ReliabilityReport,
     bin_by_confidence,
     ece,
+    rank_confidence_correct,
     reliability_csv,
 )
 from .errors import (

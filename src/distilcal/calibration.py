@@ -1,10 +1,12 @@
 """Top-N expected calibration error with confidence-sorted equal-count bins.
 
-A prediction's rank-N confidence is its N-th largest class probability and it
-counts as correct at rank N when that N-th best class is the true label.
-Records are sorted by rank-N confidence and split into equal-count bins
-(quantile binning); the calibration error is the count-weighted mean absolute
-gap between per-bin accuracy and per-bin confidence.
+Predictions arrive batch-first: an ``(N, K)`` probability matrix plus ``N``
+integer labels. A row's rank-N confidence is its N-th largest class
+probability and it counts as correct at rank N when that N-th best class is
+the true label. Rows are sorted by rank-N confidence and split into
+equal-count bins (quantile binning); the calibration error is the
+count-weighted mean absolute gap between per-bin accuracy and per-bin
+confidence.
 """
 
 from __future__ import annotations
@@ -14,27 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
-from .probs import as_probs, top_n
-
-
-@dataclass(frozen=True, eq=False)
-class PredictionRecord:
-    """One sample's probability vector plus its true-label index."""
-
-    probs: np.ndarray
-    true_label: int
-
-    def __post_init__(self):
-        p = as_probs(self.probs)
-        if p.ndim != 1:
-            raise InvalidInputError("a prediction record holds a single vector")
-        object.__setattr__(self, "probs", p)
-        label = int(self.true_label)
-        if not 0 <= label < p.shape[0]:
-            raise InvalidInputError(
-                f"true_label {label} out of range for {p.shape[0]} classes"
-            )
-        object.__setattr__(self, "true_label", label)
+from .probs import as_probs
 
 
 @dataclass(frozen=True)
@@ -57,64 +39,74 @@ class ReliabilityReport:
     n_total: int
 
 
-def rank_confidence_correct(
-    records: list[PredictionRecord], rank: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-record rank-N confidence and correctness indicator."""
-    conf = np.empty(len(records))
-    correct = np.empty(len(records))
-    for i, rec in enumerate(records):
-        idx, c = top_n(rec.probs, rank)
-        conf[i] = c
-        correct[i] = 1.0 if idx == rec.true_label else 0.0
-    return conf, correct
+def _rank_select(probs, rank) -> tuple[np.ndarray, np.ndarray, int]:
+    """Each row's rank-N class and confidence, plus K, after validating once."""
+    p = as_probs(probs)
+    if p.ndim != 2:
+        raise InvalidInputError(f"predictions must form an (N, K) matrix, got shape {p.shape}")
+    n, k = p.shape
+    if n == 0:
+        raise InvalidInputError("cannot bin an empty record list")
+    if not isinstance(rank, (int, np.integer)) or isinstance(rank, bool):
+        raise InvalidParameterError(f"rank must be an integer, got {rank!r}")
+    if not 1 <= rank <= k:
+        raise InvalidParameterError(f"rank must be in [1, {k}], got {rank}")
+    # A stable sort of the negated rows keeps the original order among ties,
+    # which is the lower-index-first rule of ``probs.top_n``.
+    idx = np.argsort(-p, axis=1, kind="stable")[:, rank - 1]
+    return idx, p[np.arange(n), idx], k
 
 
-def bin_by_confidence(
-    records: list[PredictionRecord], rank: int, num_bins: int
-) -> list[list[int]]:
-    """Split record indices into equal-count bins of ascending confidence.
+def rank_confidence_correct(probs, labels, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row rank-N confidence and correctness indicator (1.0 or 0.0)."""
+    idx, conf, k = _rank_select(probs, rank)
+    y = np.asarray(labels)
+    if y.shape != idx.shape or y.dtype.kind not in "iu":
+        raise InvalidInputError(
+            f"labels must be {len(idx)} integers, got shape {y.shape} of {y.dtype}"
+        )
+    bad = (y < 0) | (y >= k)
+    if bad.any():
+        raise InvalidInputError(f"true_label {int(y[bad][0])} out of range for {k} classes")
+    return conf, (idx == y).astype(np.float64)
 
-    Records are stably sorted by rank-N confidence (ascending) and cut into
+
+def _bins(conf: np.ndarray, num_bins: int) -> list[np.ndarray]:
+    if not isinstance(num_bins, (int, np.integer)) or num_bins < 1:
+        raise InvalidParameterError(f"num_bins must be >= 1, got {num_bins!r}")
+    order = np.argsort(conf, kind="stable")
+    base, rem = divmod(len(conf), num_bins)
+    sizes = [base + (1 if i < rem else 0) for i in range(min(num_bins, len(conf)))]
+    return np.split(order, np.cumsum(sizes)[:-1])
+
+
+def bin_by_confidence(probs, rank: int, num_bins: int) -> list[list[int]]:
+    """Split row indices into equal-count bins of ascending confidence.
+
+    Rows are stably sorted by rank-N confidence (ascending) and cut into
     ``num_bins`` contiguous groups of size ``n // num_bins``, with the first
     ``n % num_bins`` groups one element larger. Groups that would be empty
     (``num_bins > n``) are omitted.
 
     Returns:
-        A list of index lists into ``records``; every record appears in
-        exactly one bin.
+        A list of index lists into the rows of ``probs``; every row appears
+        in exactly one bin.
     """
-    if not records:
-        raise InvalidInputError("cannot bin an empty record list")
-    if not isinstance(num_bins, (int, np.integer)) or num_bins < 1:
-        raise InvalidParameterError(f"num_bins must be >= 1, got {num_bins!r}")
-    conf, _ = rank_confidence_correct(records, rank)
-    order = np.argsort(conf, kind="stable")
-    n = len(records)
-    base, rem = divmod(n, num_bins)
-    bins: list[list[int]] = []
-    start = 0
-    for i in range(num_bins):
-        size = base + (1 if i < rem else 0)
-        if size == 0:
-            continue
-        bins.append([int(j) for j in order[start : start + size]])
-        start += size
-    return bins
+    _, conf, _ = _rank_select(probs, rank)
+    return [group.tolist() for group in _bins(conf, num_bins)]
 
 
-def ece(records: list[PredictionRecord], rank: int, num_bins: int) -> ReliabilityReport:
+def ece(probs, labels, rank: int, num_bins: int) -> ReliabilityReport:
     """Rank-N expected calibration error over confidence-sorted bins.
 
     ``ece = sum_i (|B_i| / n) * |acc(B_i) - conf(B_i)|`` where the bins come
     from :func:`bin_by_confidence`.
     """
-    conf, correct = rank_confidence_correct(records, rank)
-    groups = bin_by_confidence(records, rank, num_bins)
-    n = len(records)
+    conf, correct = rank_confidence_correct(probs, labels, rank)
+    n = len(conf)
     stats: list[BinStats] = []
     total = 0.0
-    for idxs in groups:
+    for idxs in _bins(conf, num_bins):
         c = float(conf[idxs].mean())
         a = float(correct[idxs].mean())
         stats.append(BinStats(count=len(idxs), mean_conf=c, mean_acc=a, gap=a - c))

@@ -12,11 +12,9 @@ import json
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import __version__
 from .alignment import build_framewise_targets
-from .calibration import PredictionRecord, ece
+from .calibration import _fmt6, ece
 from .errors import DistilcalError, InvalidInputError, InvalidParameterError
 from .fileio import (
     read_alignment_file,
@@ -45,18 +43,6 @@ from .toy import (
 )
 
 
-def _fmt6(x: float) -> str:
-    x = float(x)
-    if x == 0.0:
-        x = 0.0
-    return f"{x:.6f}"
-
-
-def _records_from_logits(logits: np.ndarray, labels: np.ndarray, t: float = 1.0):
-    probs = softmax_t(logits, t)
-    return [PredictionRecord(probs[i], int(labels[i])) for i in range(len(labels))]
-
-
 # ---------------------------------------------------------------- ece
 
 def _parse_group(spec: str) -> Optional[int]:
@@ -76,18 +62,15 @@ def _parse_group(spec: str) -> Optional[int]:
 
 def _cmd_ece(args) -> int:
     logits, labels = read_prediction_file(args.input)
-    records = _records_from_logits(logits, labels)
-    batch = _parse_group(args.group)
-    if batch is None:
-        chunks = [records]
-    else:
-        chunks = [records[i : i + batch] for i in range(0, len(records), batch)]
-    n_total = len(records)
+    probs = softmax_t(logits)
+    n_total = len(labels)
+    step = _parse_group(args.group) or n_total
     total = 0.0
     lines = ["rank,bin,count,mean_conf,mean_acc,gap"]
     bin_index = 0
-    for chunk in chunks:
-        report = ece(chunk, args.rank, args.bins)
+    for start in range(0, n_total, step):
+        chunk = slice(start, start + step)
+        report = ece(probs[chunk], labels[chunk], args.rank, args.bins)
         for b in report.bins:
             total += (b.count / n_total) * abs(b.gap)
             lines.append(
@@ -106,8 +89,8 @@ def _cmd_fit_temp(args) -> int:
     logits, labels = read_prediction_file(args.val)
     validation = [(logits[i], int(labels[i])) for i in range(len(labels))]
     fit = fit_temperature(validation, bounds=(args.t_min, args.t_max))
-    ece_before = ece(_records_from_logits(logits, labels), 1, args.bins).ece
-    ece_after = ece(_records_from_logits(logits, labels, fit.t_star), 1, args.bins).ece
+    ece_before = ece(softmax_t(logits), labels, 1, args.bins).ece
+    ece_after = ece(softmax_t(logits, fit.t_star), labels, 1, args.bins).ece
     print(
         f"t_star={_fmt6(fit.t_star)} "
         f"nll_before={_fmt6(fit.nll_at_unit)} nll_after={_fmt6(fit.nll_at_t_star)} "
@@ -199,18 +182,23 @@ _TRAIN_ONLY_KEYS = {"method", "lambda", "epsilon", "temperature", "seed", "out"}
 _SWEEP_ONLY_KEYS = {"lambdas", "methods", "seeds", "out"}
 
 
+def _cast(cfg: dict[str, str], key: str, cast, default=None):
+    """``cast(cfg[key])``, or ``default`` when the key is absent."""
+    if key not in cfg:
+        return default
+    try:
+        return cast(cfg[key])
+    except ValueError:
+        raise InvalidInputError(f"bad value for config key {key!r}: {cfg[key]!r}") from None
+
+
 def _build_sweep_config(cfg: dict[str, str], extra_keys: set[str]) -> SweepConfig:
     unknown = set(cfg) - set(_SWEEP_CASTS) - extra_keys
     if unknown:
         raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, cast in _SWEEP_CASTS.items():
-        if key in cfg:
-            try:
-                kwargs[key] = cast(cfg[key])
-            except ValueError:
-                raise InvalidInputError(f"bad value for config key {key!r}: {cfg[key]!r}") from None
-    return SweepConfig(**kwargs)
+    return SweepConfig(
+        **{key: _cast(cfg, key, cast) for key, cast in _SWEEP_CASTS.items() if key in cfg}
+    )
 
 
 def _require(cfg: dict[str, str], key: str) -> str:
@@ -228,16 +216,16 @@ def _cmd_train(args) -> int:
     scfg = _build_sweep_config(cfg, _TRAIN_ONLY_KEYS)
     method = _require(cfg, "method")
     out_path = _require(cfg, "out")
-    seed = int(cfg.get("seed", "0"))
+    seed = _cast(cfg, "seed", int, 0)
     tcfg = TrainConfig(
         method=method,
         epochs=scfg.epochs,
         learning_rate=scfg.learning_rate,
         batch_size=scfg.batch_size,
         seed=_derive_seed(seed, "shuffle"),
-        lam=float(cfg.get("lambda", "0.5")),
-        epsilon=float(cfg.get("epsilon", "0.1")),
-        temperature=float(cfg.get("temperature", str(_default_temperature(method)))),
+        lam=_cast(cfg, "lambda", float, 0.5),
+        epsilon=_cast(cfg, "epsilon", float, 0.1),
+        temperature=_cast(cfg, "temperature", float, _default_temperature(method)),
     )
     task = make_task(
         num_classes=scfg.num_classes,

@@ -17,6 +17,7 @@ files round); they are renormalized on load, anything worse is rejected.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -56,10 +57,16 @@ def read_prediction_file(path) -> tuple[np.ndarray, np.ndarray]:
         if (
             not isinstance(row, list)
             or len(row) < 2
-            or not all(isinstance(v, (int, float)) for v in row)
+            # type(), not isinstance(): JSON true/false parse to bool, an int.
+            or not all(type(v) in (int, float) for v in row)
         ):
             raise FileFormatError(path, line_no, "'logits' must list >= 2 numbers")
-        if not all(np.isfinite(v) for v in row):
+        try:
+            values = [float(v) for v in row]
+            finite = all(map(math.isfinite, values))
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
             raise FileFormatError(path, line_no, "logits must be finite")
         if width is None:
             width = len(row)
@@ -74,7 +81,7 @@ def read_prediction_file(path) -> tuple[np.ndarray, np.ndarray]:
             raise FileFormatError(
                 path, line_no, f"label {label} out of range for {len(row)} classes"
             )
-        logits.append([float(v) for v in row])
+        logits.append(values)
         labels.append(label)
     if not logits:
         raise FileFormatError(path, 0, "no prediction records found")

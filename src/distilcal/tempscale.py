@@ -95,12 +95,12 @@ def fit_temperature(
 
     Args:
         validation: sequence of (logit vector, true label) pairs.
-        bounds: (t_min, t_max) with 0 < t_min <= 1 <= t_max; t=1 must be
-            inside so the no-rescaling fallback is always an option.
+        bounds: finite (t_min, t_max) with 0 < t_min <= 1 <= t_max; t=1
+            must be inside so the no-rescaling fallback is always an option.
     """
     t_min, t_max = float(bounds[0]), float(bounds[1])
-    if not (0.0 < t_min < t_max):
-        raise InvalidInputError(f"need 0 < t_min < t_max, got {bounds!r}")
+    if not (0.0 < t_min < t_max < math.inf):
+        raise InvalidInputError(f"need 0 < t_min < t_max < inf, got {bounds!r}")
     if not (t_min <= 1.0 <= t_max):
         raise InvalidInputError(f"bounds must contain t=1, got {bounds!r}")
     logits, labels = _stack_validation(validation)
@@ -155,8 +155,10 @@ def combine_scores(
     """
     if len(hyps) == 0:
         raise InvalidInputError("hypothesis list is empty")
-    if t1 <= 0.0 or t2 <= 0.0:
-        raise InvalidParameterError(f"temperatures must be positive, got {t1}, {t2}")
+    if not all(math.isfinite(t) and t > 0.0 for t in (t1, t2)):
+        raise InvalidParameterError(
+            f"temperatures must be positive and finite, got {t1}, {t2}"
+        )
     scores = np.array([h.am_logp / t1 + h.lm_logp / t2 for h in hyps])
     order = np.argsort(-scores, kind="stable")
     ranked = [(hyps[int(i)], float(scores[int(i)])) for i in order]

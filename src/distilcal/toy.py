@@ -18,7 +18,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .calibration import PredictionRecord, ReliabilityReport, ece, rank_confidence_correct
+from .calibration import ReliabilityReport, ece, rank_confidence_correct
 from .errors import ConfigurationError, InvalidInputError, InvalidParameterError
 from .losses import batch_cross_entropy
 from .probs import softmax_t
@@ -358,15 +358,14 @@ def evaluate(
     """Feed the supervised head's softmax into the calibration module."""
     _, logits = net.forward_batch(np.asarray(inputs, dtype=np.float64))
     probs = softmax_t(logits["sl"])
-    records = [PredictionRecord(probs[i], int(labels[i])) for i in range(len(labels))]
-    _, correct = rank_confidence_correct(records, 1)
-    reports = {int(r): ece(records, int(r), num_bins) for r in ranks}
+    _, correct = rank_confidence_correct(probs, labels, 1)
+    reports = {int(r): ece(probs, labels, int(r), num_bins) for r in ranks}
     return EvalResult(accuracy=float(correct.mean()), reports=reports)
 
 
-def pooled_gap(records: list[PredictionRecord], rank: int) -> float:
+def pooled_gap(probs, labels, rank: int) -> float:
     """Signed overall (confidence - accuracy) at a rank; negative = under-confident."""
-    conf, correct = rank_confidence_correct(records, rank)
+    conf, correct = rank_confidence_correct(probs, labels, rank)
     return float(conf.mean() - correct.mean())
 
 

@@ -56,10 +56,9 @@ def test_criterion_02_ece_matches_brute_force_oracle():
         k = int(rng.integers(3, 21))
         probs = rng.dirichlet(np.ones(k), size=n)
         labels = rng.integers(0, k, size=n)
-        records = [dc.PredictionRecord(probs[i], int(labels[i])) for i in range(n)]
         for rank in (1, 2, 3):
             for bins in (1, 5, 15):
-                ours = dc.ece(records, rank, bins).ece
+                ours = dc.ece(probs, labels, rank, bins).ece
                 ref = brute_force_ece(probs.tolist(), labels.tolist(), rank, bins)
                 worst = max(worst, abs(ours - ref))
     report(2, "ECE equals independent brute-force evaluation", worst < 1e-12,
@@ -227,7 +226,7 @@ def _train_and_record(method, seed, epsilon=0.2):
     dc.train(net, x_train, y_train, cfg)
     _, logits = net.forward_batch(x_test)
     probs = softmax_t(logits["sl"])
-    return [dc.PredictionRecord(probs[i], int(y_test[i])) for i in range(len(y_test))]
+    return probs, y_test
 
 
 def test_criterion_07_label_smoothing_underconfident_at_lower_ranks():
@@ -236,10 +235,10 @@ def test_criterion_07_label_smoothing_underconfident_at_lower_ranks():
     for seed in SEEDS:
         base = _train_and_record("baseline", seed)
         smooth = _train_and_record("label_smooth", seed, epsilon=0.2)
-        gap1_base = pooled_gap(base, 1)
-        gap1 = pooled_gap(smooth, 1)
-        gap2 = pooled_gap(smooth, 2)
-        gap3 = pooled_gap(smooth, 3)
+        gap1_base = pooled_gap(*base, 1)
+        gap1 = pooled_gap(*smooth, 1)
+        gap2 = pooled_gap(*smooth, 2)
+        gap3 = pooled_gap(*smooth, 3)
         hit = gap2 < 0 and gap3 < 0 and abs(gap1) < abs(gap1_base)
         hits += hit
         details.append(f"seed {seed}: gap2={gap2:+.4f} gap3={gap3:+.4f} "

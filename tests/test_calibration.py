@@ -4,9 +4,9 @@ import pytest
 from distilcal import (
     InvalidInputError,
     InvalidParameterError,
-    PredictionRecord,
     bin_by_confidence,
     ece,
+    rank_confidence_correct,
     reliability_csv,
 )
 
@@ -14,35 +14,40 @@ from oracles import brute_force_bin_sizes, brute_force_ece
 
 
 def rec(probs, label):
-    return PredictionRecord(np.array(probs), label)
+    return list(probs), label
 
 
 def two_class(conf, correct):
-    """Record at rank-1 confidence ``conf``, correct iff ``correct``."""
+    """Row at rank-1 confidence ``conf``, correct iff ``correct``."""
     return rec([conf, 1.0 - conf], 0 if correct else 1)
 
 
-HAND_FOUR = [
+def arrays(records):
+    """Stack ``(probs, label)`` rows into a probability matrix and a label vector."""
+    return np.array([p for p, _ in records]), np.array([y for _, y in records])
+
+
+HAND_FOUR = arrays([
     two_class(0.9, True),
     two_class(1.0, False),
     two_class(0.5, True),  # tie at (0.5, 0.5) resolves to class 0
     two_class(0.7, True),
-]
+])
 
 
 class TestBinning:
     def test_even_split(self):
-        bins = bin_by_confidence(HAND_FOUR, 1, 2)
+        bins = bin_by_confidence(HAND_FOUR[0], 1, 2)
         assert [len(b) for b in bins] == [2, 2]
 
     def test_remainder_goes_first(self):
-        records = [two_class(c, True) for c in (0.5, 0.6, 0.7, 0.8, 0.9)]
-        bins = bin_by_confidence(records, 1, 2)
+        probs, _ = arrays([two_class(c, True) for c in (0.5, 0.6, 0.7, 0.8, 0.9)])
+        bins = bin_by_confidence(probs, 1, 2)
         assert [len(b) for b in bins] == [3, 2]
 
     def test_more_bins_than_records(self):
-        records = [two_class(c, True) for c in (0.5, 0.6, 0.7)]
-        bins = bin_by_confidence(records, 1, 5)
+        probs, _ = arrays([two_class(c, True) for c in (0.5, 0.6, 0.7)])
+        bins = bin_by_confidence(probs, 1, 5)
         assert [len(b) for b in bins] == [1, 1, 1]
         assert brute_force_bin_sizes(3, 5) == [1, 1, 1]
 
@@ -51,53 +56,53 @@ class TestBinning:
         for _ in range(30):
             n = int(rng.integers(1, 40))
             b = int(rng.integers(1, 20))
-            records = [two_class(float(c), True) for c in rng.uniform(0.5, 1.0, n)]
-            bins = bin_by_confidence(records, 1, b)
+            probs, _ = arrays([two_class(float(c), True) for c in rng.uniform(0.5, 1.0, n)])
+            bins = bin_by_confidence(probs, 1, b)
             assert [len(g) for g in bins] == brute_force_bin_sizes(n, b)
             flat = sorted(i for g in bins for i in g)
             assert flat == list(range(n))
 
     def test_sorted_ascending_by_confidence(self):
-        bins = bin_by_confidence(HAND_FOUR, 1, 4)
+        bins = bin_by_confidence(HAND_FOUR[0], 1, 4)
         assert [b[0] for b in bins] == [2, 3, 0, 1]
 
     def test_empty_records_rejected(self):
         with pytest.raises(InvalidInputError):
-            bin_by_confidence([], 1, 2)
+            bin_by_confidence(np.empty((0, 2)), 1, 2)
 
     def test_bad_bin_count_rejected(self):
         with pytest.raises(InvalidParameterError):
-            bin_by_confidence(HAND_FOUR, 1, 0)
+            bin_by_confidence(HAND_FOUR[0], 1, 0)
 
     def test_rank_beyond_classes_rejected(self):
         with pytest.raises(InvalidParameterError):
-            bin_by_confidence(HAND_FOUR, 3, 2)
+            bin_by_confidence(HAND_FOUR[0], 3, 2)
 
 
 class TestEce:
     def test_hand_example(self):
         # bins {0.5, 0.7} (both correct) and {0.9, 1.0} (one correct):
         # 0.5*|1.0-0.6| + 0.5*|0.5-0.95| = 0.425
-        report = ece(HAND_FOUR, 1, 2)
+        report = ece(*HAND_FOUR, 1, 2)
         assert report.ece == pytest.approx(0.425, abs=1e-12)
         assert report.n_total == 4
 
     def test_zero_gap_bin(self):
-        records = [
+        records = arrays([
             two_class(0.9, True),
             two_class(0.8, True),
             two_class(0.7, False),
             two_class(0.6, True),
-        ]
-        report = ece(records, 1, 1)
+        ])
+        report = ece(*records, 1, 1)
         assert report.bins[0].mean_acc == pytest.approx(0.75)
         assert report.bins[0].mean_conf == pytest.approx(0.75)
         assert report.ece == pytest.approx(0.0, abs=1e-12)
 
     def test_perfectly_confident_and_correct(self):
-        records = [rec([1.0, 0.0], 0) for _ in range(8)]
+        records = arrays([rec([1.0, 0.0], 0) for _ in range(8)])
         for b in (1, 3, 8):
-            assert ece(records, 1, b).ece == 0.0
+            assert ece(*records, 1, b).ece == 0.0
 
     def test_single_bin_equals_overall_gap(self):
         rng = np.random.default_rng(42)
@@ -105,8 +110,8 @@ class TestEce:
             n = int(rng.integers(1, 60))
             confs = rng.uniform(0.5, 1.0, n)
             flags = rng.random(n) < 0.7
-            records = [two_class(float(c), bool(f)) for c, f in zip(confs, flags)]
-            report = ece(records, 1, 1)
+            records = arrays([two_class(float(c), bool(f)) for c, f in zip(confs, flags)])
+            report = ece(*records, 1, 1)
             expected = abs(flags.mean() - confs.mean())
             assert report.ece == pytest.approx(expected, abs=1e-12)
 
@@ -117,10 +122,9 @@ class TestEce:
             k = int(rng.integers(3, 15))
             probs = rng.dirichlet(np.ones(k), size=n)
             labels = rng.integers(0, k, size=n)
-            records = [rec(probs[i], int(labels[i])) for i in range(n)]
             for rank in (1, 2, 3):
                 for b in (1, 5, 15):
-                    ours = ece(records, rank, b).ece
+                    ours = ece(probs, labels, rank, b).ece
                     ref = brute_force_ece(probs.tolist(), labels.tolist(), rank, b)
                     assert ours == pytest.approx(ref, abs=1e-12)
 
@@ -128,18 +132,17 @@ class TestEce:
         rng = np.random.default_rng(77)
         probs = rng.dirichlet(np.ones(6), size=50)
         labels = rng.integers(0, 6, size=50)
-        records = [rec(probs[i], int(labels[i])) for i in range(50)]
-        base = ece(records, 2, 5).ece
+        base = ece(probs, labels, 2, 5).ece
         for _ in range(5):
             perm = rng.permutation(50)
-            shuffled = [records[i] for i in perm]
-            assert ece(shuffled, 2, 5).ece == pytest.approx(base, abs=1e-12)
+            shuffled = (probs[perm], labels[perm])
+            assert ece(*shuffled, 2, 5).ece == pytest.approx(base, abs=1e-12)
 
     def test_rank_specific_correctness(self):
         # 2nd-best class is the true label: wrong at rank 1, right at rank 2.
-        records = [rec([0.6, 0.3, 0.1], 1) for _ in range(4)]
-        r1 = ece(records, 1, 1)
-        r2 = ece(records, 2, 1)
+        records = arrays([rec([0.6, 0.3, 0.1], 1) for _ in range(4)])
+        r1 = ece(*records, 1, 1)
+        r2 = ece(*records, 2, 1)
         assert r1.bins[0].mean_acc == 0.0
         assert r2.bins[0].mean_acc == 1.0
         assert r2.bins[0].mean_conf == pytest.approx(0.3)
@@ -148,8 +151,7 @@ class TestEce:
         rng = np.random.default_rng(5)
         probs = rng.dirichlet(np.ones(8), size=90)
         labels = rng.integers(0, 8, size=90)
-        records = [rec(probs[i], int(labels[i])) for i in range(90)]
-        report = ece(records, 1, 15)
+        report = ece(probs, labels, 1, 15)
         assert sum(b.count for b in report.bins) == report.n_total == 90
         confs = [b.mean_conf for b in report.bins]
         assert all(a <= b + 1e-15 for a, b in zip(confs, confs[1:]))
@@ -161,8 +163,8 @@ class TestEce:
 
 class TestReliabilityCsv:
     def test_hand_formatted_row(self):
-        records = [two_class(0.5, True), rec([1.0, 0.0], 1)]
-        text = reliability_csv(ece(records, 1, 1))
+        records = arrays([two_class(0.5, True), rec([1.0, 0.0], 1)])
+        text = reliability_csv(ece(*records, 1, 1))
         lines = text.splitlines()
         assert len(lines) == 2
         assert lines[0] == "rank,bin,count,mean_conf,mean_acc,gap"
@@ -171,11 +173,76 @@ class TestReliabilityCsv:
     def test_fifteen_bins_gives_sixteen_lines(self):
         rng = np.random.default_rng(1)
         probs = rng.dirichlet(np.ones(4), size=60)
-        records = [rec(probs[i], 0) for i in range(60)]
-        text = reliability_csv(ece(records, 1, 15))
+        text = reliability_csv(ece(probs, np.zeros(60, dtype=int), 1, 15))
         assert len(text.splitlines()) == 16
 
     def test_empty_bins_never_emitted(self):
-        records = [two_class(c, True) for c in (0.5, 0.6, 0.7)]
-        text = reliability_csv(ece(records, 1, 10))
+        records = arrays([two_class(c, True) for c in (0.5, 0.6, 0.7)])
+        text = reliability_csv(ece(*records, 1, 10))
         assert len(text.splitlines()) == 4  # header + 3 singleton bins
+
+
+class TestArrayCore:
+    def test_all_equal_rows_match_oracle(self):
+        rng = np.random.default_rng(9)
+        for k in (3, 4, 7):
+            probs = np.full((25, k), 1.0 / k)
+            labels = rng.integers(0, k, size=25)
+            for rank in (1, 2, 3):
+                conf, correct = rank_confidence_correct(probs, labels, rank)
+                assert np.array_equal(correct, (labels == rank - 1).astype(float))
+                for b in (1, 4, 15):
+                    ours = ece(probs, labels, rank, b).ece
+                    ref = brute_force_ece(probs.tolist(), labels.tolist(), rank, b)
+                    assert ours == pytest.approx(ref, abs=1e-12)
+
+    def test_more_bins_than_rows_matches_oracle(self):
+        rng = np.random.default_rng(10)
+        for n in (1, 2, 7):
+            probs = rng.dirichlet(np.ones(5), size=n)
+            labels = rng.integers(0, 5, size=n)
+            for rank in (1, 2, 3):
+                report = ece(probs, labels, rank, n + 5)
+                assert [b.count for b in report.bins] == brute_force_bin_sizes(n, n + 5)
+                ref = brute_force_ece(probs.tolist(), labels.tolist(), rank, n + 5)
+                assert report.ece == pytest.approx(ref, abs=1e-12)
+
+    def test_single_row_matrix(self):
+        probs, labels = np.array([[0.2, 0.5, 0.3]]), np.array([2])
+        for rank, conf in ((1, 0.5), (2, 0.3), (3, 0.2)):
+            report = ece(probs, labels, rank, 15)
+            assert report.n_total == 1 and [b.count for b in report.bins] == [1]
+            assert report.bins[0].mean_conf == conf
+            assert report.bins[0].mean_acc == (1.0 if rank == 2 else 0.0)
+            assert bin_by_confidence(probs, rank, 15) == [[0]]
+            ref = brute_force_ece(probs.tolist(), labels.tolist(), rank, 15)
+            assert report.ece == pytest.approx(ref, abs=1e-12)
+
+    def test_bad_matrix_rejected(self):
+        labels = np.array([0, 1])
+        for probs in (
+            [0.5, 0.5],  # one row, not a matrix
+            np.full((2, 2, 2), 0.5),
+            np.empty((0, 3)),
+            [[0.5, 0.6], [0.5, 0.5]],  # off the simplex
+            [[1.5, -0.5], [0.5, 0.5]],
+            [[np.nan, 1.0], [0.5, 0.5]],
+            [[1.0], [1.0]],  # one class
+        ):
+            with pytest.raises(InvalidInputError):
+                ece(probs, labels, 1, 2)
+
+    def test_bad_labels_rejected(self):
+        probs = np.array([[0.7, 0.3], [0.4, 0.6]])
+        for labels in ([0], [0, 1, 1], [[0, 1]], [0.0, 1.0], [True, False], [0, 2], [-1, 0]):
+            with pytest.raises(InvalidInputError):
+                ece(probs, np.array(labels), 1, 2)
+            with pytest.raises(InvalidInputError):
+                rank_confidence_correct(probs, np.array(labels), 1)
+
+    def test_bad_rank_rejected(self):
+        for rank in (0, 3, -1, 1.0, True, "1"):
+            with pytest.raises(InvalidParameterError):
+                ece(*HAND_FOUR, rank, 2)
+            with pytest.raises(InvalidParameterError):
+                bin_by_confidence(HAND_FOUR[0], rank, 2)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,12 +10,28 @@ import pytest
 from distilcal.cli import main
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_rejected(cwd, *argv):
+    """Run the command in a child process, where a leaked warning or traceback
+    reaches stderr, and require the clean exit 2 of an input error."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "distilcal.cli", *map(str, argv)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    return proc.stdout, proc.stderr
 
 
 class TestEceCommand:
@@ -76,6 +95,15 @@ class TestEceCommand:
         assert code == 2
         assert err
 
+    def test_boolean_or_overflowing_logit_reports_line(self, tmp_path):
+        for bad in ("[true, 0.5]", "[0.5, false]", "[1" + "0" * 400 + ", 0.5]"):
+            fix = tmp_path / "bad.jsonl"
+            fix.write_text('{"logits": [0.0, 1.0], "label": 0}\n'
+                           f'{{"logits": {bad}, "label": 0}}\n')
+            _, err = run_rejected(tmp_path, "ece", "--input", fix, "--out", "o.csv")
+            assert ":2:" in err
+            assert not (tmp_path / "o.csv").exists()
+
 
 class TestFitTempCommand:
     def _write_predictions(self, path, logits, labels):
@@ -119,6 +147,13 @@ class TestFitTempCommand:
         assert code == 0
         assert stdout.startswith("t_star=0.050000 ")
 
+    def test_non_finite_bound_rejected_before_search(self, tmp_path):
+        fix = DATA / "predictions_hand4.jsonl"
+        for bound in ("--t-max=inf", "--t-max=nan", "--t-min=-inf"):
+            stdout, err = run_rejected(tmp_path, "fit-temp", "--val", fix, bound)
+            assert stdout == ""
+            assert "t_min < t_max < inf" in err
+
 
 class TestCombineCommand:
     def test_unit_temperatures_golden(self, capsys):
@@ -143,6 +178,14 @@ class TestCombineCommand:
         _, out2, _ = run(capsys, "combine", "--hyps", fix)
         assert out1 == out2
         assert out1.splitlines()[0] == "u\tbest\tfirst"
+
+    def test_non_finite_temperature_rejected(self, tmp_path):
+        for temperature in ("--t2=nan", "--t2=inf", "--t1=-inf"):
+            stdout, err = run_rejected(
+                tmp_path, "combine", "--hyps", DATA / "hyps_flip.jsonl", temperature
+            )
+            assert stdout == ""
+            assert "positive and finite" in err
 
 
 class TestTargetsCommand:
@@ -227,6 +270,15 @@ class TestTrainCommand:
         code, _, err = run(capsys, "train", "--config", cfg)
         assert code == 2
         assert "typo_key" in err
+
+    def test_malformed_train_only_values_rejected(self, tmp_path):
+        cfg = tmp_path / "train.cfg"
+        for key in ("seed", "lambda", "epsilon", "temperature"):
+            write_config(cfg, method="lst", out=tmp_path / "m.json",
+                         **{key: "1.5x"}, **FAST_TOY)
+            _, err = run_rejected(tmp_path, "train", "--config", cfg)
+            assert f"bad value for config key '{key}': '1.5x'" in err
+            assert not (tmp_path / "m.json").exists()
 
 
 class TestSweepCommand:
