@@ -28,6 +28,7 @@ from .alignment import (
     deduplicate,
     map_units,
     rearrange,
+    teacher_stream,
 )
 from .calibration import (
     BinStats,

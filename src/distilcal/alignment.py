@@ -19,7 +19,8 @@ import numpy as np
 from .errors import InvalidInputError, UnmappedTokenError
 from .probs import as_probs
 
-#: Yields one posterior vector per deduplicated token it is given.
+#: Yields one posterior vector per deduplicated token it is given, as a
+#: sequence of vectors or as one ``(tokens, classes)`` matrix.
 PosteriorProvider = Callable[[Sequence[str]], Sequence[np.ndarray]]
 
 
@@ -104,20 +105,44 @@ def deduplicate(a: Alignment) -> RunLengthAlignment:
     return RunLengthAlignment(labels=tuple(labels), runs=tuple(runs))
 
 
-def rearrange(
-    posteriors: Sequence[np.ndarray], rla: RunLengthAlignment
-) -> list[np.ndarray]:
-    """Repeat posterior i ``runs[i]`` times, restoring the frame rate."""
+def _posterior_matrix(posteriors, rla: RunLengthAlignment) -> np.ndarray:
+    """Check one posterior per deduplicated token and stack them as ``(T, K)``."""
     if len(posteriors) != len(rla.labels):
         raise InvalidInputError(
             f"got {len(posteriors)} posteriors for {len(rla.labels)} "
             f"deduplicated labels"
         )
-    out: list[np.ndarray] = []
-    for p, run in zip(posteriors, rla.runs):
-        vec = as_probs(p)
-        out.extend([vec] * run)
-    return out
+    if not len(posteriors):
+        return np.empty((0, 0))
+    try:
+        mat = np.asarray(posteriors, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidInputError("posteriors must be numeric vectors of one width") from None
+    if mat.ndim != 2:
+        raise InvalidInputError(
+            f"posteriors must stack to a (tokens, classes) matrix, got shape {mat.shape}"
+        )
+    return as_probs(mat)
+
+
+def rearrange(posteriors, rla: RunLengthAlignment) -> np.ndarray:
+    """Repeat posterior i ``runs[i]`` times: a ``(frames, K)`` matrix."""
+    return np.repeat(_posterior_matrix(posteriors, rla), rla.runs, axis=0)
+
+
+def teacher_stream(
+    a: Alignment, unit_map: Optional[UnitMap], provider: PosteriorProvider
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """One teacher's ``(T, K)`` token posteriors plus their ``T`` run lengths.
+
+    The alignment is mapped into the teacher's unit (``None`` keeps it) and
+    deduplicated; the provider must yield exactly one posterior per
+    deduplicated token, else an error naming both lengths is raised. Repeating
+    row i ``runs[i]`` times gives the frame-synchronous stream.
+    """
+    mapped = a if unit_map is None else map_units(a, unit_map)
+    rla = deduplicate(mapped)
+    return _posterior_matrix(provider(list(rla.labels)), rla), rla.runs
 
 
 def build_framewise_targets(
@@ -126,23 +151,17 @@ def build_framewise_targets(
 ) -> list[TargetSet]:
     """Assemble per-frame hard labels plus one soft-label stream per teacher.
 
-    Each teacher is a ``(teacher_id, unit_map_or_None, provider)`` triple;
-    ``None`` means the teacher already shares the alignment's unit. The
-    provider must yield exactly one posterior per deduplicated token of the
-    mapped alignment, else an error naming both lengths is raised.
+    Each teacher is a ``(teacher_id, unit_map_or_None, provider)`` triple
+    handed to :func:`teacher_stream`.
     """
     ids = [str(t[0]) for t in teachers]
     if len(set(ids)) != len(ids):
         raise InvalidInputError(f"duplicate teacher ids: {ids}")
-    streams: list[tuple[str, list[np.ndarray]]] = []
+    streams = []
     for tid, unit_map, provider in teachers:
-        mapped = a if unit_map is None else map_units(a, unit_map)
-        rla = deduplicate(mapped)
-        posteriors = provider(list(rla.labels))
-        streams.append((str(tid), rearrange(posteriors, rla)))
-    out: list[TargetSet] = []
-    for i, hard in enumerate(a.frames):
-        out.append(
-            TargetSet(hard=hard, soft=tuple((tid, s[i]) for tid, s in streams))
-        )
-    return out
+        posteriors, runs = teacher_stream(a, unit_map, provider)
+        streams.append((str(tid), np.repeat(posteriors, runs, axis=0)))
+    return [
+        TargetSet(hard=hard, soft=tuple((tid, s[i]) for tid, s in streams))
+        for i, hard in enumerate(a.frames)
+    ]

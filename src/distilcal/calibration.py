@@ -114,11 +114,17 @@ def ece(probs, labels, rank: int, num_bins: int) -> ReliabilityReport:
     return ReliabilityReport(rank=rank, bins=stats, ece=total, n_total=n)
 
 
+_FMT6 = "%.6f"
+
+
 def _fmt6(x: float) -> str:
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # avoid "-0.000000"
-    return f"{x:.6f}"
+    return _FMT6 % (float(x) + 0.0)  # + 0.0 turns -0.0 into 0.0: no "-0.000000"
+
+
+def _fmt6_rows(mat: np.ndarray) -> list[str]:
+    """Each row of a 2-D matrix as comma-joined :func:`_fmt6` entries."""
+    row_fmt = ",".join([_FMT6] * mat.shape[1])
+    return [row_fmt % tuple(row) for row in (mat + 0.0).tolist()]
 
 
 def reliability_csv(report: ReliabilityReport) -> str:

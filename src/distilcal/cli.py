@@ -13,8 +13,8 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .alignment import build_framewise_targets
-from .calibration import _fmt6, ece
+from .alignment import teacher_stream
+from .calibration import _fmt6, _fmt6_rows, ece
 from .errors import DistilcalError, InvalidInputError, InvalidParameterError
 from .fileio import (
     read_alignment_file,
@@ -137,18 +137,17 @@ def _cmd_targets(args) -> int:
 
     lines = []
     for utt, alignment in alignments.items():
-        teachers = []
-        for tid, unit_map, table in teacher_tables:
+        for tid, _, table in teacher_tables:
             if utt not in table:
                 raise InvalidInputError(
                     f"utterance {utt!r} missing from posterior file for teacher {tid}"
                 )
-            teachers.append((tid, unit_map, lambda labels, p=table[utt]: p))
-        for frame_idx, target in enumerate(build_framewise_targets(alignment, teachers)):
-            cells = [utt, str(frame_idx), target.hard]
-            for tid, vec in target.soft:
-                cells.append(f"{tid}:" + ",".join(_fmt6(v) for v in vec))
-            lines.append("\t".join(cells))
+        columns = [[f"{utt}\t{i}\t{hard}" for i, hard in enumerate(alignment.frames)]]
+        for tid, unit_map, table in teacher_tables:
+            posteriors, runs = teacher_stream(alignment, unit_map, lambda _, p=table[utt]: p)
+            cells = [f"{tid}:{row}" for row in _fmt6_rows(posteriors)]
+            columns.append([cell for cell, run in zip(cells, runs) for _ in range(run)])
+        lines.extend(map("\t".join, zip(*columns)))
     write_text_atomic(args.out, "\n".join(lines) + "\n")
     print(f"utterances={len(alignments)} frames={len(lines)} teachers={len(posts)}")
     return 0

@@ -41,16 +41,21 @@ def _lines(path) -> list[tuple[int, str]]:
     ]
 
 
+def _json_lines(path):
+    """``(line_no, value)`` per non-blank line, each parsed as one JSON value."""
+    for line_no, line in _lines(path):
+        try:
+            yield line_no, json.loads(line)
+        except ValueError as e:  # JSONDecodeError, or an integer over the digit limit
+            raise FileFormatError(path, line_no, f"bad JSON: {getattr(e, 'msg', e)}") from None
+
+
 def read_prediction_file(path) -> tuple[np.ndarray, np.ndarray]:
     """Logit matrix and label vector from a JSON-lines prediction file."""
     logits: list[list[float]] = []
     labels: list[int] = []
     width = None
-    for line_no, line in _lines(path):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise FileFormatError(path, line_no, f"bad JSON: {e.msg}") from None
+    for line_no, obj in _json_lines(path):
         if not isinstance(obj, dict) or "logits" not in obj or "label" not in obj:
             raise FileFormatError(path, line_no, "need keys 'logits' and 'label'")
         row = obj["logits"]
@@ -91,11 +96,7 @@ def read_prediction_file(path) -> tuple[np.ndarray, np.ndarray]:
 def read_hypothesis_file(path) -> dict[str, list[ScoredHypothesis]]:
     """Hypotheses grouped by utterance, both levels in file order."""
     groups: dict[str, list[ScoredHypothesis]] = {}
-    for line_no, line in _lines(path):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise FileFormatError(path, line_no, f"bad JSON: {e.msg}") from None
+    for line_no, obj in _json_lines(path):
         try:
             utt = str(obj["utt"])
             hyp = ScoredHypothesis(
@@ -147,61 +148,98 @@ def read_unit_map_file(path, source: str, target: str) -> UnitMap:
     return UnitMap(mapping=mapping, source=source, target=target)
 
 
-def read_posterior_file(path) -> dict[str, list[np.ndarray]]:
-    """Per-utterance posterior lists, ordered by token index.
+def read_posterior_file(path) -> dict[str, np.ndarray]:
+    """Per-utterance ``(T, K)`` posterior matrices, rows ordered by token index.
 
     Token indices must be contiguous from 0 within each utterance and all
-    vectors in the file must share one width.
+    vectors in the file must share one width. The first bad line is reported
+    as if lines were checked one at a time: columns, token index, numbers,
+    range, width, sum, then duplicate index.
     """
-    rows: dict[str, dict[int, np.ndarray]] = {}
-    width = None
+    line_nos: list[int] = []
+    counts: list[int] = []
+    fields: list[str] = []
+    rows: dict[str, dict[int, int]] = {}  # utt -> token index -> row
+    duplicate = None  # first row repeating an (utt, token index) pair
+    error = None  # the line that ends the scan, with its message
     for line_no, line in _lines(path):
         parts = line.split("\t")
         if len(parts) != 3:
-            raise FileFormatError(
-                path, line_no, "expected 'utt<TAB>token-index<TAB>p0 p1 ...'"
-            )
-        utt = parts[0].strip()
+            error = (line_no, "expected 'utt<TAB>token-index<TAB>p0 p1 ...'")
+            break
         try:
             index = int(parts[1])
         except ValueError:
-            raise FileFormatError(path, line_no, f"bad token index {parts[1]!r}") from None
+            error = (line_no, f"bad token index {parts[1]!r}")
+            break
         if index < 0:
-            raise FileFormatError(path, line_no, f"negative token index {index}")
-        try:
-            vec = np.array([float(v) for v in parts[2].split()])
-        except ValueError:
-            raise FileFormatError(path, line_no, "probabilities must be numbers") from None
-        if vec.size < 2 or not np.all(np.isfinite(vec)) or np.any(vec < 0):
-            raise FileFormatError(
-                path, line_no, "need >= 2 finite non-negative probabilities"
-            )
-        if width is None:
-            width = vec.size
-        elif vec.size != width:
-            raise FileFormatError(
-                path, line_no, f"expected {width} probabilities, got {vec.size}"
-            )
-        total = vec.sum()
-        if abs(total - 1.0) > POSTERIOR_SUM_TOL:
-            raise FileFormatError(
-                path, line_no, f"probabilities sum to {total:.8f}, not 1"
-            )
-        vec = vec / total
-        per_utt = rows.setdefault(utt, {})
+            error = (line_no, f"negative token index {index}")
+            break
+        row = len(line_nos)
+        per_utt = rows.setdefault(parts[0].strip(), {})
         if index in per_utt:
-            raise FileFormatError(path, line_no, f"duplicate token index {index}")
-        per_utt[index] = vec
-    if not rows:
+            if duplicate is None:
+                duplicate = (row, f"duplicate token index {index}")
+        else:
+            per_utt[index] = row
+        row_fields = parts[2].split()
+        line_nos.append(line_no)
+        counts.append(len(row_fields))
+        fields.extend(row_fields)
+
+    # Each check below looks only at the rows before the first bad line found
+    # so far, in the order a line is checked, so an earlier line always wins.
+    n = len(line_nos)
+
+    def fail(row: int, message: str) -> None:
+        nonlocal n, error
+        n, error = row, (line_nos[row], message)
+
+    try:
+        values = list(map(float, fields))
+    except ValueError:
+        values = []
+        for text in fields:
+            try:
+                values.append(float(text))
+            except ValueError:
+                break
+        row = int(np.searchsorted(np.cumsum(counts), len(values), side="right"))
+        fail(row, "probabilities must be numbers")
+    flat = np.array(values[: sum(counts[:n])], dtype=np.float64)
+    width = counts[0] if n else 0
+    counts_arr = np.array(counts[:n], dtype=np.intp)
+    out_of_range = ~np.isfinite(flat) | (flat < 0)
+    bad_values = np.bincount(
+        np.repeat(np.arange(n), counts_arr), weights=out_of_range, minlength=n
+    ) > 0
+    bad = (counts_arr < 2) | bad_values | (counts_arr != width)
+    if bad.any():
+        row = int(bad.argmax())
+        if counts_arr[row] < 2 or bad_values[row]:
+            fail(row, "need >= 2 finite non-negative probabilities")
+        else:
+            fail(row, f"expected {width} probabilities, got {counts_arr[row]}")
+    mat = flat[: n * width].reshape(n, width)
+    totals = mat.sum(axis=1)
+    off = np.abs(totals - 1.0) > POSTERIOR_SUM_TOL
+    if off.any():
+        row = int(off.argmax())
+        fail(row, f"probabilities sum to {totals[row]:.8f}, not 1")
+    if duplicate is not None and duplicate[0] < n:
+        fail(*duplicate)
+    if error is not None:
+        raise FileFormatError(path, *error)
+    if not line_nos:
         raise FileFormatError(path, 0, "no posteriors found")
-    out: dict[str, list[np.ndarray]] = {}
+    mat = mat / totals[:, None]
+    out: dict[str, np.ndarray] = {}
     for utt, by_index in rows.items():
-        expected = set(range(len(by_index)))
-        if set(by_index) != expected:
+        if set(by_index) != set(range(len(by_index))):
             raise FileFormatError(
                 path, 0, f"utterance {utt!r} has gaps in its token indices"
             )
-        out[utt] = [by_index[i] for i in range(len(by_index))]
+        out[utt] = mat[[by_index[i] for i in range(len(by_index))]]
     return out
 
 

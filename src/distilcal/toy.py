@@ -12,6 +12,7 @@ which gives distillation a genuine quality gap to transfer.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -217,14 +218,18 @@ class TrainConfig:
             )
         if self.epochs < 1 or self.batch_size < 1:
             raise InvalidParameterError("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0.0:
-            raise InvalidParameterError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise InvalidParameterError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
         if not 0.0 <= self.lam <= 1.0:
             raise InvalidParameterError(f"lam must be in [0, 1], got {self.lam}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise InvalidParameterError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if self.temperature <= 0.0:
-            raise InvalidParameterError("temperature must be positive")
+        if not (math.isfinite(self.temperature) and self.temperature > 0.0):
+            raise InvalidParameterError(
+                f"temperature must be positive and finite, got {self.temperature}"
+            )
 
 
 def _check_teachers(

@@ -13,6 +13,7 @@ from distilcal import (
     deduplicate,
     map_units,
     rearrange,
+    teacher_stream,
 )
 
 P1 = np.array([1.0, 0.0])
@@ -90,6 +91,49 @@ class TestRearrange:
         rla = RunLengthAlignment(("x", "y", "z"), (1, 1, 1))
         with pytest.raises(InvalidInputError, match="2.*3"):
             rearrange([P1, P2], rla)
+
+
+class TestTeacherStream:
+    def test_mapped_tokens_and_runs(self):
+        a = Alignment(("a", "a", "b", "c"), "fine")
+        m = UnitMap({"a": "x", "b": "x", "c": "y"}, source="fine", target="coarse")
+        seen = []
+
+        def provider(labels):
+            seen.append(labels)
+            return [P1, P3]
+
+        posteriors, runs = teacher_stream(a, m, provider)
+        assert seen == [["x", "y"]]
+        np.testing.assert_array_equal(posteriors, np.stack([P1, P3]))
+        assert runs == (3, 1)
+
+    def test_matrix_from_provider_is_kept(self):
+        mat = np.stack([P1, P2])
+        posteriors, runs = teacher_stream(Alignment(("a", "b", "b"), "u"), None,
+                                          lambda labels: mat)
+        np.testing.assert_array_equal(posteriors, mat)
+        assert runs == (1, 2)
+
+    def test_empty_alignment_with_zero_posteriors(self):
+        posteriors, runs = teacher_stream(Alignment((), "u"), None, lambda labels: [])
+        assert len(posteriors) == 0 and len(runs) == 0
+        assert len(rearrange([], deduplicate(Alignment((), "u")))) == 0
+
+    def test_ragged_widths_rejected(self):
+        a = Alignment(("a", "b"), "u")
+        with pytest.raises(InvalidInputError, match="one width"):
+            teacher_stream(a, None, lambda labels: [P1, np.full(3, 1 / 3)])
+
+    def test_off_simplex_posterior_rejected(self):
+        a = Alignment(("a", "b"), "u")
+        with pytest.raises(InvalidInputError):
+            teacher_stream(a, None, lambda labels: [P1, np.array([0.5, 0.6])])
+
+    def test_count_mismatch_states_both_lengths(self):
+        a = Alignment(("a", "b", "c"), "u")
+        with pytest.raises(InvalidInputError, match="got 2 posteriors for 3"):
+            teacher_stream(a, None, lambda labels: [P1, P2])
 
 
 class TestBuildFramewiseTargets:

@@ -6,7 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from distilcal import Alignment, UnitMap, build_framewise_targets
+from distilcal.calibration import _fmt6
 from distilcal.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -104,6 +108,14 @@ class TestEceCommand:
             assert ":2:" in err
             assert not (tmp_path / "o.csv").exists()
 
+    def test_integer_logit_over_digit_limit_reports_line(self, tmp_path):
+        fix = tmp_path / "big.jsonl"
+        fix.write_text('{"logits": [0.0, 1.0], "label": 0}\n'
+                       '{"logits": [1' + "0" * 5000 + ', 0.5], "label": 0}\n')
+        _, err = run_rejected(tmp_path, "ece", "--input", fix, "--out", "o.csv")
+        assert ":2: bad JSON: Exceeds the limit" in err
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestFitTempCommand:
     def _write_predictions(self, path, logits, labels):
@@ -186,6 +198,106 @@ class TestCombineCommand:
             )
             assert stdout == ""
             assert "positive and finite" in err
+
+    def test_integer_score_over_digit_limit_reports_line(self, tmp_path):
+        fix = tmp_path / "big.jsonl"
+        fix.write_text('{"utt": "u", "id": "a", "am_logp": 1' + "0" * 5000
+                       + ', "lm_logp": -1.0}\n')
+        stdout, err = run_rejected(tmp_path, "combine", "--hyps", fix)
+        assert stdout == ""
+        assert ":1: bad JSON: Exceeds the limit" in err
+
+
+def write_posteriors(path, table):
+    """Write ``{utt: (T, K) array}`` at full precision, so reading is exact."""
+    with open(path, "w") as fh:
+        for utt, rows in table.items():
+            for i, row in enumerate(rows):
+                fh.write(f"{utt}\t{i}\t{' '.join(map(repr, row.tolist()))}\n")
+
+
+def reference_targets(alignments, teachers):
+    """The per-frame path: one ``_fmt6`` call per float on every frame."""
+    lines = []
+    for utt, frames in alignments.items():
+        per_teacher = [
+            (tid, unit_map, lambda _, rows=table[utt]: [r / r.sum() for r in rows])
+            for tid, unit_map, table in teachers
+        ]
+        targets = build_framewise_targets(Alignment(frames, "fine"), per_teacher)
+        for i, target in enumerate(targets):
+            cells = [utt, str(i), target.hard]
+            cells += [f"{tid}:" + ",".join(_fmt6(v) for v in vec) for tid, vec in target.soft]
+            lines.append("\t".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+FINE = [f"f{i}" for i in range(6)]
+
+
+@st.composite
+def targets_case(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alignments = {
+        f"u{u}": tuple(draw(st.lists(st.sampled_from(FINE), min_size=1, max_size=25)))
+        for u in range(draw(st.integers(1, 3)))
+    }
+    teachers = []
+    for t in range(draw(st.integers(1, 3))):
+        coarse = draw(st.sampled_from([None, 1, 2, 3]))
+        unit_map = None if coarse is None else UnitMap(
+            {f: f"c{rng.integers(coarse)}" for f in FINE}, source="fine", target=f"t{t}")
+        width = draw(st.sampled_from([2, 8, 40, 200]))
+        table = {}
+        for utt, frames in alignments.items():
+            mapped = [f if unit_map is None else unit_map.apply(f) for f in frames]
+            tokens = sum(1 for i, f in enumerate(mapped) if i == 0 or f != mapped[i - 1])
+            rows = rng.dirichlet(np.ones(width), size=tokens)
+            zero = rng.random(rows.shape) < 0.1
+            zero[np.arange(tokens), rows.argmax(axis=1)] = False
+            rows[zero] = -0.0
+            rows /= rows.sum(axis=1, keepdims=True)
+            rows *= 1.0 + rng.uniform(-9e-7, 9e-7, size=(tokens, 1))  # off the simplex
+            table[utt] = rows
+        teachers.append((f"t{t}", unit_map, table))
+    return alignments, teachers
+
+
+class TestTargetsFormatOnce:
+    @settings(max_examples=60, deadline=None)
+    @given(targets_case())
+    def test_bytes_equal_per_frame_reference(self, tmp_path_factory, case):
+        alignments, teachers = case
+        work = tmp_path_factory.mktemp("targets")
+        (work / "align.tsv").write_text(
+            "".join(f"{utt}\t{' '.join(frames)}\n" for utt, frames in alignments.items()))
+        argv = ["targets", "--align", work / "align.tsv", "--out", work / "out.tsv"]
+        for tid, unit_map, table in teachers:
+            if unit_map is None:
+                argv += ["--map", "identity"]
+            else:
+                (work / f"{tid}.map").write_text(
+                    "".join(f"{f}\t{c}\n" for f, c in unit_map.mapping.items()))
+                argv += ["--map", work / f"{tid}.map"]
+            write_posteriors(work / f"{tid}.tsv", table)
+            argv += ["--posteriors", work / f"{tid}.tsv"]
+        assert main([str(a) for a in argv]) == 0
+        assert (work / "out.tsv").read_text() == reference_targets(alignments, teachers)
+
+    def test_negative_zero_prints_positive_zero(self, capsys, tmp_path):
+        align = tmp_path / "align.tsv"
+        align.write_text("u1\ta a b\n")
+        post = tmp_path / "post.tsv"
+        post.write_text("u1\t0\t-0.0 1.0\nu1\t1\t1.0 -0\n")
+        out = tmp_path / "targets.tsv"
+        code, _, _ = run(capsys, "targets", "--align", align,
+                         "--posteriors", post, "--out", out)
+        assert code == 0
+        assert out.read_text() == (
+            "u1\t0\ta\tt0:0.000000,1.000000\n"
+            "u1\t1\ta\tt0:0.000000,1.000000\n"
+            "u1\t2\tb\tt0:1.000000,0.000000\n"
+        )
 
 
 class TestTargetsCommand:
@@ -278,6 +390,16 @@ class TestTrainCommand:
                          **{key: "1.5x"}, **FAST_TOY)
             _, err = run_rejected(tmp_path, "train", "--config", cfg)
             assert f"bad value for config key '{key}': '1.5x'" in err
+            assert not (tmp_path / "m.json").exists()
+
+    def test_non_finite_learning_rate_or_temperature_rejected(self, tmp_path):
+        cfg = tmp_path / "train.cfg"
+        for key, value in (("learning_rate", "nan"), ("learning_rate", "inf"),
+                           ("temperature", "nan"), ("temperature", "inf")):
+            write_config(cfg, method="lst", out=tmp_path / "m.json",
+                         **{**FAST_TOY, key: value})
+            _, err = run_rejected(tmp_path, "train", "--config", cfg)
+            assert f"{key} must be positive and finite" in err
             assert not (tmp_path / "m.json").exists()
 
 

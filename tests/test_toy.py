@@ -4,6 +4,7 @@ import pytest
 from distilcal import (
     ConfigurationError,
     InvalidInputError,
+    InvalidParameterError,
     SweepConfig,
     ToyNetwork,
     TrainConfig,
@@ -121,6 +122,13 @@ class TestTrain:
         for method in ("lst", "multitask"):
             with pytest.raises(ConfigurationError):
                 train(net, x, y, TrainConfig(method=method, epochs=1))
+
+    def test_non_finite_learning_rate_or_temperature_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError, match="learning_rate"):
+                TrainConfig(method="baseline", learning_rate=bad)
+            with pytest.raises(InvalidParameterError, match="temperature"):
+                TrainConfig(method="lst", temperature=bad)
 
     def test_teacher_row_count_checked(self):
         task = tiny_task()
