@@ -85,6 +85,7 @@ from .toy import (
     TrainConfig,
     evaluate,
     generate_data,
+    head_targets,
     make_student,
     make_task,
     make_teacher,

@@ -137,6 +137,8 @@ def _cmd_targets(args) -> int:
 
     lines = []
     for utt, alignment in alignments.items():
+        if not alignment.frames:
+            continue  # no frames: no posterior rows to look up, no lines to write
         for tid, _, table in teacher_tables:
             if utt not in table:
                 raise InvalidInputError(

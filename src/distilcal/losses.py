@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
-from .probs import as_logits, as_probs, log_softmax_t, softmax_t
+from .probs import as_logits, as_probs
 from .targets import HardLabel, InterpolationConfig, interpolate_target, one_hot, soft_label
 
 #: Floor on log arguments; zero-probability entries contribute exactly 0.
@@ -84,9 +84,12 @@ def batch_cross_entropy(
         raise InvalidInputError(
             f"logits shape {logits.shape} does not match targets shape {t.shape}"
         )
-    values = -(t * log_softmax_t(logits)).sum(axis=-1)
-    grads = softmax_t(logits) - t
-    return values, grads
+    # log_softmax_t and softmax_t at t=1, sharing one max shift and one exp.
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    s = e.sum(axis=-1, keepdims=True)
+    values = -(t * (z - np.log(s))).sum(axis=-1)
+    return values, e / s - t
 
 
 def cross_entropy(student_logits, target) -> LossResult:

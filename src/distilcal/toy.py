@@ -29,6 +29,8 @@ _METHODS = ("baseline", "label_smooth", "lst", "multitask")
 
 def _derive_seed(seed: int, tag: str) -> int:
     """Stable child seed for one named component of a run."""
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     ss = np.random.SeedSequence([int(seed), zlib.crc32(tag.encode("utf-8"))])
     return int(ss.generate_state(1, dtype=np.uint32)[0])
 
@@ -52,8 +54,12 @@ class SyntheticTask:
             )
         if len(np.unique(means, axis=0)) != self.num_classes:
             raise InvalidInputError("cluster means must be distinct")
-        if self.noise_sigma < 0.0:
-            raise InvalidParameterError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise InvalidParameterError(
+                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}"
+            )
+        if not np.all(np.isfinite(means)):
+            raise InvalidInputError("cluster means must be finite")
         object.__setattr__(self, "cluster_means", means)
         if self.coarse_map is not None:
             cm = np.asarray(self.coarse_map, dtype=np.int64)
@@ -79,6 +85,8 @@ def make_task(
     seed: int = 0,
 ) -> SyntheticTask:
     """Random cluster means plus a round-robin fine-to-coarse relabeling."""
+    if not math.isfinite(mean_scale):
+        raise InvalidParameterError(f"mean_scale must be finite, got {mean_scale}")
     rng = np.random.default_rng(seed)
     means = mean_scale * rng.standard_normal((num_classes, input_dim))
     coarse = None
@@ -144,13 +152,16 @@ class ToyNetwork:
             layout.append((f"{name}.b", (k,)))
         total = sum(int(np.prod(shape)) for _, shape in layout)
         self.params = np.empty(total)
-        self._layout: dict[str, tuple[int, tuple[int, ...]]] = {}
+        # Flat slot of each named block, shared by the parameter vector and
+        # every gradient vector, so a training step writes its gradient
+        # without working out offsets.
+        self._slots: dict[str, slice] = {}
         self._views: dict[str, np.ndarray] = {}
         offset = 0
         for name, shape in layout:
             size = int(np.prod(shape))
-            self._layout[name] = (offset, shape)
-            self._views[name] = self.params[offset : offset + size].reshape(shape)
+            self._slots[name] = slice(offset, offset + size)
+            self._views[name] = self.params[self._slots[name]].reshape(shape)
             offset += size
 
         self._init_component("trunk", fan_in=input_dim)
@@ -175,16 +186,24 @@ class ToyNetwork:
     def num_params(self) -> int:
         return self.params.size
 
-    def forward_batch(self, inputs: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Hidden activations and per-head logits for a (B, d) batch."""
+    def _as_inputs(self, inputs) -> np.ndarray:
+        """Coerce to a float64 (B, d) batch, validating its width."""
         x = np.asarray(inputs, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise InvalidInputError(
                 f"expected inputs of shape (B, {self.input_dim}), got {x.shape}"
             )
-        hidden = np.tanh(x @ self._views["trunk.W"].T + self._views["trunk.b"])
+        return x
+
+    def forward_batch(self, inputs: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """Hidden activations and per-head logits for a (B, d) batch."""
+        return self._forward(self._as_inputs(inputs))
+
+    def _forward(self, x: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        views = self._views
+        hidden = np.tanh(x @ views["trunk.W"].T + views["trunk.b"])
         logits = {
-            name: hidden @ self._views[f"{name}.W"].T + self._views[f"{name}.b"]
+            name: hidden @ views[f"{name}.W"].T + views[f"{name}.b"]
             for name in self.head_dims
         }
         return hidden, logits
@@ -247,69 +266,105 @@ def _check_teachers(
     return {k: np.asarray(v, dtype=np.float64) for k, v in sorted(teacher_logits.items())}
 
 
-def network_loss_and_grad(
+def head_targets(
     net: ToyNetwork,
-    inputs: np.ndarray,
     labels: np.ndarray,
     cfg: TrainConfig,
     teacher_logits: Optional[Mapping[str, np.ndarray]] = None,
-) -> tuple[float, np.ndarray]:
-    """Mean loss over the batch and its gradient w.r.t. the flat parameters."""
+) -> dict[str, np.ndarray]:
+    """Target rows for every head the method trains, over the whole data set.
+
+    ``"sl"`` gets the one-hot, smoothed or (for ``lst``) interpolated target;
+    under ``multitask`` each teacher ``t`` also gives head ``"kd_t"`` its
+    logits softened at ``cfg.temperature``. Labels and teachers are checked
+    here, so :func:`network_loss_and_grad` can take row subsets of the result
+    without checking them again.
+    """
     teachers = _check_teachers(cfg, teacher_logits)
-    x = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(labels)
-    hidden, logits = net.forward_batch(x)
-    b = x.shape[0]
-    rows = np.arange(b)
     k = net.head_dims["sl"]
+    y = np.asarray(labels)
+    if y.ndim != 1 or y.size == 0 or not np.issubdtype(y.dtype, np.integer):
+        raise InvalidInputError(f"labels must be a non-empty 1-D integer array, got {y.shape}")
+    if y.min() < 0 or y.max() >= k:
+        raise InvalidInputError(f"labels must lie in [0, {k}), got [{y.min()}, {y.max()}]")
+    n = y.shape[0]
+
+    def soften(tid: str, head: str) -> np.ndarray:
+        if head not in net.head_dims:
+            raise ConfigurationError(f"network has no head {head!r} for teacher {tid!r}")
+        soft = softmax_t(teachers[tid], cfg.temperature)
+        if soft.ndim != 2:
+            raise InvalidInputError(f"teacher {tid!r} logits must be an (n, K) matrix")
+        if soft.shape[0] != n:
+            raise ConfigurationError(
+                f"teacher {tid!r} provides {soft.shape[0]} rows for {n} samples"
+            )
+        if soft.shape[1] != net.head_dims[head]:
+            raise InvalidInputError(
+                f"teacher {tid!r} emits {soft.shape[1]} classes, "
+                f"head {head!r} has {net.head_dims[head]}"
+            )
+        return soft
+
+    rows = np.arange(n)
+    if cfg.method == "label_smooth":
+        sl = np.full((n, k), cfg.epsilon / k)
+        sl[rows, y] += 1.0 - cfg.epsilon
+    else:
+        sl = np.zeros((n, k))
+        sl[rows, y] = 1.0
+    if cfg.method == "lst":
+        sl = cfg.lam * sl + (1.0 - cfg.lam) * soften("fine", "sl")
+    targets = {"sl": sl}
+    if cfg.method == "multitask":
+        for tid in teachers:
+            targets[f"kd_{tid}"] = soften(tid, f"kd_{tid}")
+    return targets
+
+
+def network_loss_and_grad(
+    net: ToyNetwork,
+    inputs: np.ndarray,
+    targets: Mapping[str, np.ndarray],
+    cfg: TrainConfig,
+) -> tuple[float, np.ndarray]:
+    """Mean loss over the batch and its gradient w.r.t. the flat parameters.
+
+    ``inputs`` is a float64 (B, d) batch and ``targets`` holds the same B
+    samples' rows of :func:`head_targets`; neither is checked again here.
+    Only the student logits are: each head's cross-entropy rejects
+    non-finite ones.
+    """
+    hidden, logits = net._forward(inputs)
+    b = inputs.shape[0]
 
     dlogits: dict[str, np.ndarray] = {}
-    if cfg.method in ("baseline", "label_smooth", "lst"):
-        if cfg.method == "baseline":
-            target = np.zeros((b, k))
-            target[rows, y] = 1.0
-        elif cfg.method == "label_smooth":
-            target = np.full((b, k), cfg.epsilon / k)
-            target[rows, y] += 1.0 - cfg.epsilon
-        else:
-            soft = softmax_t(teachers["fine"], cfg.temperature)
-            target = np.zeros((b, k))
-            target[rows, y] = 1.0
-            target = cfg.lam * target + (1.0 - cfg.lam) * soft
-        values, grads = batch_cross_entropy(logits["sl"], target)
+    values, grads = batch_cross_entropy(logits["sl"], targets["sl"])
+    if cfg.method != "multitask":
         value = float(values.mean())
         dlogits["sl"] = grads / b
-    else:  # multitask
-        onehot = np.zeros((b, k))
-        onehot[rows, y] = 1.0
-        sl_values, sl_grads = batch_cross_entropy(logits["sl"], onehot)
-        value = cfg.lam * float(sl_values.mean())
-        dlogits["sl"] = (cfg.lam / b) * sl_grads
-        m = len(teachers)
-        for tid, t_logits in teachers.items():
-            head = f"kd_{tid}"
-            if head not in net.head_dims:
-                raise ConfigurationError(f"network has no head {head!r} for teacher {tid!r}")
-            soft = softmax_t(t_logits, cfg.temperature)
-            kd_values, kd_grads = batch_cross_entropy(logits[head], soft)
+    else:
+        value = cfg.lam * float(values.mean())
+        dlogits["sl"] = (cfg.lam / b) * grads
+        m = len(targets) - 1
+        for head, target in targets.items():
+            if head == "sl":
+                continue
+            kd_values, kd_grads = batch_cross_entropy(logits[head], target)
             value += (1.0 - cfg.lam) * float(kd_values.mean()) / m
             dlogits[head] = ((1.0 - cfg.lam) / (m * b)) * kd_grads
 
     grad = np.zeros_like(net.params)
-
-    def gview(name: str) -> np.ndarray:
-        offset, shape = net._layout[name]
-        return grad[offset : offset + int(np.prod(shape))].reshape(shape)
-
+    slots, views = net._slots, net._views
     d_hidden = np.zeros_like(hidden)
     for head in sorted(dlogits):
         dl = dlogits[head]
-        gview(f"{head}.W")[...] = dl.T @ hidden
-        gview(f"{head}.b")[...] = dl.sum(axis=0)
-        d_hidden += dl @ net.view(f"{head}.W")
+        grad[slots[f"{head}.W"]] = (dl.T @ hidden).ravel()
+        grad[slots[f"{head}.b"]] = dl.sum(axis=0)
+        d_hidden += dl @ views[f"{head}.W"]
     d_pre = d_hidden * (1.0 - hidden**2)
-    gview("trunk.W")[...] = d_pre.T @ x
-    gview("trunk.b")[...] = d_pre.sum(axis=0)
+    grad[slots["trunk.W"]] = (d_pre.T @ inputs).ravel()
+    grad[slots["trunk.b"]] = d_pre.sum(axis=0)
     return value, grad
 
 
@@ -320,28 +375,34 @@ def train(
     cfg: TrainConfig,
     teacher_logits: Optional[Mapping[str, np.ndarray]] = None,
 ) -> tuple[ToyNetwork, list[float]]:
-    """Mini-batch SGD in place; returns the net and the per-epoch mean loss."""
-    teachers = _check_teachers(cfg, teacher_logits)
-    x = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(labels)
+    """Mini-batch SGD in place; returns the net and the per-epoch mean loss.
+
+    Inputs, labels and teachers are checked, and every head's targets built
+    (:func:`head_targets`), once per call; each step takes its rows by index.
+    Floating-point warnings are off in the loop: a step that diverges leaves
+    non-finite logits, which the next step rejects as an input error.
+    """
+    x = net._as_inputs(inputs)
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError("inputs must be finite")
     n = x.shape[0]
-    for tid, t_logits in teachers.items():
-        if t_logits.shape[0] != n:
-            raise ConfigurationError(
-                f"teacher {tid!r} provides {t_logits.shape[0]} rows for {n} samples"
-            )
+    y = np.asarray(labels)
+    if y.shape[:1] != (n,):
+        raise InvalidInputError(f"got {n} inputs but labels of shape {y.shape}")
+    targets = head_targets(net, y, cfg, teacher_logits)
     rng = np.random.default_rng(cfg.seed)
     curve: list[float] = []
-    for _ in range(cfg.epochs):
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            batch_teachers = {tid: t[idx] for tid, t in teachers.items()}
-            value, grad = network_loss_and_grad(net, x[idx], y[idx], cfg, batch_teachers)
-            net.params -= cfg.learning_rate * grad
-            epoch_loss += value * len(idx)
-        curve.append(epoch_loss / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            perm = rng.permutation(n)
+            epoch_loss = 0.0
+            for start in range(0, n, cfg.batch_size):
+                idx = perm[start : start + cfg.batch_size]
+                batch = {head: t[idx] for head, t in targets.items()}
+                value, grad = network_loss_and_grad(net, x[idx], batch, cfg)
+                net.params -= cfg.learning_rate * grad
+                epoch_loss += value * len(idx)
+            curve.append(epoch_loss / n)
     return net, curve
 
 
@@ -439,6 +500,28 @@ class SweepConfig:
     hierarchical: bool = False
     eval_bins: int = 15
 
+    def __post_init__(self):
+        counts = (
+            "n_train", "n_test", "epochs", "batch_size", "hidden_dim",
+            "teacher_hidden_multiplier", "teacher_data_multiplier",
+            "teacher_epochs", "eval_bins",
+        )
+        for key in counts:
+            if getattr(self, key) < 1:
+                raise InvalidParameterError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.task_seed < 0:
+            raise InvalidParameterError(f"task_seed must be >= 0, got {self.task_seed}")
+        for key in ("learning_rate", "lst_temperature", "multitask_temperature"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0.0):
+                raise InvalidParameterError(f"{key} must be positive and finite, got {value}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise InvalidParameterError(
+                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}"
+            )
+        if not math.isfinite(self.mean_scale):
+            raise InvalidParameterError(f"mean_scale must be finite, got {self.mean_scale}")
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -468,6 +551,8 @@ def sweep_lambda(
     for m in methods:
         if m not in ("lst", "multitask"):
             raise InvalidParameterError(f"sweep methods are 'lst'/'multitask', got {m!r}")
+    if min(seeds) < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {min(seeds)}")
 
     task = make_task(
         num_classes=cfg.num_classes,

@@ -1,13 +1,20 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is deliberately written in plain Python (lists, ``sorted``,
-sequential sums) so it shares no code path with the numpy implementations it
-verifies.
+The calibration and temperature oracles are deliberately written in plain
+Python (lists, ``sorted``, sequential sums) so they share no code path with
+the numpy implementations they verify. The reference trainer at the end is
+the earlier per-step trainer kept as it was, for bit-identity checks.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Mapping, Optional
+
+import numpy as np
+
+from distilcal.errors import ConfigurationError, InvalidInputError
+from distilcal.probs import as_logits, log_softmax_t, softmax_t
 
 
 def brute_force_ece(prob_rows, labels, rank: int, num_bins: int) -> float:
@@ -59,3 +66,120 @@ def dense_grid_temperature(logit_rows, labels, t_min: float, t_max: float, point
         if nll < best_nll:
             best_t, best_nll = t, nll
     return best_t, best_nll
+
+
+# ---------------------------------------------------------------- reference trainer
+#
+# The per-step trainer as it stood before teachers were softened once per
+# ``train`` call: every step re-checks the teachers, rebuilds its targets,
+# softens its teacher rows and finds each gradient slot by name. It is kept
+# verbatim so that the lean trainer can be held to bit-identical parameters
+# and loss curves.
+
+
+def ref_batch_cross_entropy(student_logits, targets):
+    logits = as_logits(student_logits)
+    t = np.asarray(targets, dtype=np.float64)
+    if logits.shape != t.shape:
+        raise InvalidInputError(
+            f"logits shape {logits.shape} does not match targets shape {t.shape}"
+        )
+    values = -(t * log_softmax_t(logits)).sum(axis=-1)
+    grads = softmax_t(logits) - t
+    return values, grads
+
+
+def ref_check_teachers(cfg, teacher_logits: Optional[Mapping[str, np.ndarray]]):
+    if cfg.method in ("baseline", "label_smooth"):
+        return {}
+    if not teacher_logits:
+        raise ConfigurationError(f"method {cfg.method!r} requires teacher logits")
+    if cfg.method == "lst" and "fine" not in teacher_logits:
+        raise ConfigurationError("lst requires a 'fine' teacher stream")
+    if cfg.method == "lst":
+        return {"fine": np.asarray(teacher_logits["fine"], dtype=np.float64)}
+    return {k: np.asarray(v, dtype=np.float64) for k, v in sorted(teacher_logits.items())}
+
+
+def ref_network_loss_and_grad(net, inputs, labels, cfg, teacher_logits=None):
+    teachers = ref_check_teachers(cfg, teacher_logits)
+    x = np.asarray(inputs, dtype=np.float64)
+    y = np.asarray(labels)
+    hidden, logits = net.forward_batch(x)
+    b = x.shape[0]
+    rows = np.arange(b)
+    k = net.head_dims["sl"]
+
+    dlogits: dict[str, np.ndarray] = {}
+    if cfg.method in ("baseline", "label_smooth", "lst"):
+        if cfg.method == "baseline":
+            target = np.zeros((b, k))
+            target[rows, y] = 1.0
+        elif cfg.method == "label_smooth":
+            target = np.full((b, k), cfg.epsilon / k)
+            target[rows, y] += 1.0 - cfg.epsilon
+        else:
+            soft = softmax_t(teachers["fine"], cfg.temperature)
+            target = np.zeros((b, k))
+            target[rows, y] = 1.0
+            target = cfg.lam * target + (1.0 - cfg.lam) * soft
+        values, grads = ref_batch_cross_entropy(logits["sl"], target)
+        value = float(values.mean())
+        dlogits["sl"] = grads / b
+    else:  # multitask
+        onehot = np.zeros((b, k))
+        onehot[rows, y] = 1.0
+        sl_values, sl_grads = ref_batch_cross_entropy(logits["sl"], onehot)
+        value = cfg.lam * float(sl_values.mean())
+        dlogits["sl"] = (cfg.lam / b) * sl_grads
+        m = len(teachers)
+        for tid, t_logits in teachers.items():
+            head = f"kd_{tid}"
+            if head not in net.head_dims:
+                raise ConfigurationError(f"network has no head {head!r} for teacher {tid!r}")
+            soft = softmax_t(t_logits, cfg.temperature)
+            kd_values, kd_grads = ref_batch_cross_entropy(logits[head], soft)
+            value += (1.0 - cfg.lam) * float(kd_values.mean()) / m
+            dlogits[head] = ((1.0 - cfg.lam) / (m * b)) * kd_grads
+
+    grad = np.zeros_like(net.params)
+
+    def gview(name: str) -> np.ndarray:
+        # The one adapted line: the network records flat slots, not offsets.
+        return grad[net._slots[name]].reshape(net.view(name).shape)
+
+    d_hidden = np.zeros_like(hidden)
+    for head in sorted(dlogits):
+        dl = dlogits[head]
+        gview(f"{head}.W")[...] = dl.T @ hidden
+        gview(f"{head}.b")[...] = dl.sum(axis=0)
+        d_hidden += dl @ net.view(f"{head}.W")
+    d_pre = d_hidden * (1.0 - hidden**2)
+    gview("trunk.W")[...] = d_pre.T @ x
+    gview("trunk.b")[...] = d_pre.sum(axis=0)
+    return value, grad
+
+
+def ref_train(net, inputs, labels, cfg, teacher_logits=None):
+    teachers = ref_check_teachers(cfg, teacher_logits)
+    x = np.asarray(inputs, dtype=np.float64)
+    y = np.asarray(labels)
+    n = x.shape[0]
+    for tid, t_logits in teachers.items():
+        if t_logits.shape[0] != n:
+            raise ConfigurationError(
+                f"teacher {tid!r} provides {t_logits.shape[0]} rows for {n} samples"
+            )
+    rng = np.random.default_rng(cfg.seed)
+    curve: list[float] = []
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            batch_teachers = {tid: t[idx] for tid, t in teachers.items()}
+            value, grad = ref_network_loss_and_grad(net, x[idx], y[idx], cfg, batch_teachers)
+            net.params -= cfg.learning_rate * grad
+            epoch_loss += value * len(idx)
+        curve.append(epoch_loss / n)
+    return net, curve

@@ -329,6 +329,21 @@ class TestTargetsCommand:
         assert code == 0
         assert out.read_bytes() == (DATA / "expected_targets_three.tsv").read_bytes()
 
+    def test_empty_utterance_emits_no_lines(self, capsys, tmp_path):
+        post = tmp_path / "post.tsv"
+        post.write_text("u1\t0\t0.9 0.1\nu1\t1\t0.2 0.8\nu3\t0\t0.6 0.4\n")
+        outputs = []
+        for name, text in (("plain", "u1\ta b\nu3\tc\n"),
+                           ("empty", "u1\ta b\nu2\nu3\tc\n")):
+            align = tmp_path / f"{name}.tsv"
+            align.write_text(text)
+            out = tmp_path / f"{name}.out"
+            code, _, err = run(capsys, "targets", "--align", align,
+                               "--posteriors", post, "--out", out)
+            assert code == 0, err
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_posterior_count_mismatch_exits_2_with_lengths(self, capsys, tmp_path):
         align = tmp_path / "align.tsv"
         align.write_text("u1\ta a b\n")  # dedups to 2 tokens
@@ -401,6 +416,81 @@ class TestTrainCommand:
             _, err = run_rejected(tmp_path, "train", "--config", cfg)
             assert f"{key} must be positive and finite" in err
             assert not (tmp_path / "m.json").exists()
+
+
+GOLDEN_TOY = dict(FAST_TOY, seed=3)
+GOLDEN_TRAIN = {
+    "baseline": ({"method": "baseline"},
+                 "method=baseline acc=0.558333 ece1=0.217751 ece2=0.152543 ece3=0.115761\n"),
+    "label_smooth": ({"method": "label_smooth", "epsilon": 0.2},
+                     "method=label_smooth acc=0.533333 ece1=0.238963 ece2=0.109291 ece3=0.109480\n"),
+    "lst": ({"method": "lst", "lambda": 0.3},
+            "method=lst acc=0.491667 ece1=0.263435 ece2=0.122733 ece3=0.129052\n"),
+    "multitask": ({"method": "multitask", "lambda": 0.3, "hierarchical": "true"},
+                  "method=multitask acc=0.341667 ece1=0.120788 ece2=0.124351 ece3=0.074507\n"),
+}
+
+
+class TestTrainGoldens:
+    @pytest.mark.parametrize("method", sorted(GOLDEN_TRAIN))
+    def test_model_file_golden(self, capsys, tmp_path, method):
+        keys, stdout = GOLDEN_TRAIN[method]
+        cfg, model = tmp_path / "train.cfg", tmp_path / "model.json"
+        write_config(cfg, out=model, **keys, **GOLDEN_TOY)
+        code, out, err = run(capsys, "train", "--config", cfg)
+        assert code == 0, err
+        assert out == stdout
+        assert model.read_bytes() == (DATA / f"expected_train_{method}.json").read_bytes()
+
+    def test_sweep_csv_golden(self, capsys, tmp_path):
+        cfg, csv = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
+        write_config(cfg, lambdas="0,0.3,1", methods="lst,multitask", seeds="0,1",
+                     hierarchical="true", out=csv, **FAST_TOY)
+        code, out, err = run(capsys, "sweep", "--config", cfg)
+        assert code == 0, err
+        assert out == f"rows=12 out={csv}\n"
+        assert csv.read_bytes() == (DATA / "expected_sweep_small.csv").read_bytes()
+
+
+BAD_SWEEP_VALUES = [
+    ("n_train", "0"), ("n_test", "0"), ("epochs", "0"), ("batch_size", "0"),
+    ("hidden_dim", "0"), ("teacher_hidden_multiplier", "0"),
+    ("teacher_data_multiplier", "0"), ("teacher_epochs", "0"), ("eval_bins", "0"),
+    ("learning_rate", "0"), ("learning_rate", "nan"), ("lst_temperature", "-1"),
+    ("lst_temperature", "inf"), ("multitask_temperature", "0"),
+    ("noise_sigma", "-0.5"), ("noise_sigma", "nan"), ("noise_sigma", "inf"),
+    ("mean_scale", "inf"), ("mean_scale", "nan"), ("task_seed", "-1"),
+]
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("key,value", BAD_SWEEP_VALUES)
+    def test_sweep_rejects_bad_value_naming_key(self, tmp_path, key, value):
+        cfg = tmp_path / "sweep.cfg"
+        write_config(cfg, lambdas="0.5", methods="lst", seeds="0",
+                     out=tmp_path / "s.csv", **{**FAST_TOY, key: value})
+        _, err = run_rejected(tmp_path, "sweep", "--config", cfg)
+        assert key in err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_sweep_rejects_negative_seed(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        write_config(cfg, lambdas="0.5", methods="lst", seeds="0,-1",
+                     out=tmp_path / "s.csv", **FAST_TOY)
+        _, err = run_rejected(tmp_path, "sweep", "--config", cfg)
+        assert "seed must be >= 0, got -1" in err
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("key,value", [("eval_bins", "0"), ("n_train", "0"),
+                                           ("noise_sigma", "nan"), ("mean_scale", "inf"),
+                                           ("task_seed", "-1"), ("seed", "-1")])
+    def test_train_rejects_bad_value_naming_key(self, tmp_path, key, value):
+        cfg = tmp_path / "train.cfg"
+        write_config(cfg, method="baseline", out=tmp_path / "m.json",
+                     **{**FAST_TOY, key: value})
+        _, err = run_rejected(tmp_path, "train", "--config", cfg)
+        assert key in err and "logits must be finite" not in err
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestSweepCommand:

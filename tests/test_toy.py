@@ -1,3 +1,6 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from distilcal import (
     TrainConfig,
     evaluate,
     generate_data,
+    head_targets,
     make_student,
     make_task,
     network_loss_and_grad,
@@ -17,7 +21,9 @@ from distilcal import (
     sweep_lambda,
     train,
 )
+from distilcal import toy
 from distilcal.probs import softmax_t
+from oracles import ref_network_loss_and_grad, ref_train
 
 
 def tiny_task(sigma=1.0):
@@ -42,6 +48,25 @@ class TestGenerateData:
         task = make_task(num_classes=10, input_dim=4, coarse_classes=None, seed=1)
         _, y = generate_data(task, 100, seed=0)
         assert np.bincount(y, minlength=10).tolist() == [10] * 10
+
+
+class TestTaskValidation:
+    def test_non_finite_noise_sigma_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError, match="noise_sigma"):
+                make_task(noise_sigma=bad)
+
+    def test_non_finite_mean_scale_rejected(self):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InvalidParameterError, match="mean_scale"):
+                make_task(mean_scale=bad)
+
+    def test_sweep_config_names_the_bad_field(self):
+        for key, bad in (("eval_bins", 0), ("n_train", 0), ("teacher_epochs", 0),
+                         ("learning_rate", float("nan")), ("lst_temperature", 0.0),
+                         ("noise_sigma", float("nan")), ("mean_scale", float("inf"))):
+            with pytest.raises(InvalidParameterError, match=key):
+                SweepConfig(**{key: bad})
 
 
 class TestForward:
@@ -139,6 +164,125 @@ class TestTrain:
             train(net, x, y, TrainConfig(method="lst", epochs=1), bad)
 
 
+REFERENCE_CASES = [
+    (method, hierarchical, lam)
+    for method, hierarchical, lam in itertools.product(
+        ("baseline", "label_smooth", "lst", "multitask"), (False, True), (0.0, 0.3, 1.0))
+    if method in ("lst", "multitask") or (not hierarchical and lam == 0.3)
+]
+
+
+class TestMatchesReferenceTrainer:
+    """The lean trainer against the per-step one kept in ``tests/oracles.py``."""
+
+    @pytest.mark.parametrize("method,hierarchical,lam", REFERENCE_CASES)
+    def test_params_and_curve_bit_identical(self, method, hierarchical, lam):
+        task = tiny_task()
+        x, y = generate_data(task, 70, seed=2)  # 70 = 4 * 16 + 6: last batch partial
+        rng = np.random.default_rng(11)
+        teachers = {"fine": 3.0 * rng.normal(size=(70, 4))}
+        if hierarchical:
+            teachers["coarse"] = 3.0 * rng.normal(size=(70, 2))
+        if method in ("baseline", "label_smooth"):
+            teachers = None
+        cfg = TrainConfig(method=method, epochs=3, learning_rate=0.2, batch_size=16,
+                          seed=5, lam=lam, epsilon=0.2, temperature=2.5)
+        lean, ref = make_student(task, 6, seed=7), make_student(task, 6, seed=7)
+        _, lean_curve = train(lean, x, y, cfg, teachers)
+        _, ref_curve = ref_train(ref, x, y, cfg, teachers)
+        np.testing.assert_array_equal(lean.params, ref.params)
+        assert lean_curve == ref_curve
+
+    def test_three_teachers_bit_identical(self):
+        # With m = 3 the order of the 1/m scaling shows in the last bit of
+        # some step values (1 and 2 scale exactly), so try many batches.
+        task = tiny_task()
+        widths = {"a": 4, "b": 3, "c": 2}
+        heads = {"sl": 4, **{f"kd_{tid}": k for tid, k in widths.items()}}
+        cfg = TrainConfig(method="multitask", epochs=2, batch_size=8, lam=0.3,
+                          temperature=2.0)
+        for seed in range(40):
+            x, y = generate_data(task, 41, seed=seed)
+            rng = np.random.default_rng(seed)
+            teachers = {tid: rng.normal(size=(41, k)) for tid, k in widths.items()}
+            lean, ref = ToyNetwork(3, 5, heads, seed), ToyNetwork(3, 5, heads, seed)
+            targets = head_targets(lean, y, cfg, teachers)
+            value, grad = network_loss_and_grad(lean, x, targets, cfg)
+            ref_value, ref_grad = ref_network_loss_and_grad(ref, x, y, cfg, teachers)
+            assert value == ref_value
+            np.testing.assert_array_equal(grad, ref_grad)
+        _, lean_curve = train(lean, x, y, cfg, teachers)
+        _, ref_curve = ref_train(ref, x, y, cfg, teachers)
+        np.testing.assert_array_equal(lean.params, ref.params)
+        assert lean_curve == ref_curve
+
+
+class TestTrainFiniteness:
+    """Non-finite data is an input error, and no RuntimeWarning escapes."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        calls = []
+        step = toy.network_loss_and_grad
+        monkeypatch.setattr(toy, "network_loss_and_grad",
+                            lambda *a: calls.append(1) or step(*a))
+        return calls
+
+    def test_nan_inputs_rejected_before_any_step(self, steps):
+        task = tiny_task()
+        x, y = generate_data(task, 32, seed=0)
+        x[5, 1] = np.nan
+        net = make_student(task, 4, seed=0)
+        p0 = net.params.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="inputs must be finite"):
+                train(net, x, y, TrainConfig(method="baseline", epochs=1))
+        assert steps == []
+        np.testing.assert_array_equal(net.params, p0)
+
+    @pytest.mark.parametrize("method", ["lst", "multitask"])
+    def test_nan_teacher_logits_rejected_before_any_step(self, steps, method):
+        task = tiny_task()
+        x, y = generate_data(task, 32, seed=0)
+        rng = np.random.default_rng(0)
+        teachers = {"fine": rng.normal(size=(32, 4)), "coarse": rng.normal(size=(32, 2))}
+        teachers["coarse" if method == "multitask" else "fine"][7, 0] = np.nan
+        net = make_student(task, 4, seed=0)
+        p0 = net.params.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="logits must be finite"):
+                train(net, x, y, TrainConfig(method=method, epochs=1), teachers)
+        assert steps == []
+        np.testing.assert_array_equal(net.params, p0)
+
+    @pytest.mark.parametrize("method", ["baseline", "multitask"])
+    def test_overflowing_head_weights_raise_logits_must_be_finite(self, steps, method):
+        task = tiny_task()
+        x, y = generate_data(task, 32, seed=0)
+        rng = np.random.default_rng(0)
+        teachers = {"fine": rng.normal(size=(32, 4)), "coarse": rng.normal(size=(32, 2))}
+        net = make_student(task, 32, seed=2)
+        for head in net.head_dims:
+            net.view(f"{head}.W")[...] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="logits must be finite"):
+                train(net, x, y, TrainConfig(method=method, epochs=1), teachers)
+        assert steps == [1]
+
+    def test_bad_labels_and_teacher_width_rejected(self):
+        task = tiny_task()
+        x, y = generate_data(task, 16, seed=0)
+        net = make_student(task, 4, seed=0)
+        for bad in (y + 4, y - 5, y.astype(float), y[:8]):
+            with pytest.raises(InvalidInputError):
+                train(net, x, bad, TrainConfig(method="baseline", epochs=1))
+        with pytest.raises(InvalidInputError, match="classes"):
+            train(net, x, y, TrainConfig(method="lst", epochs=1), {"fine": np.zeros((16, 3))})
+
+
 class TestEndToEndGradients:
     @pytest.mark.parametrize("method,kwargs", [
         ("baseline", {}),
@@ -156,17 +300,18 @@ class TestEndToEndGradients:
             teachers = {"fine": rng.normal(size=(5, 4)),
                         "coarse": rng.normal(size=(5, 2))}
         cfg = TrainConfig(method=method, **kwargs)
-        _, grad = network_loss_and_grad(net, x, y, cfg, teachers)
+        targets = head_targets(net, y, cfg, teachers)
+        _, grad = network_loss_and_grad(net, x, targets, cfg)
         h = 1e-5
         p0 = net.params.copy()
         worst = 0.0
         for i in range(net.params.size):
             net.params[:] = p0
             net.params[i] += h
-            up, _ = network_loss_and_grad(net, x, y, cfg, teachers)
+            up, _ = network_loss_and_grad(net, x, targets, cfg)
             net.params[:] = p0
             net.params[i] -= h
-            down, _ = network_loss_and_grad(net, x, y, cfg, teachers)
+            down, _ = network_loss_and_grad(net, x, targets, cfg)
             numeric = (up - down) / (2 * h)
             worst = max(worst, abs(grad[i] - numeric) / max(1.0, abs(numeric)))
         net.params[:] = p0
