@@ -93,6 +93,7 @@ from .toy import (
     sweep_csv,
     sweep_lambda,
     teacher_logits_on,
+    teacher_streams,
     train,
 )
 

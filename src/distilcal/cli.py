@@ -35,10 +35,9 @@ from .toy import (
     generate_data,
     make_student,
     make_task,
-    make_teacher,
     sweep_csv,
     sweep_lambda,
-    teacher_logits_on,
+    teacher_streams,
     train,
 )
 
@@ -240,28 +239,8 @@ def _cmd_train(args) -> int:
     x_test, y_test = generate_data(task, scfg.n_test, _derive_seed(seed, "test"))
     streams = None
     if method in ("lst", "multitask"):
-        fine_teacher = make_teacher(
-            task,
-            _derive_seed(seed, "teacher-fine"),
-            hidden_dim=scfg.hidden_dim * scfg.teacher_hidden_multiplier,
-            n_samples=scfg.n_train * scfg.teacher_data_multiplier,
-            epochs=scfg.teacher_epochs,
-            learning_rate=scfg.learning_rate,
-            batch_size=scfg.batch_size,
-        )
-        streams = {"fine": teacher_logits_on(fine_teacher, x_train)}
-        if method == "multitask" and scfg.hierarchical and task.coarse_map is not None:
-            coarse_teacher = make_teacher(
-                task,
-                _derive_seed(seed, "teacher-coarse"),
-                coarse=True,
-                hidden_dim=scfg.hidden_dim * scfg.teacher_hidden_multiplier,
-                n_samples=scfg.n_train * scfg.teacher_data_multiplier,
-                epochs=scfg.teacher_epochs,
-                learning_rate=scfg.learning_rate,
-                batch_size=scfg.batch_size,
-            )
-            streams["coarse"] = teacher_logits_on(coarse_teacher, x_train)
+        coarse = method == "multitask" and scfg.hierarchical
+        streams = teacher_streams(task, scfg, seed, x_train, coarse)
     student = make_student(task, scfg.hidden_dim, _derive_seed(seed, "student"))
     _, curve = train(student, x_train, y_train, tcfg, streams)
     ev = evaluate(student, x_test, y_test, ranks=(1, 2, 3), num_bins=scfg.eval_bins)

@@ -22,7 +22,13 @@ class UnmappedTokenError(InvalidInputError):
 
     def __init__(self, token: str, source: str, target: str):
         self.token = token
+        self.source = source
+        self.target = target
         super().__init__(f"token {token!r} has no {source!r} -> {target!r} mapping")
+
+    def __reduce__(self):
+        # Pickle rebuilds from __init__'s arguments, not the formatted message.
+        return type(self), (self.token, self.source, self.target), self.__dict__
 
 
 class FileFormatError(InvalidInputError):
@@ -31,4 +37,8 @@ class FileFormatError(InvalidInputError):
     def __init__(self, path, line_no: int, message: str):
         self.path = path
         self.line_no = line_no
+        self.detail = message
         super().__init__(f"{path}:{line_no}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.path, self.line_no, self.detail), self.__dict__

@@ -13,6 +13,7 @@ which gives distillation a genuine quality gap to transfer.
 from __future__ import annotations
 
 import math
+import os
 import zlib
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -501,6 +502,15 @@ class SweepConfig:
     eval_bins: int = 15
 
     def __post_init__(self):
+        if self.num_classes < 2:
+            raise InvalidParameterError(f"num_classes must be >= 2, got {self.num_classes}")
+        if self.input_dim < 1:
+            raise InvalidParameterError(f"input_dim must be >= 1, got {self.input_dim}")
+        if self.coarse_classes is not None and not 2 <= self.coarse_classes <= self.num_classes:
+            raise InvalidParameterError(
+                f"coarse_classes must be None or in [2, {self.num_classes}], "
+                f"got {self.coarse_classes}"
+            )
         counts = (
             "n_train", "n_test", "epochs", "batch_size", "hidden_dim",
             "teacher_hidden_multiplier", "teacher_data_multiplier",
@@ -534,6 +544,72 @@ class SweepRow:
     ece3: float
 
 
+def _parallel_map(fn, jobs: Sequence) -> list:
+    """``[fn(job) for job in jobs]``, spread over forked worker processes.
+
+    Each job must be a pure function of its picklable argument. The jobs run
+    here when there is one job or one usable CPU, when the platform cannot
+    fork, or when another thread runs, whose locks a forked child would
+    inherit held. Forked workers skip a fresh NumPy import.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    if len(jobs) < 2 or cpus < 2:
+        return [fn(job) for job in jobs]
+    import multiprocessing
+    import threading
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        return [fn(job) for job in jobs]
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(min(len(jobs), cpus), mp_context=context) as pool:
+        return list(pool.map(fn, jobs))
+
+
+def _teacher_jobs(task: SyntheticTask, cfg: SweepConfig, seed: int, x_train, coarse: bool) -> list:
+    kinds = ("fine", "coarse") if coarse and task.coarse_map is not None else ("fine",)
+    return [(task, cfg, seed, x_train, kind) for kind in kinds]
+
+
+def _teacher_logits(job) -> np.ndarray:
+    """One teacher's logits on the student's training inputs."""
+    task, cfg, seed, x_train, kind = job
+    teacher = make_teacher(
+        task, _derive_seed(seed, f"teacher-{kind}"), coarse=kind == "coarse",
+        hidden_dim=cfg.hidden_dim * cfg.teacher_hidden_multiplier,
+        n_samples=cfg.n_train * cfg.teacher_data_multiplier,
+        epochs=cfg.teacher_epochs, learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
+    )
+    return teacher_logits_on(teacher, x_train)
+
+
+def teacher_streams(
+    task: SyntheticTask, cfg: SweepConfig, seed: int, x_train: np.ndarray, coarse: bool
+) -> dict[str, np.ndarray]:
+    """Teacher logits on ``x_train`` per stream, as :func:`train` takes them.
+
+    ``"fine"`` always, plus ``"coarse"`` when asked and the task has a coarse
+    map. The teachers are independent and train in worker processes.
+    """
+    jobs = _teacher_jobs(task, cfg, seed, x_train, coarse)
+    return dict(zip((job[-1] for job in jobs), _parallel_map(_teacher_logits, jobs)))
+
+
+def _sweep_cell(job) -> SweepRow:
+    """Train and evaluate the student of one (method, lambda, seed) cell."""
+    task, cfg, method, lam, seed, (x_train, y_train, x_test, y_test), streams = job
+    student = make_student(task, cfg.hidden_dim, _derive_seed(seed, "student"))
+    tcfg = TrainConfig(
+        method=method, epochs=cfg.epochs, learning_rate=cfg.learning_rate,
+        batch_size=cfg.batch_size, seed=_derive_seed(seed, "shuffle"), lam=lam,
+        temperature=cfg.lst_temperature if method == "lst" else cfg.multitask_temperature,
+    )
+    train(student, x_train, y_train, tcfg, streams)
+    ev = evaluate(student, x_test, y_test, ranks=(1, 2, 3), num_bins=cfg.eval_bins)
+    return SweepRow(method, lam, seed, ev.accuracy, *(ev.reports[r].ece for r in (1, 2, 3)))
+
+
 def sweep_lambda(
     cfg: SweepConfig,
     lambdas: Sequence[float],
@@ -545,6 +621,8 @@ def sweep_lambda(
     Within one seed, data and teachers are generated once and shared across
     all cells; the student always restarts from the same seed-determined
     initialization, so cells are independent and the output is deterministic.
+    All teachers train first, then all cells, each phase spread over worker
+    processes. Rows are ordered by method, lambda, then seed.
     """
     if not lambdas or not methods or not seeds:
         raise InvalidInputError("lambdas, methods, and seeds must be non-empty")
@@ -562,65 +640,22 @@ def sweep_lambda(
         mean_scale=cfg.mean_scale,
         seed=cfg.task_seed,
     )
-    results: dict[tuple[str, float, int], SweepRow] = {}
-    for seed in seeds:
+    data, jobs = {}, []
+    for seed in dict.fromkeys(int(s) for s in seeds):
         x_train, y_train = generate_data(task, cfg.n_train, _derive_seed(seed, "train"))
         x_test, y_test = generate_data(task, cfg.n_test, _derive_seed(seed, "test"))
-        fine_teacher = make_teacher(
-            task,
-            _derive_seed(seed, "teacher-fine"),
-            hidden_dim=cfg.hidden_dim * cfg.teacher_hidden_multiplier,
-            n_samples=cfg.n_train * cfg.teacher_data_multiplier,
-            epochs=cfg.teacher_epochs,
-            learning_rate=cfg.learning_rate,
-            batch_size=cfg.batch_size,
-        )
-        streams = {"fine": teacher_logits_on(fine_teacher, x_train)}
-        if cfg.hierarchical and task.coarse_map is not None:
-            coarse_teacher = make_teacher(
-                task,
-                _derive_seed(seed, "teacher-coarse"),
-                coarse=True,
-                hidden_dim=cfg.hidden_dim * cfg.teacher_hidden_multiplier,
-                n_samples=cfg.n_train * cfg.teacher_data_multiplier,
-                epochs=cfg.teacher_epochs,
-                learning_rate=cfg.learning_rate,
-                batch_size=cfg.batch_size,
-            )
-            streams["coarse"] = teacher_logits_on(coarse_teacher, x_train)
-        for method in methods:
-            temperature = (
-                cfg.lst_temperature if method == "lst" else cfg.multitask_temperature
-            )
-            method_streams = {"fine": streams["fine"]} if method == "lst" else streams
-            for lam in lambdas:
-                student = make_student(task, cfg.hidden_dim, _derive_seed(seed, "student"))
-                tcfg = TrainConfig(
-                    method=method,
-                    epochs=cfg.epochs,
-                    learning_rate=cfg.learning_rate,
-                    batch_size=cfg.batch_size,
-                    seed=_derive_seed(seed, "shuffle"),
-                    lam=float(lam),
-                    temperature=temperature,
-                )
-                train(student, x_train, y_train, tcfg, method_streams)
-                ev = evaluate(student, x_test, y_test, ranks=(1, 2, 3), num_bins=cfg.eval_bins)
-                results[(method, float(lam), int(seed))] = SweepRow(
-                    method=method,
-                    lam=float(lam),
-                    seed=int(seed),
-                    acc=ev.accuracy,
-                    ece1=ev.reports[1].ece,
-                    ece2=ev.reports[2].ece,
-                    ece3=ev.reports[3].ece,
-                )
-    return [
-        results[(m, float(lam), int(s))]
+        data[seed] = (x_train, y_train, x_test, y_test)
+        jobs += _teacher_jobs(task, cfg, seed, x_train, cfg.hierarchical)
+    streams: dict[int, dict[str, np.ndarray]] = {seed: {} for seed in data}
+    for (_, _, seed, _, kind), logits in zip(jobs, _parallel_map(_teacher_logits, jobs)):
+        streams[seed][kind] = logits
+    cells = [
+        (task, cfg, m, float(lam), int(s), data[int(s)], streams[int(s)])
         for m in methods
         for lam in lambdas
         for s in seeds
     ]
+    return _parallel_map(_sweep_cell, cells)
 
 
 def sweep_csv(rows: Sequence[SweepRow]) -> str:

@@ -460,6 +460,8 @@ BAD_SWEEP_VALUES = [
     ("lst_temperature", "inf"), ("multitask_temperature", "0"),
     ("noise_sigma", "-0.5"), ("noise_sigma", "nan"), ("noise_sigma", "inf"),
     ("mean_scale", "inf"), ("mean_scale", "nan"), ("task_seed", "-1"),
+    ("num_classes", "0"), ("num_classes", "1"), ("input_dim", "0"),
+    ("coarse_classes", "1"), ("coarse_classes", "5"),
 ]
 
 
@@ -483,7 +485,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("key,value", [("eval_bins", "0"), ("n_train", "0"),
                                            ("noise_sigma", "nan"), ("mean_scale", "inf"),
-                                           ("task_seed", "-1"), ("seed", "-1")])
+                                           ("task_seed", "-1"), ("seed", "-1"),
+                                           ("num_classes", "0"), ("input_dim", "0")])
     def test_train_rejects_bad_value_naming_key(self, tmp_path, key, value):
         cfg = tmp_path / "train.cfg"
         write_config(cfg, method="baseline", out=tmp_path / "m.json",
@@ -518,6 +521,16 @@ class TestPlumbing:
             assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "distilcal" in out
+
+    def test_import_loads_no_process_machinery(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        code = ("import sys, distilcal.cli; "
+                "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_help_on_every_subcommand(self, capsys):
         for sub in ("ece", "fit-temp", "combine", "targets", "train", "sweep"):

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import os
 import warnings
 
 import numpy as np
@@ -19,6 +21,7 @@ from distilcal import (
     network_loss_and_grad,
     sweep_csv,
     sweep_lambda,
+    teacher_streams,
     train,
 )
 from distilcal import toy
@@ -379,3 +382,59 @@ class TestSweep:
     def test_rejects_bad_method(self):
         with pytest.raises(Exception):
             sweep_lambda(FAST_SWEEP, [0.5], ["baseline"], [0])
+
+
+HIER_SWEEP = dataclasses.replace(FAST_SWEEP, hierarchical=True)
+USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def _worker_pid(_job):
+    return os.getpid()
+
+
+def _raise_job(job):
+    if isinstance(job, Exception):
+        raise job
+    return job
+
+
+def _one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+
+@pytest.mark.skipif(USABLE_CPUS < 2, reason="the forked path needs two usable CPUs")
+class TestWorkerProcesses:
+    """Forked workers and the serial in-process path give identical results."""
+
+    def test_jobs_leave_this_process_unless_one_cpu(self, monkeypatch):
+        assert os.getpid() not in toy._parallel_map(_worker_pid, range(4))
+        _one_cpu(monkeypatch)
+        assert toy._parallel_map(_worker_pid, range(4)) == [os.getpid()] * 4
+
+    def test_sweep_matches_serial(self, monkeypatch):
+        grid = ([0.0, 0.5], ["lst", "multitask"], [0, 1])
+        forked = sweep_lambda(HIER_SWEEP, *grid)
+        _one_cpu(monkeypatch)
+        serial = sweep_lambda(HIER_SWEEP, *grid)
+        assert forked == serial
+        assert sweep_csv(forked).encode() == sweep_csv(serial).encode()
+
+    def test_teacher_streams_match_serial(self, monkeypatch):
+        task = make_task(seed=HIER_SWEEP.task_seed)
+        x, _ = generate_data(task, HIER_SWEEP.n_train, seed=4)
+        forked = teacher_streams(task, HIER_SWEEP, 4, x, coarse=True)
+        _one_cpu(monkeypatch)
+        serial = teacher_streams(task, HIER_SWEEP, 4, x, coarse=True)
+        assert list(forked) == list(serial) == ["fine", "coarse"]
+        assert serial["coarse"].shape == (HIER_SWEEP.n_train, task.num_coarse)
+        for kind in serial:
+            assert np.array_equal(forked[kind], serial[kind])
+
+    def test_worker_error_reaches_caller_unchanged(self):
+        error = InvalidInputError("job 1 is malformed")
+        with pytest.raises(InvalidInputError) as exc:
+            toy._parallel_map(_raise_job, [0, error, 2])
+        assert type(exc.value) is InvalidInputError
+        assert str(exc.value) == "job 1 is malformed"
+
