@@ -24,7 +24,7 @@ dc.train(net, x_train, y_train,
 _, logits = net.forward_batch(x_val)
 val_logits = logits["sl"]
 
-fit = dc.fit_temperature([(val_logits[i], int(y_val[i])) for i in range(len(y_val))])
+fit = dc.fit_temperature(val_logits, y_val)
 print(f"fitted temperature: {fit.t_star:.4f}  (search bounds {fit.search_bounds})")
 print(f"mean NLL at t=1: {fit.nll_at_unit:.4f}   at t*: {fit.nll_at_t_star:.4f}")
 

@@ -6,7 +6,8 @@ teacher's vocabulary, collapse repeated neighbours while remembering run
 lengths, fetch one posterior per collapsed token, then repeat each posterior
 by its run length so every frame carries a soft label again. With several
 teachers of different vocabularies this yields one hard label plus one soft
-label per teacher on every frame.
+label per teacher on every frame: ``teacher_stream`` gives each teacher's
+token posteriors and run lengths, and ``np.repeat`` brings them to frame rate.
 
 Run:  python demos/04_hierarchical_targets.py
 """
@@ -41,7 +42,7 @@ print("frame posteriors:")
 for i, p in enumerate(framewise):
     print(f"  frame {i}: {p}")
 
-print("\n=== three teachers with different vocabularies, in one call ===")
+print("\n=== three teachers with different vocabularies ===")
 fine_posteriors = {
     "s1": np.array([0.8, 0.1, 0.1]),
     "s2": np.array([0.1, 0.8, 0.1]),
@@ -54,6 +55,11 @@ teachers = [
      dc.UnitMap({"s1": "w", "s2": "w", "s3": "w"}, source="senone", target="word"),
      lambda toks: [np.full(4, 0.25) for _ in toks]),
 ]
-for i, target in enumerate(dc.build_framewise_targets(alignment, teachers)):
-    streams = "  ".join(f"{tid}:{vec}" for tid, vec in target.soft)
-    print(f"frame {i}: hard={target.hard}  {streams}")
+# Each teacher: its (tokens, K) posteriors and run lengths, repeated to frame rate.
+streams = [
+    (tid, np.repeat(*dc.teacher_stream(alignment, unit_map, provider), axis=0))
+    for tid, unit_map, provider in teachers
+]
+for i, hard in enumerate(alignment.frames):
+    soft = "  ".join(f"{tid}:{stream[i]}" for tid, stream in streams)
+    print(f"frame {i}: hard={hard}  {soft}")

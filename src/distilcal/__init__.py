@@ -5,9 +5,9 @@ The package is organized by pipeline stage:
 * :mod:`distilcal.probs` - stable softmax/log-softmax and top-N extraction;
 * :mod:`distilcal.calibration` - rank-N expected calibration error with
   confidence-sorted equal-count bins, reliability CSV export;
-* :mod:`distilcal.targets` - one-hot, smoothed, softened, interpolated targets;
-* :mod:`distilcal.losses` - cross-entropy, distillation, label-interpolation,
-  and multi-task losses with analytic gradients plus a finite-difference check;
+* :mod:`distilcal.targets` - one-hot, smoothed, softened, interpolated target rows;
+* :mod:`distilcal.losses` - row-wise cross-entropy and distillation losses, the
+  batch multi-task loss, analytic gradients and a finite-difference check;
 * :mod:`distilcal.tempscale` - post-hoc temperature fitting and two-stream
   score combination;
 * :mod:`distilcal.alignment` - deduplication/rearrangement of frame labels
@@ -22,9 +22,7 @@ __version__ = "0.1.0"
 from .alignment import (
     Alignment,
     RunLengthAlignment,
-    TargetSet,
     UnitMap,
-    build_framewise_targets,
     deduplicate,
     map_units,
     rearrange,
@@ -46,28 +44,9 @@ from .errors import (
     InvalidParameterError,
     UnmappedTokenError,
 )
-from .losses import (
-    LossResult,
-    MultiTaskLogits,
-    MultiTaskLossResult,
-    batch_cross_entropy,
-    cross_entropy,
-    entropy,
-    grad_check,
-    kd_loss,
-    lst_loss,
-    multitask_loss,
-)
+from .losses import cross_entropy, entropy, grad_check, kd_loss, multitask_loss
 from .probs import as_logits, as_probs, log_softmax_t, softmax_t, top_n
-from .targets import (
-    HardLabel,
-    InterpolationConfig,
-    SmoothingConfig,
-    interpolate_target,
-    one_hot,
-    smooth_label,
-    soft_label,
-)
+from .targets import interpolate_target, one_hot, smooth_label, soft_label
 from .tempscale import (
     DEFAULT_BOUNDS,
     ScoredHypothesis,
@@ -92,9 +71,9 @@ from .toy import (
     network_loss_and_grad,
     sweep_csv,
     sweep_lambda,
-    teacher_logits_on,
     teacher_streams,
     train,
+    train_cell,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

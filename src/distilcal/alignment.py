@@ -73,18 +73,6 @@ class RunLengthAlignment:
         if any(a == b for a, b in zip(self.labels, self.labels[1:])):
             raise InvalidInputError("deduplicated labels cannot repeat consecutively")
 
-    @property
-    def frame_count(self) -> int:
-        return sum(self.runs)
-
-
-@dataclass(frozen=True)
-class TargetSet:
-    """Per-frame supervision: the hard label plus per-teacher soft labels."""
-
-    hard: str
-    soft: tuple[tuple[str, np.ndarray], ...]
-
 
 def map_units(a: Alignment, m: UnitMap) -> Alignment:
     """Replace every frame token by its image under the unit map."""
@@ -144,24 +132,3 @@ def teacher_stream(
     rla = deduplicate(mapped)
     return _posterior_matrix(provider(list(rla.labels)), rla), rla.runs
 
-
-def build_framewise_targets(
-    a: Alignment,
-    teachers: Sequence[tuple[str, Optional[UnitMap], PosteriorProvider]],
-) -> list[TargetSet]:
-    """Assemble per-frame hard labels plus one soft-label stream per teacher.
-
-    Each teacher is a ``(teacher_id, unit_map_or_None, provider)`` triple
-    handed to :func:`teacher_stream`.
-    """
-    ids = [str(t[0]) for t in teachers]
-    if len(set(ids)) != len(ids):
-        raise InvalidInputError(f"duplicate teacher ids: {ids}")
-    streams = []
-    for tid, unit_map, provider in teachers:
-        posteriors, runs = teacher_stream(a, unit_map, provider)
-        streams.append((str(tid), np.repeat(posteriors, runs, axis=0)))
-    return [
-        TargetSet(hard=hard, soft=tuple((tid, s[i]) for tid, s in streams))
-        for i, hard in enumerate(a.frames)
-    ]

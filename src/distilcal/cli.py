@@ -27,19 +27,7 @@ from .fileio import (
 )
 from .probs import softmax_t
 from .tempscale import DEFAULT_BOUNDS, combine_scores, fit_temperature
-from .toy import (
-    SweepConfig,
-    TrainConfig,
-    _derive_seed,
-    evaluate,
-    generate_data,
-    make_student,
-    make_task,
-    sweep_csv,
-    sweep_lambda,
-    teacher_streams,
-    train,
-)
+from .toy import SweepConfig, sweep_csv, sweep_lambda, train_cell
 
 
 # ---------------------------------------------------------------- ece
@@ -86,8 +74,7 @@ def _cmd_ece(args) -> int:
 
 def _cmd_fit_temp(args) -> int:
     logits, labels = read_prediction_file(args.val)
-    validation = [(logits[i], int(labels[i])) for i in range(len(labels))]
-    fit = fit_temperature(validation, bounds=(args.t_min, args.t_max))
+    fit = fit_temperature(logits, labels, bounds=(args.t_min, args.t_max))
     ece_before = ece(softmax_t(logits), labels, 1, args.bins).ece
     ece_after = ece(softmax_t(logits, fit.t_star), labels, 1, args.bins).ece
     print(
@@ -178,7 +165,9 @@ _SWEEP_CASTS = {
     "eval_bins": int,
 }
 
-_TRAIN_ONLY_KEYS = {"method", "lambda", "epsilon", "temperature", "seed", "out"}
+#: Train config keys that set a TrainConfig field, and the field they set.
+_TRAIN_FLOATS = {"lambda": "lam", "epsilon": "epsilon", "temperature": "temperature"}
+_TRAIN_ONLY_KEYS = {"method", "seed", "out", *_TRAIN_FLOATS}
 _SWEEP_ONLY_KEYS = {"lambdas", "methods", "seeds", "out"}
 
 
@@ -207,43 +196,14 @@ def _require(cfg: dict[str, str], key: str) -> str:
     return cfg[key]
 
 
-def _default_temperature(method: str) -> float:
-    return {"lst": 5.0, "multitask": 1.0}.get(method, 1.0)
-
-
 def _cmd_train(args) -> int:
     cfg = read_config_file(args.config)
     scfg = _build_sweep_config(cfg, _TRAIN_ONLY_KEYS)
     method = _require(cfg, "method")
     out_path = _require(cfg, "out")
     seed = _cast(cfg, "seed", int, 0)
-    tcfg = TrainConfig(
-        method=method,
-        epochs=scfg.epochs,
-        learning_rate=scfg.learning_rate,
-        batch_size=scfg.batch_size,
-        seed=_derive_seed(seed, "shuffle"),
-        lam=_cast(cfg, "lambda", float, 0.5),
-        epsilon=_cast(cfg, "epsilon", float, 0.1),
-        temperature=_cast(cfg, "temperature", float, _default_temperature(method)),
-    )
-    task = make_task(
-        num_classes=scfg.num_classes,
-        input_dim=scfg.input_dim,
-        coarse_classes=scfg.coarse_classes,
-        noise_sigma=scfg.noise_sigma,
-        mean_scale=scfg.mean_scale,
-        seed=scfg.task_seed,
-    )
-    x_train, y_train = generate_data(task, scfg.n_train, _derive_seed(seed, "train"))
-    x_test, y_test = generate_data(task, scfg.n_test, _derive_seed(seed, "test"))
-    streams = None
-    if method in ("lst", "multitask"):
-        coarse = method == "multitask" and scfg.hierarchical
-        streams = teacher_streams(task, scfg, seed, x_train, coarse)
-    student = make_student(task, scfg.hidden_dim, _derive_seed(seed, "student"))
-    _, curve = train(student, x_train, y_train, tcfg, streams)
-    ev = evaluate(student, x_test, y_test, ranks=(1, 2, 3), num_bins=scfg.eval_bins)
+    overrides = {f: _cast(cfg, key, float) for key, f in _TRAIN_FLOATS.items() if key in cfg}
+    student, curve, ev = train_cell(scfg, method, seed, **overrides)
     model = {
         "method": method,
         "architecture": {

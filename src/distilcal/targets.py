@@ -1,93 +1,62 @@
-"""Supervision distributions: one-hot, smoothed, softened, and interpolated.
+"""Supervision distributions over a batch: one-hot, smoothed, softened, interpolated.
 
-Soft labels are stored as normalized distributions rather than logits so the
-simplex invariant can be checked at every module boundary. Dense vectors only;
-class counts up to a few thousand are fine.
+Every function returns one ``(N, K)`` row per sample, built from ``labels
+(N,)`` or from ``(N, K)`` teacher logits; a single target is a batch of one.
+Rows are normalized distributions rather than logits, so the simplex
+invariant can be checked at every module boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
-from .probs import as_logits, as_probs, softmax_t
+from .probs import as_probs, softmax_t
 
 
-@dataclass(frozen=True)
-class HardLabel:
-    """A true-class index together with the class count it indexes into."""
-
-    class_index: int
-    num_classes: int
-
-    def __post_init__(self):
-        if self.num_classes < 2:
-            raise InvalidParameterError(
-                f"need at least 2 classes, got {self.num_classes}"
-            )
-        if not 0 <= self.class_index < self.num_classes:
-            raise InvalidInputError(
-                f"class_index {self.class_index} out of range "
-                f"for {self.num_classes} classes"
-            )
+def _check_labels(labels, k: int) -> np.ndarray:
+    """``labels`` as a non-empty 1-D integer array with every entry in ``[0, k)``."""
+    if k < 2:
+        raise InvalidParameterError(f"need at least 2 classes, got {k}")
+    y = np.asarray(labels)
+    if y.ndim != 1 or y.size == 0 or not np.issubdtype(y.dtype, np.integer):
+        raise InvalidInputError(f"labels must be a non-empty 1-D integer array, got {y.shape}")
+    if y.min() < 0 or y.max() >= k:
+        raise InvalidInputError(f"labels must lie in [0, {k}), got [{y.min()}, {y.max()}]")
+    return y
 
 
-@dataclass(frozen=True)
-class SmoothingConfig:
-    """Label-smoothing strength; 0 keeps the one-hot target, 1 is uniform."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise InvalidParameterError(f"epsilon must be in [0, 1], got {self.epsilon}")
+def one_hot(labels, k: int) -> np.ndarray:
+    """Rows with all mass on each sample's true class."""
+    y = _check_labels(labels, k)
+    rows = np.zeros((y.shape[0], k))
+    rows[np.arange(y.shape[0]), y] = 1.0
+    return rows
 
 
-@dataclass(frozen=True)
-class InterpolationConfig:
-    """Mixing factor between hard and soft targets, plus the soft-label temperature."""
+def smooth_label(labels, k: int, epsilon: float) -> np.ndarray:
+    """Smoothed rows: the true class gets ``1 - eps + eps/k``, the others ``eps/k``.
 
-    lam: float
-    temperature: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise InvalidParameterError(f"lam must be in [0, 1], got {self.lam}")
-        if not self.temperature > 0.0:
-            raise InvalidParameterError(
-                f"temperature must be positive, got {self.temperature}"
-            )
+    ``epsilon`` 0 keeps the one-hot rows and 1 gives uniform ones.
+    """
+    if not 0.0 <= epsilon <= 1.0:
+        raise InvalidParameterError(f"epsilon must be in [0, 1], got {epsilon}")
+    y = _check_labels(labels, k)
+    rows = np.full((y.shape[0], k), epsilon / k)
+    rows[np.arange(y.shape[0]), y] += 1.0 - epsilon
+    return rows
 
 
-def one_hot(label: HardLabel) -> np.ndarray:
-    """Probability vector with all mass on the true class."""
-    v = np.zeros(label.num_classes)
-    v[label.class_index] = 1.0
-    return v
+def soft_label(teacher_logits, t: float) -> np.ndarray:
+    """Teacher logits softened into distributions at temperature ``t``."""
+    return softmax_t(teacher_logits, t)
 
 
-def smooth_label(label: HardLabel, cfg: SmoothingConfig) -> np.ndarray:
-    """Smoothed target: true class gets ``1 - eps + eps/k``, others ``eps/k``."""
-    k = label.num_classes
-    v = np.full(k, cfg.epsilon / k)
-    v[label.class_index] += 1.0 - cfg.epsilon
-    return v
-
-
-def soft_label(teacher_logits, temperature: float) -> np.ndarray:
-    """Teacher logits softened into a distribution at the given temperature."""
-    return softmax_t(as_logits(teacher_logits), temperature)
-
-
-def interpolate_target(hard: HardLabel, soft, lam: float) -> np.ndarray:
-    """Convex combination ``lam * one_hot(hard) + (1 - lam) * soft``."""
+def interpolate_target(labels, soft, lam: float) -> np.ndarray:
+    """Convex combination ``lam * one_hot(labels) + (1 - lam) * soft``, row by row."""
     if not 0.0 <= lam <= 1.0:
         raise InvalidParameterError(f"lam must be in [0, 1], got {lam}")
     s = as_probs(soft)
-    if s.ndim != 1 or s.shape[0] != hard.num_classes:
-        raise InvalidInputError(
-            f"soft label has shape {s.shape}, expected ({hard.num_classes},)"
-        )
-    return lam * one_hot(hard) + (1.0 - lam) * s
+    if s.ndim != 2 or s.shape[:1] != np.shape(labels)[:1]:
+        raise InvalidInputError(f"soft rows {s.shape} do not match labels {np.shape(labels)}")
+    return lam * one_hot(labels, s.shape[1]) + (1.0 - lam) * s

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
 from .probs import as_logits
+from .targets import _check_labels
 
 #: Default search bounds; wide enough for any temperature seen in practice.
 DEFAULT_BOUNDS = (0.05, 20.0)
@@ -50,17 +51,6 @@ class ScoredHypothesis:
             raise InvalidInputError(f"hypothesis {self.id!r} has non-finite scores")
 
 
-def _stack_validation(validation) -> tuple[np.ndarray, np.ndarray]:
-    if len(validation) == 0:
-        raise InvalidInputError("validation set is empty")
-    logits = as_logits(np.stack([np.asarray(lg, dtype=np.float64) for lg, _ in validation]))
-    labels = np.array([int(lab) for _, lab in validation])
-    k = logits.shape[-1]
-    if np.any(labels < 0) or np.any(labels >= k):
-        raise InvalidInputError(f"labels must lie in [0, {k})")
-    return logits, labels
-
-
 def nll_at_temperature(logits: np.ndarray, labels: np.ndarray, t: float) -> float:
     """Mean negative log-likelihood of the labels under logits / t."""
     if t <= 0.0:
@@ -82,7 +72,8 @@ def _search_grid(t_min: float, t_max: float) -> np.ndarray:
 
 
 def fit_temperature(
-    validation: Sequence[tuple[np.ndarray, int]],
+    logits: np.ndarray,
+    labels: np.ndarray,
     bounds: tuple[float, float] = DEFAULT_BOUNDS,
 ) -> TemperatureFit:
     """Fit the NLL-minimizing temperature on a validation set.
@@ -94,7 +85,8 @@ def fit_temperature(
     worse than t=1 and lands exactly on a bound when the NLL is monotone.
 
     Args:
-        validation: sequence of (logit vector, true label) pairs.
+        logits: ``(N, K)`` finite validation logits.
+        labels: the ``N`` true class indices.
         bounds: finite (t_min, t_max) with 0 < t_min <= 1 <= t_max; t=1
             must be inside so the no-rescaling fallback is always an option.
     """
@@ -103,7 +95,10 @@ def fit_temperature(
         raise InvalidInputError(f"need 0 < t_min < t_max < inf, got {bounds!r}")
     if not (t_min <= 1.0 <= t_max):
         raise InvalidInputError(f"bounds must contain t=1, got {bounds!r}")
-    logits, labels = _stack_validation(validation)
+    logits = as_logits(logits)
+    labels = _check_labels(labels, logits.shape[-1])
+    if logits.shape != (len(labels), logits.shape[-1]):
+        raise InvalidInputError(f"need one row of logits per label, got {logits.shape}")
 
     def nll(t: float) -> float:
         return nll_at_temperature(logits, labels, t)

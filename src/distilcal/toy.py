@@ -22,8 +22,9 @@ import numpy as np
 
 from .calibration import ReliabilityReport, ece, rank_confidence_correct
 from .errors import ConfigurationError, InvalidInputError, InvalidParameterError
-from .losses import batch_cross_entropy
+from .losses import cross_entropy, multitask_loss
 from .probs import softmax_t
+from .targets import interpolate_target, one_hot, smooth_label, soft_label
 
 _METHODS = ("baseline", "label_smooth", "lst", "multitask")
 
@@ -183,10 +184,6 @@ class ToyNetwork:
         """Writable view into the flat parameter vector."""
         return self._views[name]
 
-    @property
-    def num_params(self) -> int:
-        return self.params.size
-
     def _as_inputs(self, inputs) -> np.ndarray:
         """Coerce to a float64 (B, d) batch, validating its width."""
         x = np.asarray(inputs, dtype=np.float64)
@@ -208,14 +205,6 @@ class ToyNetwork:
             for name in self.head_dims
         }
         return hidden, logits
-
-    def forward(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        """Per-head logit vectors for a single input."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1:
-            raise InvalidInputError(f"expected a 1-D input, got shape {x.shape}")
-        _, logits = self.forward_batch(x[None, :])
-        return {name: lg[0] for name, lg in logits.items()}
 
 
 @dataclass(frozen=True)
@@ -283,17 +272,16 @@ def head_targets(
     """
     teachers = _check_teachers(cfg, teacher_logits)
     k = net.head_dims["sl"]
-    y = np.asarray(labels)
-    if y.ndim != 1 or y.size == 0 or not np.issubdtype(y.dtype, np.integer):
-        raise InvalidInputError(f"labels must be a non-empty 1-D integer array, got {y.shape}")
-    if y.min() < 0 or y.max() >= k:
-        raise InvalidInputError(f"labels must lie in [0, {k}), got [{y.min()}, {y.max()}]")
-    n = y.shape[0]
+    if cfg.method == "label_smooth":
+        sl = smooth_label(labels, k, cfg.epsilon)
+    else:
+        sl = one_hot(labels, k)  # checks the labels before any teacher
+    n = sl.shape[0]
 
     def soften(tid: str, head: str) -> np.ndarray:
         if head not in net.head_dims:
             raise ConfigurationError(f"network has no head {head!r} for teacher {tid!r}")
-        soft = softmax_t(teachers[tid], cfg.temperature)
+        soft = soft_label(teachers[tid], cfg.temperature)
         if soft.ndim != 2:
             raise InvalidInputError(f"teacher {tid!r} logits must be an (n, K) matrix")
         if soft.shape[0] != n:
@@ -307,15 +295,8 @@ def head_targets(
             )
         return soft
 
-    rows = np.arange(n)
-    if cfg.method == "label_smooth":
-        sl = np.full((n, k), cfg.epsilon / k)
-        sl[rows, y] += 1.0 - cfg.epsilon
-    else:
-        sl = np.zeros((n, k))
-        sl[rows, y] = 1.0
     if cfg.method == "lst":
-        sl = cfg.lam * sl + (1.0 - cfg.lam) * soften("fine", "sl")
+        sl = interpolate_target(labels, soften("fine", "sl"), cfg.lam)
     targets = {"sl": sl}
     if cfg.method == "multitask":
         for tid in teachers:
@@ -337,23 +318,11 @@ def network_loss_and_grad(
     non-finite ones.
     """
     hidden, logits = net._forward(inputs)
-    b = inputs.shape[0]
-
-    dlogits: dict[str, np.ndarray] = {}
-    values, grads = batch_cross_entropy(logits["sl"], targets["sl"])
-    if cfg.method != "multitask":
-        value = float(values.mean())
-        dlogits["sl"] = grads / b
+    if cfg.method == "multitask":
+        value, dlogits = multitask_loss(logits, targets, cfg.lam)
     else:
-        value = cfg.lam * float(values.mean())
-        dlogits["sl"] = (cfg.lam / b) * grads
-        m = len(targets) - 1
-        for head, target in targets.items():
-            if head == "sl":
-                continue
-            kd_values, kd_grads = batch_cross_entropy(logits[head], target)
-            value += (1.0 - cfg.lam) * float(kd_values.mean()) / m
-            dlogits[head] = ((1.0 - cfg.lam) / (m * b)) * kd_grads
+        values, grads = cross_entropy(logits["sl"], targets["sl"])
+        value, dlogits = float(values.mean()), {"sl": grads / inputs.shape[0]}
 
     grad = np.zeros_like(net.params)
     slots, views = net._slots, net._views
@@ -471,12 +440,6 @@ def make_teacher(
     return net
 
 
-def teacher_logits_on(teacher: ToyNetwork, inputs: np.ndarray) -> np.ndarray:
-    """Teacher's raw output logits on a batch of inputs."""
-    _, logits = teacher.forward_batch(np.asarray(inputs, dtype=np.float64))
-    return logits["sl"]
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Everything a lambda sweep needs besides the grid itself."""
@@ -581,7 +544,8 @@ def _teacher_logits(job) -> np.ndarray:
         n_samples=cfg.n_train * cfg.teacher_data_multiplier,
         epochs=cfg.teacher_epochs, learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
     )
-    return teacher_logits_on(teacher, x_train)
+    _, logits = teacher.forward_batch(x_train)
+    return logits["sl"]
 
 
 def teacher_streams(
@@ -596,18 +560,67 @@ def teacher_streams(
     return dict(zip((job[-1] for job in jobs), _parallel_map(_teacher_logits, jobs)))
 
 
+def _sweep_task(cfg: SweepConfig) -> SyntheticTask:
+    """The synthetic task that ``cfg`` describes."""
+    return make_task(
+        num_classes=cfg.num_classes, input_dim=cfg.input_dim, coarse_classes=cfg.coarse_classes,
+        noise_sigma=cfg.noise_sigma, mean_scale=cfg.mean_scale, seed=cfg.task_seed,
+    )
+
+
+def _seed_data(task: SyntheticTask, cfg: SweepConfig, seed: int) -> tuple:
+    """``(x_train, y_train, x_test, y_test)``, drawn from the seed's own streams."""
+    x_train, y_train = generate_data(task, cfg.n_train, _derive_seed(seed, "train"))
+    x_test, y_test = generate_data(task, cfg.n_test, _derive_seed(seed, "test"))
+    return x_train, y_train, x_test, y_test
+
+
+def _cell_config(cfg: SweepConfig, method: str, seed: int, **overrides) -> TrainConfig:
+    """A cell's schedule from ``cfg``, shuffle seed from ``seed`` and, unless
+    ``overrides`` sets it, temperature from ``cfg.<method>_temperature``."""
+    default = cfg.lst_temperature if method == "lst" else cfg.multitask_temperature
+    overrides.setdefault("temperature", default)
+    return TrainConfig(
+        method=method, epochs=cfg.epochs, learning_rate=cfg.learning_rate,
+        batch_size=cfg.batch_size, seed=_derive_seed(seed, "shuffle"), **overrides,
+    )
+
+
+def _run_cell(task, cfg: SweepConfig, tcfg: TrainConfig, seed: int, data, streams):
+    """Train and evaluate one cell's student; return it, its loss curve and its evaluation."""
+    x_train, y_train, x_test, y_test = data
+    student = make_student(task, cfg.hidden_dim, _derive_seed(seed, "student"))
+    _, curve = train(student, x_train, y_train, tcfg, streams)
+    ev = evaluate(student, x_test, y_test, ranks=(1, 2, 3), num_bins=cfg.eval_bins)
+    return student, curve, ev
+
+
+def train_cell(
+    cfg: SweepConfig, method: str, seed: int, **overrides
+) -> tuple[ToyNetwork, list[float], EvalResult]:
+    """Train and evaluate one student exactly as the sweep cell of ``seed`` does.
+
+    ``overrides`` sets :class:`TrainConfig` fields such as ``lam``,
+    ``epsilon`` or ``temperature``. The configuration is checked before any
+    teacher trains; ``lst`` gets the fine teacher, and ``multitask`` also the
+    coarse one when ``cfg.hierarchical`` is set.
+    """
+    tcfg = _cell_config(cfg, method, seed, **overrides)
+    task = _sweep_task(cfg)
+    data = _seed_data(task, cfg, seed)
+    streams = None
+    if method in ("lst", "multitask"):
+        coarse = method == "multitask" and cfg.hierarchical
+        streams = teacher_streams(task, cfg, seed, data[0], coarse)
+    return _run_cell(task, cfg, tcfg, seed, data, streams)
+
+
 def _sweep_cell(job) -> SweepRow:
     """Train and evaluate the student of one (method, lambda, seed) cell."""
-    task, cfg, method, lam, seed, (x_train, y_train, x_test, y_test), streams = job
-    student = make_student(task, cfg.hidden_dim, _derive_seed(seed, "student"))
-    tcfg = TrainConfig(
-        method=method, epochs=cfg.epochs, learning_rate=cfg.learning_rate,
-        batch_size=cfg.batch_size, seed=_derive_seed(seed, "shuffle"), lam=lam,
-        temperature=cfg.lst_temperature if method == "lst" else cfg.multitask_temperature,
-    )
-    train(student, x_train, y_train, tcfg, streams)
-    ev = evaluate(student, x_test, y_test, ranks=(1, 2, 3), num_bins=cfg.eval_bins)
-    return SweepRow(method, lam, seed, ev.accuracy, *(ev.reports[r].ece for r in (1, 2, 3)))
+    _, _, tcfg, seed, _, _ = job
+    ev = _run_cell(*job)[2]
+    eces = (ev.reports[r].ece for r in (1, 2, 3))
+    return SweepRow(tcfg.method, tcfg.lam, seed, ev.accuracy, *eces)
 
 
 def sweep_lambda(
@@ -632,29 +645,22 @@ def sweep_lambda(
     if min(seeds) < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {min(seeds)}")
 
-    task = make_task(
-        num_classes=cfg.num_classes,
-        input_dim=cfg.input_dim,
-        coarse_classes=cfg.coarse_classes,
-        noise_sigma=cfg.noise_sigma,
-        mean_scale=cfg.mean_scale,
-        seed=cfg.task_seed,
-    )
+    task = _sweep_task(cfg)
     data, jobs = {}, []
     for seed in dict.fromkeys(int(s) for s in seeds):
-        x_train, y_train = generate_data(task, cfg.n_train, _derive_seed(seed, "train"))
-        x_test, y_test = generate_data(task, cfg.n_test, _derive_seed(seed, "test"))
-        data[seed] = (x_train, y_train, x_test, y_test)
-        jobs += _teacher_jobs(task, cfg, seed, x_train, cfg.hierarchical)
+        data[seed] = _seed_data(task, cfg, seed)
+        jobs += _teacher_jobs(task, cfg, seed, data[seed][0], cfg.hierarchical)
     streams: dict[int, dict[str, np.ndarray]] = {seed: {} for seed in data}
-    for (_, _, seed, _, kind), logits in zip(jobs, _parallel_map(_teacher_logits, jobs)):
-        streams[seed][kind] = logits
+    # Every cell's TrainConfig is checked before any teacher trains; the
+    # cells hold each seed's streams dict, filled in below.
     cells = [
-        (task, cfg, m, float(lam), int(s), data[int(s)], streams[int(s)])
+        (task, cfg, _cell_config(cfg, m, s, lam=float(lam)), s, data[s], streams[s])
         for m in methods
         for lam in lambdas
-        for s in seeds
+        for s in map(int, seeds)
     ]
+    for (_, _, seed, _, kind), logits in zip(jobs, _parallel_map(_teacher_logits, jobs)):
+        streams[seed][kind] = logits
     return _parallel_map(_sweep_cell, cells)
 
 

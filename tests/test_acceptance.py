@@ -74,40 +74,34 @@ def test_criterion_03_gradients_match_central_differences():
 
     for _ in range(20):
         target = rng.dirichlet(np.ones(6))
-        worst = max(worst, dc.grad_check(lambda x: dc.cross_entropy(x, target), point(6)))
+        worst = max(worst, dc.grad_check(lambda x: dc.cross_entropy(x, [target]), point(6)[None]))
     for temp in (0.5, 1.0, 5.0):
         for dist in ("kld", "ce"):
             teacher = point(5)
             for _ in range(20):
                 worst = max(worst, dc.grad_check(
-                    lambda x: dc.kd_loss(x, teacher, temp, dist), point(5)))
+                    lambda x: dc.kd_loss(x, [teacher], temp, dist), point(5)[None]))
     for lam in (0.0, 0.3, 0.7, 1.0):
-        cfg = dc.InterpolationConfig(lam=lam, temperature=2.0)
-        hard = dc.HardLabel(1, 5)
         teacher = point(5)
+        target = dc.interpolate_target([1], dc.soft_label([teacher], 2.0), lam)
         for _ in range(20):
             worst = max(worst, dc.grad_check(
-                lambda x: dc.lst_loss(x, hard, teacher, cfg), point(5)))
-
-    from distilcal.losses import LossResult
+                lambda x: dc.cross_entropy(x, target), point(5)[None]))
 
     for n_teachers in (1, 3):
         dims = [5] + [5, 3, 4][:n_teachers]
         splits = np.cumsum(dims)[:-1]
         teachers = [(f"t{i}", point(dims[i + 1]), float(rng.uniform(0.5, 5)))
                     for i in range(n_teachers)]
-        hard = dc.HardLabel(2, 5)
+        targets = {"sl": dc.one_hot([2], 5)}
+        targets.update((tid, dc.soft_label([lg], t)) for tid, lg, t in teachers)
 
         def loss(flat):
             parts = np.split(flat, splits)
-            ml = dc.MultiTaskLogits(
-                sl_logits=parts[0],
-                kd_logits=tuple((f"t{i}", parts[i + 1]) for i in range(n_teachers)),
-            )
-            res = dc.multitask_loss(ml, hard, teachers, 0.4)
-            grad = np.concatenate([res.sl_grad] +
-                                  [res.kd_grads[f"t{i}"] for i in range(n_teachers)])
-            return LossResult(value=res.value, grad=grad)
+            heads = ["sl"] + [f"t{i}" for i in range(n_teachers)]
+            value, dlogits = dc.multitask_loss(
+                {head: part[None] for head, part in zip(heads, parts)}, targets, 0.4)
+            return value, np.concatenate([dlogits[head][0] for head in heads])
 
         for _ in range(20):
             worst = max(worst, dc.grad_check(loss, rng.normal(size=sum(dims))))
@@ -120,32 +114,34 @@ def test_criterion_04_algebraic_identities():
     worst_mix = worst_edge = worst_offset = 0.0
     for _ in range(40):
         k = int(rng.integers(2, 9))
-        hard = dc.HardLabel(int(rng.integers(0, k)), k)
+        label = [int(rng.integers(0, k))]
         student, teacher = rng.normal(size=k) * 2, rng.normal(size=k) * 2
         lam = float(rng.uniform(0, 1))
         temp = float(rng.uniform(0.3, 6))
-        cfg = dc.InterpolationConfig(lam=lam, temperature=temp)
-        via_target = dc.lst_loss(student, hard, teacher, cfg)
-        ce = dc.cross_entropy(student, dc.one_hot(hard))
-        kd_ce = dc.kd_loss(student, teacher, temp, "ce")
-        kd_kld = dc.kd_loss(student, teacher, temp, "kld")
-        mixed = lam * ce.value + (1 - lam) * kd_ce.value
-        worst_mix = max(worst_mix, abs(via_target.value - mixed),
-                        float(np.abs(via_target.grad -
-                                     (lam * ce.grad + (1 - lam) * kd_ce.grad)).max()))
+        soft = dc.soft_label([teacher], temp)
+
+        def lst(mix):
+            return dc.cross_entropy([student], dc.interpolate_target(label, soft, mix))
+
+        via_values, via_grads = lst(lam)
+        ce_values, ce_grads = dc.cross_entropy([student], dc.one_hot(label, k))
+        kd_ce_values, kd_ce_grads = dc.kd_loss([student], [teacher], temp, "ce")
+        kd_kld_values, _ = dc.kd_loss([student], [teacher], temp, "kld")
+        mixed = lam * ce_values[0] + (1 - lam) * kd_ce_values[0]
+        worst_mix = max(worst_mix, abs(via_values[0] - mixed),
+                        float(np.abs(via_grads -
+                                     (lam * ce_grads + (1 - lam) * kd_ce_grads)).max()))
         # distance-form relation: ce-form minus kld-form is the soft entropy
-        h = dc.entropy(dc.soft_label(teacher, temp))
-        worst_offset = max(worst_offset, abs((kd_ce.value - kd_kld.value) - h))
+        h = dc.entropy(soft)[0]
+        worst_offset = max(worst_offset, abs((kd_ce_values[0] - kd_kld_values[0]) - h))
         # edge cases reduce exactly
-        at_one = dc.lst_loss(student, hard, teacher,
-                             dc.InterpolationConfig(lam=1.0, temperature=temp))
-        at_zero = dc.lst_loss(student, hard, teacher,
-                              dc.InterpolationConfig(lam=0.0, temperature=temp))
+        one_values, one_grads = lst(1.0)
+        zero_values, zero_grads = lst(0.0)
         worst_edge = max(worst_edge,
-                         abs(at_one.value - ce.value),
-                         abs(at_zero.value - kd_ce.value),
-                         float(np.abs(at_one.grad - ce.grad).max()),
-                         float(np.abs(at_zero.grad - kd_ce.grad).max()))
+                         abs(one_values[0] - ce_values[0]),
+                         abs(zero_values[0] - kd_ce_values[0]),
+                         float(np.abs(one_grads - ce_grads).max()),
+                         float(np.abs(zero_grads - kd_ce_grads).max()))
     ok = worst_mix < 1e-12 and worst_edge < 1e-12 and worst_offset < 1e-12
     report(4, "interpolation-loss identities", ok,
            f"mix {worst_mix:.1e}, edges {worst_edge:.1e}, offset {worst_offset:.1e}")
@@ -184,15 +180,14 @@ def test_criterion_06_temperature_fitting_and_combination():
         n, k = int(rng.integers(10, 200)), int(rng.integers(2, 8))
         logits = rng.normal(scale=rng.uniform(0.5, 6), size=(n, k))
         labels = rng.integers(0, k, size=n)
-        fit = dc.fit_temperature([(logits[i], int(labels[i])) for i in range(n)])
+        fit = dc.fit_temperature(logits, labels)
         ok_nll &= fit.nll_at_t_star <= fit.nll_at_unit + 1e-15
 
     logits = rng.normal(scale=5, size=(120, 5))
     labels = np.argmax(logits, axis=1)
     labels[::3] = (labels[::3] + 1) % 5
-    val = [(logits[i], int(labels[i])) for i in range(120)]
-    fit_full = dc.fit_temperature(val)
-    fit_half = dc.fit_temperature([(lg / 2, lab) for lg, lab in val])
+    fit_full = dc.fit_temperature(logits, labels)
+    fit_half = dc.fit_temperature(logits / 2, labels)
     oracle_t, _ = dense_grid_temperature(logits.tolist(), labels.tolist(), 0.05, 20.0)
     ok_scale = (abs(fit_half.t_star - fit_full.t_star / 2) <= 0.02 * fit_full.t_star / 2
                 and abs(fit_full.t_star - oracle_t) <= 0.02 * oracle_t)

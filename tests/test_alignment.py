@@ -9,7 +9,6 @@ from distilcal import (
     RunLengthAlignment,
     UnitMap,
     UnmappedTokenError,
-    build_framewise_targets,
     deduplicate,
     map_units,
     rearrange,
@@ -136,19 +135,20 @@ class TestTeacherStream:
             teacher_stream(a, None, lambda labels: [P1, P2])
 
 
+def framewise(a, teachers):
+    """Per teacher, its stream repeated to frame rate: ``np.repeat`` of
+    :func:`teacher_stream`'s token posteriors by their run lengths."""
+    return [(tid, np.repeat(*teacher_stream(a, m, p), axis=0)) for tid, m, p in teachers]
+
+
 class TestBuildFramewiseTargets:
-    def test_zero_teachers(self):
-        a = Alignment(("a", "b", "b"), "fine")
-        out = build_framewise_targets(a, [])
-        assert [t.hard for t in out] == ["a", "b", "b"]
-        assert all(t.soft == () for t in out)
+    """Frame-wise targets: the frames as hard labels, one stream per teacher."""
 
     def test_single_identity_teacher(self):
         a = Alignment(("a", "a", "b"), "fine")
         provider = lambda labels: [P1, P2]
-        out = build_framewise_targets(a, [("t0", None, provider)])
-        collected = [t.soft[0][1] for t in out]
-        np.testing.assert_array_equal(np.stack(collected), np.stack([P1, P1, P2]))
+        [(_, stream)] = framewise(a, [("t0", None, provider)])
+        np.testing.assert_array_equal(stream, np.stack([P1, P1, P2]))
 
     def test_three_teachers_per_frame_structure(self):
         a = Alignment(("a", "a", "b"), "fine")
@@ -157,7 +157,7 @@ class TestBuildFramewiseTargets:
         mid_post = lambda labels: [np.full(3, 1 / 3) for _ in labels]
         one_post = lambda labels: [np.full(4, 0.25) for _ in labels]
         fine_post = lambda labels: [P1 if t == "a" else P2 for t in labels]
-        out = build_framewise_targets(
+        streams = framewise(
             a,
             [
                 ("fine", None, fine_post),
@@ -165,23 +165,17 @@ class TestBuildFramewiseTargets:
                 ("one", fine_to_one, one_post),
             ],
         )
-        assert len(out) == 3
-        for frame in out:
-            ids = [tid for tid, _ in frame.soft]
-            sizes = [vec.shape[0] for _, vec in frame.soft]
+        assert [len(stream) for _, stream in streams] == [3, 3, 3]
+        for i in range(len(a.frames)):
+            ids = [tid for tid, _ in streams]
+            sizes = [stream[i].shape[0] for _, stream in streams]
             assert ids == ["fine", "mid", "one"]
             assert sizes == [2, 3, 4]
 
     def test_provider_count_mismatch_propagates(self):
         a = Alignment(("a", "b"), "fine")
         with pytest.raises(InvalidInputError, match="1.*2"):
-            build_framewise_targets(a, [("t0", None, lambda labels: [P1])])
-
-    def test_duplicate_teacher_ids_rejected(self):
-        a = Alignment(("a",), "fine")
-        f = lambda labels: [P1 for _ in labels]
-        with pytest.raises(InvalidInputError):
-            build_framewise_targets(a, [("t0", None, f), ("t0", None, f)])
+            framewise(a, [("t0", None, lambda labels: [P1])])
 
 
 tokens = st.sampled_from([f"w{i}" for i in range(50)])

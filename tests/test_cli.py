@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distilcal import Alignment, UnitMap, build_framewise_targets
+from distilcal import Alignment, UnitMap, teacher_stream
 from distilcal.calibration import _fmt6
 from distilcal.cli import main
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 def run(capsys, *argv):
@@ -23,14 +24,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env():
+    """This environment with ``src`` first on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
 def run_rejected(cwd, *argv):
     """Run the command in a child process, where a leaked warning or traceback
     reaches stderr, and require the clean exit 2 of an input error."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "distilcal.cli", *map(str, argv)],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=60,
+        cwd=cwd, env=child_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
@@ -220,14 +226,14 @@ def reference_targets(alignments, teachers):
     """The per-frame path: one ``_fmt6`` call per float on every frame."""
     lines = []
     for utt, frames in alignments.items():
-        per_teacher = [
-            (tid, unit_map, lambda _, rows=table[utt]: [r / r.sum() for r in rows])
-            for tid, unit_map, table in teachers
-        ]
-        targets = build_framewise_targets(Alignment(frames, "fine"), per_teacher)
-        for i, target in enumerate(targets):
-            cells = [utt, str(i), target.hard]
-            cells += [f"{tid}:" + ",".join(_fmt6(v) for v in vec) for tid, vec in target.soft]
+        streams = []
+        for tid, unit_map, table in teachers:
+            provider = lambda _, rows=table[utt]: [r / r.sum() for r in rows]
+            posteriors, runs = teacher_stream(Alignment(frames, "fine"), unit_map, provider)
+            streams.append((tid, np.repeat(posteriors, runs, axis=0)))
+        for i, hard in enumerate(frames):
+            cells = [utt, str(i), hard]
+            cells += [f"{tid}:" + ",".join(_fmt6(v) for v in stream[i]) for tid, stream in streams]
             lines.append("\t".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -390,6 +396,21 @@ class TestTrainCommand:
         acc_lst = dict(kv.split("=") for kv in out_lst.split())["acc"]
         assert acc_base == acc_lst
 
+    @pytest.mark.parametrize("method,key", [("lst", "lst_temperature"),
+                                            ("multitask", "multitask_temperature")])
+    def test_method_temperature_key_sets_the_default(self, capsys, tmp_path, method, key):
+        cfg = tmp_path / "train.cfg"
+        models = []
+        for name, extra in (("method_key", {key: 2}), ("temperature", {"temperature": 2}),
+                            ("default", {})):
+            models.append(tmp_path / f"{name}.json")
+            write_config(cfg, method=method, seed=1, out=models[-1], **extra, **FAST_TOY)
+            code, _, err = run(capsys, "train", "--config", cfg)
+            assert code == 0, err
+        by_key, by_temperature, default = (m.read_bytes() for m in models)
+        assert by_key == by_temperature
+        assert by_key != default
+
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "train.cfg"
         write_config(cfg, method="baseline", out=tmp_path / "m.json",
@@ -523,11 +544,9 @@ class TestPlumbing:
         assert "distilcal" in out
 
     def test_import_loads_no_process_machinery(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         code = ("import sys, distilcal.cli; "
                 "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
@@ -537,3 +556,12 @@ class TestPlumbing:
             with pytest.raises(SystemExit) as exc:
                 main([sub, "--help"])
             assert exc.value.code == 0
+
+    @pytest.mark.parametrize("demo", ["01_soft_targets_and_losses.py",
+                                      "03_temperature_scaling.py",
+                                      "04_hierarchical_targets.py"])
+    def test_fast_demo_runs_cleanly(self, tmp_path, demo):
+        proc = subprocess.run([sys.executable, str(DEMOS / demo)], cwd=tmp_path,
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -20,63 +20,57 @@ def random_validation(seed, n=80, k=6, scale=3.0):
     # bias toward the argmax so the set is learnable but imperfect
     flip = rng.random(n) < 0.6
     labels[flip] = np.argmax(logits[flip], axis=1)
-    return [(logits[i], int(labels[i])) for i in range(n)]
+    return logits, labels
 
 
 class TestFitTemperature:
     def test_never_worse_than_unit(self):
         for seed in range(8):
-            fit = fit_temperature(random_validation(seed))
+            fit = fit_temperature(*random_validation(seed))
             assert fit.nll_at_t_star <= fit.nll_at_unit + 1e-15
             assert fit.search_bounds[0] <= fit.t_star <= fit.search_bounds[1]
 
     def test_matches_dense_grid_oracle(self):
         for seed in (0, 1, 2):
-            val = random_validation(seed, n=40, k=4)
-            fit = fit_temperature(val, bounds=(0.05, 20.0))
-            logits = [list(map(float, lg)) for lg, _ in val]
-            labels = [lab for _, lab in val]
-            _, oracle_nll = dense_grid_temperature(logits, labels, 0.05, 20.0)
+            logits, labels = random_validation(seed, n=40, k=4)
+            fit = fit_temperature(logits, labels, bounds=(0.05, 20.0))
+            _, oracle_nll = dense_grid_temperature(logits.tolist(), labels.tolist(), 0.05, 20.0)
             assert fit.nll_at_t_star == pytest.approx(oracle_nll, abs=1e-6)
 
     def test_prescaled_logits_halve_the_fit(self):
-        val = random_validation(3, n=120, k=5)
-        fit = fit_temperature(val)
-        halved = [(lg / 2.0, lab) for lg, lab in val]
-        fit_halved = fit_temperature(halved)
+        logits, labels = random_validation(3, n=120, k=5)
+        fit = fit_temperature(logits, labels)
+        fit_halved = fit_temperature(logits / 2.0, labels)
         assert fit_halved.t_star == pytest.approx(fit.t_star / 2.0, rel=0.02)
 
     def test_confident_and_correct_pins_to_lower_bound(self):
         logits = 6.0 * np.eye(5)[np.arange(30) % 5]
-        val = [(logits[i], int(np.argmax(logits[i]))) for i in range(30)]
-        fit = fit_temperature(val, bounds=(0.05, 20.0))
+        fit = fit_temperature(logits, np.argmax(logits, axis=1), bounds=(0.05, 20.0))
         assert fit.t_star == 0.05
 
     def test_deterministic(self):
         val = random_validation(9)
-        assert fit_temperature(val) == fit_temperature(val)
+        assert fit_temperature(*val) == fit_temperature(*val)
 
     def test_unit_temperature_in_grid(self):
         # a set whose optimum is exactly no rescaling
-        val = random_validation(5)
+        logits, labels = random_validation(5)
         t_grid = np.geomspace(0.5, 2.0, 64)
-        nlls = [nll_at_temperature(np.stack([lg for lg, _ in val]),
-                                   np.array([lab for _, lab in val]), t)
-                for t in t_grid]
+        nlls = [nll_at_temperature(logits, labels, t) for t in t_grid]
         assert min(nlls) >= 0  # sanity: NLL is a mean of non-negative terms
 
     def test_empty_validation_rejected(self):
         with pytest.raises(InvalidInputError):
-            fit_temperature([])
+            fit_temperature(np.empty((0, 2)), np.empty(0, dtype=int))
 
     def test_bad_bounds_rejected(self):
         val = random_validation(0)
         with pytest.raises(InvalidInputError):
-            fit_temperature(val, bounds=(2.0, 1.0))
+            fit_temperature(*val, bounds=(2.0, 1.0))
         with pytest.raises(InvalidInputError):
-            fit_temperature(val, bounds=(0.0, 5.0))
+            fit_temperature(*val, bounds=(0.0, 5.0))
         with pytest.raises(InvalidInputError):
-            fit_temperature(val, bounds=(2.0, 20.0))  # must contain t=1
+            fit_temperature(*val, bounds=(2.0, 20.0))  # must contain t=1
 
 
 H1 = ScoredHypothesis("H1", am_logp=-10.0, lm_logp=-2.0)

@@ -76,27 +76,27 @@ class TestForward:
     def test_zero_weights_give_uniform_softmax(self):
         net = ToyNetwork(3, 5, {"sl": 4}, rng_seed=0)
         net.params[:] = 0.0
-        logits = net.forward(np.array([0.3, -0.2, 1.0]))
-        np.testing.assert_array_equal(logits["sl"], np.zeros(4))
-        np.testing.assert_allclose(softmax_t(logits["sl"]), np.full(4, 0.25))
+        _, logits = net.forward_batch(np.array([0.3, -0.2, 1.0])[None])
+        np.testing.assert_array_equal(logits["sl"][0], np.zeros(4))
+        np.testing.assert_allclose(softmax_t(logits["sl"][0]), np.full(4, 0.25))
 
     def test_heads_are_independent(self):
         net = ToyNetwork(3, 5, {"sl": 4, "kd_fine": 4}, rng_seed=2)
         x = np.array([0.1, 0.2, 0.3])
-        before = net.forward(x)["kd_fine"].copy()
+        before = net.forward_batch(x[None])[1]["kd_fine"][0].copy()
         net.view("sl.W")[0, 0] += 10.0
-        after = net.forward(x)["kd_fine"]
+        after = net.forward_batch(x[None])[1]["kd_fine"][0]
         np.testing.assert_array_equal(before, after)
 
     def test_finite_for_large_inputs(self):
         net = ToyNetwork(3, 8, {"sl": 5}, rng_seed=3)
-        out = net.forward(np.array([1e3, -1e3, 5e2]))
+        _, out = net.forward_batch(np.array([1e3, -1e3, 5e2])[None])
         assert np.all(np.isfinite(out["sl"]))
 
     def test_dimension_mismatch(self):
         net = ToyNetwork(3, 4, {"sl": 2}, rng_seed=0)
         with pytest.raises(InvalidInputError):
-            net.forward(np.zeros(5))
+            net.forward_batch(np.zeros(5)[None])
 
     def test_init_independent_of_other_heads(self):
         a = ToyNetwork(4, 6, {"sl": 3}, rng_seed=11)
@@ -382,6 +382,14 @@ class TestSweep:
     def test_rejects_bad_method(self):
         with pytest.raises(Exception):
             sweep_lambda(FAST_SWEEP, [0.5], ["baseline"], [0])
+
+    def test_bad_lambda_rejected_before_any_teacher_trains(self, monkeypatch):
+        mapped = []
+        monkeypatch.setattr(toy, "_parallel_map",
+                            lambda fn, jobs: mapped.append(fn) or [fn(job) for job in jobs])
+        with pytest.raises(InvalidParameterError, match="lam must be in"):
+            sweep_lambda(FAST_SWEEP, [0.5, 1.5], ["lst"], [0])
+        assert mapped == []
 
 
 HIER_SWEEP = dataclasses.replace(FAST_SWEEP, hierarchical=True)
