@@ -96,21 +96,28 @@ def bin_by_confidence(probs, rank: int, num_bins: int) -> list[list[int]]:
     return [group.tolist() for group in _bins(conf, num_bins)]
 
 
-def ece(probs, labels, rank: int, num_bins: int) -> ReliabilityReport:
+def ece(probs, labels, rank: int, num_bins: int, group=None) -> ReliabilityReport:
     """Rank-N expected calibration error over confidence-sorted bins.
 
     ``ece = sum_i (|B_i| / n) * |acc(B_i) - conf(B_i)|`` where the bins come
-    from :func:`bin_by_confidence`.
+    from :func:`bin_by_confidence`. With ``group``, each run of ``group``
+    consecutive rows (the last may be shorter) is binned on its own, and the
+    report holds every run's bins in row order, pooled over all ``n`` rows.
     """
     conf, correct = rank_confidence_correct(probs, labels, rank)
     n = len(conf)
+    if group is not None and (not isinstance(group, (int, np.integer)) or group < 1):
+        raise InvalidParameterError(f"group must be None or >= 1, got {group!r}")
+    size = n if group is None else group
     stats: list[BinStats] = []
     total = 0.0
-    for idxs in _bins(conf, num_bins):
-        c = float(conf[idxs].mean())
-        a = float(correct[idxs].mean())
-        stats.append(BinStats(count=len(idxs), mean_conf=c, mean_acc=a, gap=a - c))
-        total += (len(idxs) / n) * abs(a - c)
+    for start in range(0, n, size):
+        for idxs in _bins(conf[start : start + size], num_bins):
+            idxs += start
+            c = float(conf[idxs].mean())
+            a = float(correct[idxs].mean())
+            stats.append(BinStats(count=len(idxs), mean_conf=c, mean_acc=a, gap=a - c))
+            total += (len(idxs) / n) * abs(a - c)
     return ReliabilityReport(rank=rank, bins=stats, ece=total, n_total=n)
 
 

@@ -8,13 +8,14 @@ Output files are written atomically and are byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional, Sequence
 
 from . import __version__
 from .alignment import teacher_stream
-from .calibration import _fmt6, _fmt6_rows, ece
+from .calibration import _fmt6, _fmt6_rows, ece, reliability_csv
 from .errors import DistilcalError, InvalidInputError, InvalidParameterError
 from .fileio import (
     read_alignment_file,
@@ -49,24 +50,9 @@ def _parse_group(spec: str) -> Optional[int]:
 
 def _cmd_ece(args) -> int:
     logits, labels = read_prediction_file(args.input)
-    probs = softmax_t(logits)
-    n_total = len(labels)
-    step = _parse_group(args.group) or n_total
-    total = 0.0
-    lines = ["rank,bin,count,mean_conf,mean_acc,gap"]
-    bin_index = 0
-    for start in range(0, n_total, step):
-        chunk = slice(start, start + step)
-        report = ece(probs[chunk], labels[chunk], args.rank, args.bins)
-        for b in report.bins:
-            total += (b.count / n_total) * abs(b.gap)
-            lines.append(
-                f"{args.rank},{bin_index},{b.count},"
-                f"{_fmt6(b.mean_conf)},{_fmt6(b.mean_acc)},{_fmt6(b.gap)}"
-            )
-            bin_index += 1
-    write_text_atomic(args.out, "\n".join(lines) + "\n")
-    print(f"rank={args.rank} bins={args.bins} ece={_fmt6(total)} n={n_total}")
+    report = ece(softmax_t(logits), labels, args.rank, args.bins, _parse_group(args.group))
+    write_text_atomic(args.out, reliability_csv(report))
+    print(f"rank={args.rank} bins={args.bins} ece={_fmt6(report.ece)} n={report.n_total}")
     return 0
 
 
@@ -143,27 +129,17 @@ def _cmd_targets(args) -> int:
 
 # ---------------------------------------------------------------- train / sweep
 
-_SWEEP_CASTS = {
-    "num_classes": int,
-    "input_dim": int,
-    "coarse_classes": lambda v: None if v.lower() == "none" else int(v),
-    "noise_sigma": float,
-    "mean_scale": float,
-    "task_seed": int,
-    "n_train": int,
-    "n_test": int,
-    "hidden_dim": int,
-    "epochs": int,
-    "learning_rate": float,
-    "batch_size": int,
-    "teacher_hidden_multiplier": int,
-    "teacher_data_multiplier": int,
-    "teacher_epochs": int,
-    "lst_temperature": float,
-    "multitask_temperature": float,
-    "hierarchical": lambda v: v.lower() in ("1", "true", "yes"),
-    "eval_bins": int,
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+#: Value parser per SweepConfig annotation, as written (``toy`` postpones
+#: annotations); a bad value raises KeyError or ValueError.
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "bool": lambda v: _BOOLS[v.lower()],
+    "Optional[int]": lambda v: None if v.lower() == "none" else int(v),
 }
+_SWEEP_KEYS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(SweepConfig)}
 
 #: Train config keys that set a TrainConfig field, and the field they set.
 _TRAIN_FLOATS = {"lambda": "lam", "epsilon": "epsilon", "temperature": "temperature"}
@@ -177,16 +153,16 @@ def _cast(cfg: dict[str, str], key: str, cast, default=None):
         return default
     try:
         return cast(cfg[key])
-    except ValueError:
+    except (KeyError, ValueError):
         raise InvalidInputError(f"bad value for config key {key!r}: {cfg[key]!r}") from None
 
 
 def _build_sweep_config(cfg: dict[str, str], extra_keys: set[str]) -> SweepConfig:
-    unknown = set(cfg) - set(_SWEEP_CASTS) - extra_keys
+    unknown = set(cfg) - set(_SWEEP_KEYS) - extra_keys
     if unknown:
         raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
     return SweepConfig(
-        **{key: _cast(cfg, key, cast) for key, cast in _SWEEP_CASTS.items() if key in cfg}
+        **{key: _cast(cfg, key, parse) for key, parse in _SWEEP_KEYS.items() if key in cfg}
     )
 
 

@@ -72,10 +72,12 @@ class SyntheticTask:
             object.__setattr__(self, "coarse_map", cm)
 
     @property
-    def num_coarse(self) -> int:
-        if self.coarse_map is None:
-            raise InvalidInputError("task has no coarse relabeling")
-        return int(self.coarse_map.max()) + 1
+    def unit_maps(self) -> dict[str, np.ndarray]:
+        """Class map per unit level: ``"fine"`` (identity), plus ``"coarse"`` if set."""
+        maps = {"fine": np.arange(self.num_classes)}
+        if self.coarse_map is not None:
+            maps["coarse"] = self.coarse_map
+        return maps
 
 
 def make_task(
@@ -406,29 +408,27 @@ def pooled_gap(probs, labels, rank: int) -> float:
 
 
 def make_student(task: SyntheticTask, hidden_dim: int, seed: int) -> ToyNetwork:
-    """Student with a supervised head plus distillation heads per available unit."""
-    heads = {"sl": task.num_classes, "kd_fine": task.num_classes}
-    if task.coarse_map is not None:
-        heads["kd_coarse"] = task.num_coarse
-    return ToyNetwork(task.input_dim, hidden_dim, heads, seed)
+    """Student with a supervised head plus a distillation head per unit level."""
+    heads = {f"kd_{unit}": int(m.max()) + 1 for unit, m in task.unit_maps.items()}
+    return ToyNetwork(task.input_dim, hidden_dim, {"sl": task.num_classes, **heads}, seed)
 
 
 def make_teacher(
     task: SyntheticTask,
     seed: int,
-    coarse: bool = False,
+    unit: str = "fine",
     hidden_dim: int = 128,
     n_samples: int = 20000,
     epochs: int = 15,
     learning_rate: float = 0.1,
     batch_size: int = 64,
 ) -> ToyNetwork:
-    """Wider single-head network trained with plain cross-entropy."""
-    k = task.num_coarse if coarse else task.num_classes
+    """Wider single-head network trained with plain cross-entropy on ``unit`` labels."""
+    unit_map = task.unit_maps[unit]
+    k = int(unit_map.max()) + 1
     net = ToyNetwork(task.input_dim, hidden_dim, {"sl": k}, _derive_seed(seed, "teacher-init"))
     x, y = generate_data(task, n_samples, _derive_seed(seed, "teacher-data"))
-    if coarse:
-        y = task.coarse_map[y]
+    y = unit_map[y]
     cfg = TrainConfig(
         method="baseline",
         epochs=epochs,
@@ -530,16 +530,20 @@ def _parallel_map(fn, jobs: Sequence) -> list:
         return list(pool.map(fn, jobs))
 
 
-def _teacher_jobs(task: SyntheticTask, cfg: SweepConfig, seed: int, x_train, coarse: bool) -> list:
-    kinds = ("fine", "coarse") if coarse and task.coarse_map is not None else ("fine",)
-    return [(task, cfg, seed, x_train, kind) for kind in kinds]
+def _unit_levels(task: SyntheticTask, cfg: SweepConfig, methods: Sequence[str]) -> list[str]:
+    """The unit levels ``methods`` distil from: fine for ``lst`` and ``multitask``,
+    plus coarse for hierarchical ``multitask`` on a task with a coarse map."""
+    levels = ["fine"] if {"lst", "multitask"} & set(methods) else []
+    if cfg.hierarchical and "multitask" in methods and "coarse" in task.unit_maps:
+        levels.append("coarse")
+    return levels
 
 
 def _teacher_logits(job) -> np.ndarray:
     """One teacher's logits on the student's training inputs."""
-    task, cfg, seed, x_train, kind = job
+    task, cfg, seed, x_train, unit = job
     teacher = make_teacher(
-        task, _derive_seed(seed, f"teacher-{kind}"), coarse=kind == "coarse",
+        task, _derive_seed(seed, f"teacher-{unit}"), unit,
         hidden_dim=cfg.hidden_dim * cfg.teacher_hidden_multiplier,
         n_samples=cfg.n_train * cfg.teacher_data_multiplier,
         epochs=cfg.teacher_epochs, learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
@@ -549,15 +553,14 @@ def _teacher_logits(job) -> np.ndarray:
 
 
 def teacher_streams(
-    task: SyntheticTask, cfg: SweepConfig, seed: int, x_train: np.ndarray, coarse: bool
+    task: SyntheticTask, cfg: SweepConfig, seed: int, x_train: np.ndarray, units: Sequence[str]
 ) -> dict[str, np.ndarray]:
-    """Teacher logits on ``x_train`` per stream, as :func:`train` takes them.
+    """Teacher logits on ``x_train`` per unit level, as :func:`train` takes them.
 
-    ``"fine"`` always, plus ``"coarse"`` when asked and the task has a coarse
-    map. The teachers are independent and train in worker processes.
+    The teachers are independent and train in worker processes.
     """
-    jobs = _teacher_jobs(task, cfg, seed, x_train, coarse)
-    return dict(zip((job[-1] for job in jobs), _parallel_map(_teacher_logits, jobs)))
+    jobs = [(task, cfg, seed, x_train, unit) for unit in units]
+    return dict(zip(units, _parallel_map(_teacher_logits, jobs)))
 
 
 def _sweep_task(cfg: SweepConfig) -> SyntheticTask:
@@ -602,16 +605,12 @@ def train_cell(
 
     ``overrides`` sets :class:`TrainConfig` fields such as ``lam``,
     ``epsilon`` or ``temperature``. The configuration is checked before any
-    teacher trains; ``lst`` gets the fine teacher, and ``multitask`` also the
-    coarse one when ``cfg.hierarchical`` is set.
+    teacher trains, and the teachers are those of :func:`_unit_levels`.
     """
     tcfg = _cell_config(cfg, method, seed, **overrides)
     task = _sweep_task(cfg)
     data = _seed_data(task, cfg, seed)
-    streams = None
-    if method in ("lst", "multitask"):
-        coarse = method == "multitask" and cfg.hierarchical
-        streams = teacher_streams(task, cfg, seed, data[0], coarse)
+    streams = teacher_streams(task, cfg, seed, data[0], _unit_levels(task, cfg, [method]))
     return _run_cell(task, cfg, tcfg, seed, data, streams)
 
 
@@ -646,10 +645,11 @@ def sweep_lambda(
         raise InvalidParameterError(f"seed must be >= 0, got {min(seeds)}")
 
     task = _sweep_task(cfg)
+    levels = _unit_levels(task, cfg, methods)
     data, jobs = {}, []
     for seed in dict.fromkeys(int(s) for s in seeds):
         data[seed] = _seed_data(task, cfg, seed)
-        jobs += _teacher_jobs(task, cfg, seed, data[seed][0], cfg.hierarchical)
+        jobs += [(task, cfg, seed, data[seed][0], unit) for unit in levels]
     streams: dict[int, dict[str, np.ndarray]] = {seed: {} for seed in data}
     # Every cell's TrainConfig is checked before any teacher trains; the
     # cells hold each seed's streams dict, filled in below.
@@ -659,8 +659,8 @@ def sweep_lambda(
         for lam in lambdas
         for s in map(int, seeds)
     ]
-    for (_, _, seed, _, kind), logits in zip(jobs, _parallel_map(_teacher_logits, jobs)):
-        streams[seed][kind] = logits
+    for (_, _, seed, _, unit), logits in zip(jobs, _parallel_map(_teacher_logits, jobs)):
+        streams[seed][unit] = logits
     return _parallel_map(_sweep_cell, cells)
 
 

@@ -147,6 +147,22 @@ class TestEce:
         assert r2.bins[0].mean_acc == 1.0
         assert r2.bins[0].mean_conf == pytest.approx(0.3)
 
+    def test_group_bins_each_run_and_pools(self):
+        rng = np.random.default_rng(9)
+        probs = rng.dirichlet(np.ones(4), size=23)
+        labels = rng.integers(0, 4, size=23)
+        report = ece(probs, labels, 2, 3, group=10)
+        runs = [ece(probs[s : s + 10], labels[s : s + 10], 2, 3) for s in (0, 10, 20)]
+        assert report.bins == [b for run in runs for b in run.bins]
+        assert report.n_total == 23
+        assert report.ece == pytest.approx(sum(r.ece * r.n_total / 23 for r in runs), abs=1e-12)
+        assert ece(probs, labels, 2, 3, group=23) == ece(probs, labels, 2, 3)
+
+    def test_bad_group_rejected(self):
+        for bad in (0, -1, 2.5):
+            with pytest.raises(InvalidParameterError, match="group"):
+                ece(*HAND_FOUR, 1, 2, group=bad)
+
     def test_report_invariants(self):
         rng = np.random.default_rng(5)
         probs = rng.dirichlet(np.ones(8), size=90)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 from distilcal import Alignment, UnitMap, teacher_stream
 from distilcal.calibration import _fmt6
-from distilcal.cli import main
+from distilcal import SweepConfig
+from distilcal.cli import _build_sweep_config, main
+from distilcal.fileio import read_config_file
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -91,6 +94,17 @@ class TestEceCommand:
         # two batches of 10, two bins each -> 4 data rows
         assert len(out_batch.read_text().splitlines()) == 5
         assert batch_line.endswith("n=20\n")
+
+    def test_grouped_golden_with_short_last_batch(self, capsys, tmp_path):
+        # 7 rows in batches of 3: the last batch holds one row and one bin.
+        out = tmp_path / "rel.csv"
+        code, stdout, _ = run(
+            capsys, "ece", "--input", DATA / "predictions_group7.jsonl",
+            "--rank", "2", "--bins", "2", "--group", "batch:3", "--out", out,
+        )
+        assert code == 0
+        assert stdout == "rank=2 bins=2 ece=0.526760 n=7\n"
+        assert out.read_bytes() == (DATA / "expected_ece_group7.csv").read_bytes()
 
     def test_malformed_line_reports_number(self, capsys, tmp_path):
         fix = tmp_path / "bad.jsonl"
@@ -515,6 +529,30 @@ class TestConfigValidation:
         _, err = run_rejected(tmp_path, "train", "--config", cfg)
         assert key in err and "logits must be finite" not in err
         assert not (tmp_path / "m.json").exists()
+
+
+    def test_malformed_hierarchical_rejected(self, tmp_path):
+        cfg = tmp_path / "train.cfg"
+        for value in ("ture", "2", "on"):
+            write_config(cfg, method="multitask", hierarchical=value,
+                         out=tmp_path / "m.json", **FAST_TOY)
+            _, err = run_rejected(tmp_path, "train", "--config", cfg)
+            assert f"bad value for config key 'hierarchical': '{value}'" in err
+            assert not (tmp_path / "m.json").exists()
+
+    def test_hierarchical_accepts_exactly_six_words(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        for value, want in (("1", True), ("TRUE", True), ("Yes", True),
+                            ("0", False), ("False", False), ("no", False)):
+            write_config(cfg, hierarchical=value)
+            assert _build_sweep_config(read_config_file(cfg), set()).hierarchical is want
+
+    def test_every_field_round_trips_through_a_config_file(self, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        default = SweepConfig()
+        write_config(cfg, **{f.name: str(getattr(default, f.name))
+                             for f in dataclasses.fields(SweepConfig)})
+        assert _build_sweep_config(read_config_file(cfg), set()) == default
 
 
 class TestSweepCommand:

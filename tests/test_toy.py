@@ -391,6 +391,21 @@ class TestSweep:
             sweep_lambda(FAST_SWEEP, [0.5, 1.5], ["lst"], [0])
         assert mapped == []
 
+    def test_lst_only_hierarchical_sweep_trains_only_fine_teachers(self, monkeypatch):
+        units = []
+
+        def spy(fn, jobs):
+            if fn is toy._teacher_logits:
+                units.extend(job[-1] for job in jobs)
+            return [fn(job) for job in jobs]
+
+        monkeypatch.setattr(toy, "_parallel_map", spy)
+        grid = ([0.5], ["lst"], [0, 1])
+        hier = sweep_lambda(dataclasses.replace(FAST_SWEEP, hierarchical=True), *grid)
+        assert units == ["fine", "fine"]
+        flat = sweep_lambda(FAST_SWEEP, *grid)
+        assert sweep_csv(hier).encode() == sweep_csv(flat).encode()
+
 
 HIER_SWEEP = dataclasses.replace(FAST_SWEEP, hierarchical=True)
 USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -431,11 +446,11 @@ class TestWorkerProcesses:
     def test_teacher_streams_match_serial(self, monkeypatch):
         task = make_task(seed=HIER_SWEEP.task_seed)
         x, _ = generate_data(task, HIER_SWEEP.n_train, seed=4)
-        forked = teacher_streams(task, HIER_SWEEP, 4, x, coarse=True)
+        forked = teacher_streams(task, HIER_SWEEP, 4, x, ["fine", "coarse"])
         _one_cpu(monkeypatch)
-        serial = teacher_streams(task, HIER_SWEEP, 4, x, coarse=True)
+        serial = teacher_streams(task, HIER_SWEEP, 4, x, ["fine", "coarse"])
         assert list(forked) == list(serial) == ["fine", "coarse"]
-        assert serial["coarse"].shape == (HIER_SWEEP.n_train, task.num_coarse)
+        assert serial["coarse"].shape == (HIER_SWEEP.n_train, int(task.coarse_map.max()) + 1)
         for kind in serial:
             assert np.array_equal(forked[kind], serial[kind])
 
