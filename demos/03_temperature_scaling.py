@@ -33,12 +33,10 @@ for t, tag in ((1.0, "before"), (fit.t_star, "after")):
     print(f"rank-1 ece {tag} rescaling: {dc.ece(probs, y_val, 1, 15).ece:.4f}")
 
 print("\n=== combining two score streams at independent temperatures ===")
-hyps = [
-    dc.ScoredHypothesis("the cat sat", am_logp=-10.0, lm_logp=-2.0),
-    dc.ScoredHypothesis("the cats at", am_logp=-9.0, lm_logp=-4.0),
-]
+ids = ["the cat sat", "the cats at"]
+am_logp, lm_logp = [-10.0, -9.0], [-2.0, -4.0]
 for t1, t2 in ((1.0, 1.0), (1.0, 4.0)):
-    best, ranked = dc.combine_scores(hyps, t1, t2)
-    table = ", ".join(f"{h.id!r}: {s:.2f}" for h, s in ranked)
-    print(f"t1={t1} t2={t2}: best={best!r}   ({table})")
+    order, scores = dc.combine_scores(am_logp, lm_logp, t1, t2)
+    table = ", ".join(f"{ids[i]!r}: {scores[i]:.2f}" for i in order)
+    print(f"t1={t1} t2={t2}: best={ids[order[0]]!r}   ({table})")
 print("note: downweighting the second stream (t2: 1 -> 4) flips the winner")

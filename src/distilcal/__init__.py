@@ -49,7 +49,6 @@ from .probs import as_logits, as_probs, log_softmax_t, softmax_t, top_n
 from .targets import interpolate_target, one_hot, smooth_label, soft_label
 from .tempscale import (
     DEFAULT_BOUNDS,
-    ScoredHypothesis,
     TemperatureFit,
     combine_scores,
     fit_temperature,

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
-from .probs import as_probs
+from .probs import top_n
+from .targets import _check_labels
 
 
 @dataclass(frozen=True)
@@ -39,35 +40,12 @@ class ReliabilityReport:
     n_total: int
 
 
-def _rank_select(probs, rank) -> tuple[np.ndarray, np.ndarray, int]:
-    """Each row's rank-N class and confidence, plus K, after validating once."""
-    p = as_probs(probs)
-    if p.ndim != 2:
-        raise InvalidInputError(f"predictions must form an (N, K) matrix, got shape {p.shape}")
-    n, k = p.shape
-    if n == 0:
-        raise InvalidInputError("cannot bin an empty record list")
-    if not isinstance(rank, (int, np.integer)) or isinstance(rank, bool):
-        raise InvalidParameterError(f"rank must be an integer, got {rank!r}")
-    if not 1 <= rank <= k:
-        raise InvalidParameterError(f"rank must be in [1, {k}], got {rank}")
-    # A stable sort of the negated rows keeps the original order among ties,
-    # which is the lower-index-first rule of ``probs.top_n``.
-    idx = np.argsort(-p, axis=1, kind="stable")[:, rank - 1]
-    return idx, p[np.arange(n), idx], k
-
-
 def rank_confidence_correct(probs, labels, rank: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-row rank-N confidence and correctness indicator (1.0 or 0.0)."""
-    idx, conf, k = _rank_select(probs, rank)
-    y = np.asarray(labels)
-    if y.shape != idx.shape or y.dtype.kind not in "iu":
-        raise InvalidInputError(
-            f"labels must be {len(idx)} integers, got shape {y.shape} of {y.dtype}"
-        )
-    bad = (y < 0) | (y >= k)
-    if bad.any():
-        raise InvalidInputError(f"true_label {int(y[bad][0])} out of range for {k} classes")
+    idx, conf = top_n(probs, rank)
+    y = _check_labels(labels, np.shape(probs)[-1])
+    if y.shape != idx.shape:
+        raise InvalidInputError(f"need one label per row, got {len(y)} for {len(idx)} rows")
     return conf, (idx == y).astype(np.float64)
 
 
@@ -92,7 +70,7 @@ def bin_by_confidence(probs, rank: int, num_bins: int) -> list[list[int]]:
         A list of index lists into the rows of ``probs``; every row appears
         in exactly one bin.
     """
-    _, conf, _ = _rank_select(probs, rank)
+    _, conf = top_n(probs, rank)
     return [group.tolist() for group in _bins(conf, num_bins)]
 
 

@@ -76,11 +76,11 @@ def _cmd_fit_temp(args) -> int:
 def _cmd_combine(args) -> int:
     groups = read_hypothesis_file(args.hyps)
     out_lines = []
-    for utt, hyps in groups.items():
-        best_id, ranked = combine_scores(hyps, args.t1, args.t2)
-        out_lines.append(f"{utt}\tbest\t{best_id}")
-        for position, (hyp, score) in enumerate(ranked, start=1):
-            out_lines.append(f"{utt}\t{position}\t{hyp.id}\t{_fmt6(score)}")
+    for utt, (ids, scores) in groups.items():
+        order, combined = combine_scores(scores[:, 0], scores[:, 1], args.t1, args.t2)
+        out_lines.append(f"{utt}\tbest\t{ids[order[0]]}")
+        for position, i in enumerate(order, start=1):
+            out_lines.append(f"{utt}\t{position}\t{ids[i]}\t{_fmt6(combined[i])}")
     print("\n".join(out_lines))
     return 0
 
@@ -180,6 +180,7 @@ def _cmd_train(args) -> int:
     seed = _cast(cfg, "seed", int, 0)
     overrides = {f: _cast(cfg, key, float) for key, f in _TRAIN_FLOATS.items() if key in cfg}
     student, curve, ev = train_cell(scfg, method, seed, **overrides)
+    metrics = {"acc": ev.accuracy, **{f"ece{r}": ev.reports[r].ece for r in (1, 2, 3)}}
     model = {
         "method": method,
         "architecture": {
@@ -190,19 +191,10 @@ def _cmd_train(args) -> int:
         "rng_seed": student.rng_seed,
         "params": student.params.tolist(),
         "loss_curve": curve,
-        "metrics": {
-            "acc": ev.accuracy,
-            "ece1": ev.reports[1].ece,
-            "ece2": ev.reports[2].ece,
-            "ece3": ev.reports[3].ece,
-        },
+        "metrics": metrics,
     }
     write_text_atomic(out_path, json.dumps(model, sort_keys=True, indent=1) + "\n")
-    print(
-        f"method={method} acc={_fmt6(ev.accuracy)} "
-        f"ece1={_fmt6(ev.reports[1].ece)} ece2={_fmt6(ev.reports[2].ece)} "
-        f"ece3={_fmt6(ev.reports[3].ece)}"
-    )
+    print(f"method={method} " + " ".join(f"{key}={_fmt6(v)}" for key, v in metrics.items()))
     return 0
 
 

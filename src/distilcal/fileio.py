@@ -4,7 +4,8 @@ Formats (one record per line throughout):
 
 * prediction file: JSON objects ``{"logits": [...], "label": int}``;
 * hypothesis file: JSON objects
-  ``{"utt": str, "id": str, "am_logp": float, "lm_logp": float}``;
+  ``{"utt": str, "id": str, "am_logp": float, "lm_logp": float}``, where
+  ``utt`` and ``id`` are non-empty and hold no TAB, CR or LF;
 * alignment file: ``utt-id<TAB>tok tok tok ...``;
 * unit-map file: TSV lines ``fine<TAB>coarse``;
 * posterior file: ``utt-id<TAB>token-index<TAB>p0 p1 ... pK-1``.
@@ -26,10 +27,14 @@ import numpy as np
 
 from .alignment import Alignment, UnitMap
 from .errors import FileFormatError
-from .tempscale import ScoredHypothesis
 
 #: Posterior rows may miss the simplex by this much before being rejected.
 POSTERIOR_SUM_TOL = 1e-6
+
+#: ``type(v)`` of a JSON number; JSON true/false parse to bool, an int subclass.
+_NUMBER_TYPES = (int, float)
+_HYPOTHESIS_KEYS = {"utt", "id", "am_logp", "lm_logp"}
+_FIELD_BREAKS = frozenset("\t\r\n")  # would split an id or utt across output fields
 
 
 def _lines(path) -> list[tuple[int, str]]:
@@ -50,6 +55,15 @@ def _json_lines(path):
             raise FileFormatError(path, line_no, f"bad JSON: {getattr(e, 'msg', e)}") from None
 
 
+def _finite_floats(values) -> list[float] | None:
+    """``values`` as floats, or None when one is not finite as a float."""
+    try:
+        floats = [float(v) for v in values]
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return floats if all(map(math.isfinite, floats)) else None
+
+
 def read_prediction_file(path) -> tuple[np.ndarray, np.ndarray]:
     """Logit matrix and label vector from a JSON-lines prediction file."""
     logits: list[list[float]] = []
@@ -62,16 +76,11 @@ def read_prediction_file(path) -> tuple[np.ndarray, np.ndarray]:
         if (
             not isinstance(row, list)
             or len(row) < 2
-            # type(), not isinstance(): JSON true/false parse to bool, an int.
-            or not all(type(v) in (int, float) for v in row)
+            or not all(type(v) in _NUMBER_TYPES for v in row)
         ):
             raise FileFormatError(path, line_no, "'logits' must list >= 2 numbers")
-        try:
-            values = [float(v) for v in row]
-            finite = all(map(math.isfinite, values))
-        except OverflowError:  # an integer beyond the float range
-            finite = False
-        if not finite:
+        values = _finite_floats(row)
+        if values is None:
             raise FileFormatError(path, line_no, "logits must be finite")
         if width is None:
             width = len(row)
@@ -93,25 +102,29 @@ def read_prediction_file(path) -> tuple[np.ndarray, np.ndarray]:
     return np.array(logits), np.array(labels)
 
 
-def read_hypothesis_file(path) -> dict[str, list[ScoredHypothesis]]:
-    """Hypotheses grouped by utterance, both levels in file order."""
-    groups: dict[str, list[ScoredHypothesis]] = {}
+def read_hypothesis_file(path) -> dict[str, tuple[list[str], np.ndarray]]:
+    """Per utterance, its hypothesis ids and ``(n, 2)`` ``[am_logp, lm_logp]``
+    scores, both levels in file order."""
+    groups: dict[str, tuple[list[str], list[list[float]]]] = {}
     for line_no, obj in _json_lines(path):
-        try:
-            utt = str(obj["utt"])
-            hyp = ScoredHypothesis(
-                id=str(obj["id"]),
-                am_logp=float(obj["am_logp"]),
-                lm_logp=float(obj["lm_logp"]),
-            )
-        except (KeyError, TypeError, ValueError) as e:
-            raise FileFormatError(
-                path, line_no, f"need finite 'utt'/'id'/'am_logp'/'lm_logp': {e}"
-            ) from None
-        groups.setdefault(utt, []).append(hyp)
+        if not isinstance(obj, dict) or not _HYPOTHESIS_KEYS <= obj.keys():
+            raise FileFormatError(path, line_no, "need keys 'utt', 'id', 'am_logp' and 'lm_logp'")
+        utt, hyp_id = obj["utt"], obj["id"]
+        for key, text in (("utt", utt), ("id", hyp_id)):
+            if not isinstance(text, str) or not text or not _FIELD_BREAKS.isdisjoint(text):
+                raise FileFormatError(
+                    path, line_no, f"{key!r} must be a non-empty string without tabs or newlines"
+                )
+        pair = (obj["am_logp"], obj["lm_logp"])
+        scores = _finite_floats(pair) if all(type(v) in _NUMBER_TYPES for v in pair) else None
+        if scores is None:
+            raise FileFormatError(path, line_no, "'am_logp' and 'lm_logp' must be finite numbers")
+        ids, rows = groups.setdefault(utt, ([], []))
+        ids.append(hyp_id)
+        rows.append(scores)
     if not groups:
         raise FileFormatError(path, 0, "no hypotheses found")
-    return groups
+    return {utt: (ids, np.array(rows)) for utt, (ids, rows) in groups.items()}
 
 
 def read_alignment_file(path, unit: str) -> dict[str, Alignment]:

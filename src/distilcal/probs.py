@@ -71,7 +71,8 @@ def softmax_t(logits, t: float = 1.0) -> np.ndarray:
     """
     arr = as_logits(logits)
     t = _check_temperature(t)
-    z = (arr - arr.max(axis=-1, keepdims=True)) / t
+    with np.errstate(over="ignore"):  # a gap past the float range is -inf, and exp gives 0
+        z = (arr - arr.max(axis=-1, keepdims=True)) / t
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -88,22 +89,23 @@ def log_softmax_t(logits, t: float = 1.0) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def top_n(probs, n: int) -> tuple[int, float]:
-    """Index and value of the n-th largest probability (1-based rank).
+def top_n(probs, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's class index and value of its n-th largest probability (1-based rank).
 
-    Ties are broken toward the lower class index, so ranks 1..K always
-    enumerate a permutation of the classes with non-increasing confidences.
+    Takes a non-empty ``(N, K)`` matrix (a single vector is a batch of one)
+    and returns ``(idx, conf)``, both of shape ``(N,)``. Ties are broken
+    toward the lower class index, so ranks 1..K always enumerate a
+    permutation of the classes with non-increasing confidences.
     """
-    p = as_probs(probs)
-    if p.ndim != 1:
-        raise InvalidInputError("top_n expects a single probability vector")
-    k = p.shape[0]
+    p = np.atleast_2d(as_probs(probs))
+    if p.ndim != 2 or p.shape[0] == 0:
+        raise InvalidInputError(f"need a non-empty (N, K) probability matrix, got shape {p.shape}")
+    k = p.shape[1]
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise InvalidParameterError(f"rank must be an integer, got {n!r}")
     if not 1 <= n <= k:
         raise InvalidParameterError(f"rank must be in [1, {k}], got {n}")
-    # Stable argsort of the negated vector keeps original order among ties,
+    # Stable argsort of the negated rows keeps original order among ties,
     # which is exactly the lower-index-first rule.
-    order = np.argsort(-p, kind="stable")
-    idx = int(order[n - 1])
-    return idx, float(p[idx])
+    idx = np.argsort(-p, axis=1, kind="stable")[:, n - 1]
+    return idx, p[np.arange(len(p)), idx]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -38,28 +37,17 @@ class TemperatureFit:
     search_bounds: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class ScoredHypothesis:
-    """One hypothesis with its acoustic and language log-probabilities (nats)."""
-
-    id: str
-    am_logp: float
-    lm_logp: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.am_logp) and math.isfinite(self.lm_logp)):
-            raise InvalidInputError(f"hypothesis {self.id!r} has non-finite scores")
-
-
 def nll_at_temperature(logits: np.ndarray, labels: np.ndarray, t: float) -> float:
-    """Mean negative log-likelihood of the labels under logits / t."""
+    """Mean negative log-likelihood of the labels under logits / t; not finite,
+    without a warning, where logits near the float limit overflow."""
     if t <= 0.0:
         raise InvalidParameterError(f"temperature must be positive, got {t}")
-    z = logits / t
-    z = z - z.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1))
-    picked = z[np.arange(len(labels)), labels]
-    return float(np.mean(lse - picked))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = logits / t
+        z = z - z.max(axis=-1, keepdims=True)
+        lse = np.log(np.exp(z).sum(axis=-1))
+        picked = z[np.arange(len(labels)), labels]
+        return float(np.mean(lse - picked))
 
 
 def _search_grid(t_min: float, t_max: float) -> np.ndarray:
@@ -101,12 +89,14 @@ def fit_temperature(
         raise InvalidInputError(f"need one row of logits per label, got {logits.shape}")
 
     def nll(t: float) -> float:
-        return nll_at_temperature(logits, labels, t)
+        value = nll_at_temperature(logits, labels, t)
+        return value if math.isfinite(value) else math.inf  # never wins the search
 
-    best_t = t_min
-    best_nll = math.inf
     grid = _search_grid(t_min, t_max)
     values = np.array([nll(t) for t in grid])
+    nll_unit = float(values[grid == 1.0][0])
+    if nll_unit == math.inf:
+        raise InvalidInputError("the NLL at t=1 is not finite; logits are too large")
     k = int(np.argmin(values))
     best_t, best_nll = float(grid[k]), float(values[k])
 
@@ -128,10 +118,6 @@ def fit_temperature(
     for t, v in ((c, fc), (d, fd)):
         if v < best_nll:
             best_t, best_nll = float(t), float(v)
-
-    nll_unit = nll(1.0)
-    if nll_unit < best_nll:  # guard against refinement round-off
-        best_t, best_nll = 1.0, nll_unit
     return TemperatureFit(
         t_star=best_t,
         nll_at_t_star=best_nll,
@@ -140,21 +126,25 @@ def fit_temperature(
     )
 
 
-def combine_scores(
-    hyps: Sequence[ScoredHypothesis], t1: float, t2: float
-) -> tuple[str, list[tuple[ScoredHypothesis, float]]]:
-    """Rank hypotheses by ``am_logp / t1 + lm_logp / t2``.
+def combine_scores(am_logp, lm_logp, t1: float, t2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rank one utterance's hypotheses by ``am_logp / t1 + lm_logp / t2``.
 
-    Returns the best hypothesis id and the full ranking (descending combined
-    score; ties keep input order).
+    Takes the ``(n,)`` acoustic and language scores in input order and
+    returns ``(order, scores)``: the combined scores in input order, and the
+    indices that sort them in descending order (ties keep input order).
     """
-    if len(hyps) == 0:
-        raise InvalidInputError("hypothesis list is empty")
+    am = np.asarray(am_logp, dtype=np.float64)
+    lm = np.asarray(lm_logp, dtype=np.float64)
+    if am.ndim != 1 or am.shape != lm.shape or len(am) == 0:
+        raise InvalidInputError(
+            f"need two non-empty score vectors of one length, got shapes {am.shape}, {lm.shape}"
+        )
     if not all(math.isfinite(t) and t > 0.0 for t in (t1, t2)):
         raise InvalidParameterError(
             f"temperatures must be positive and finite, got {t1}, {t2}"
         )
-    scores = np.array([h.am_logp / t1 + h.lm_logp / t2 for h in hyps])
-    order = np.argsort(-scores, kind="stable")
-    ranked = [(hyps[int(i)], float(scores[int(i)])) for i in order]
-    return ranked[0][0].id, ranked
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = am / t1 + lm / t2
+    if not np.all(np.isfinite(scores)):  # a non-finite input, or an overflow
+        raise InvalidInputError("combined hypothesis scores must be finite")
+    return np.argsort(-scores, kind="stable"), scores

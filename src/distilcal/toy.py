@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .calibration import ReliabilityReport, ece, rank_confidence_correct
+from .calibration import ReliabilityReport, _fmt6, ece, rank_confidence_correct
 from .errors import ConfigurationError, InvalidInputError, InvalidParameterError
 from .losses import cross_entropy, multitask_loss
 from .probs import softmax_t
@@ -413,30 +413,23 @@ def make_student(task: SyntheticTask, hidden_dim: int, seed: int) -> ToyNetwork:
     return ToyNetwork(task.input_dim, hidden_dim, {"sl": task.num_classes, **heads}, seed)
 
 
-def make_teacher(
-    task: SyntheticTask,
-    seed: int,
-    unit: str = "fine",
-    hidden_dim: int = 128,
-    n_samples: int = 20000,
-    epochs: int = 15,
-    learning_rate: float = 0.1,
-    batch_size: int = 64,
-) -> ToyNetwork:
-    """Wider single-head network trained with plain cross-entropy on ``unit`` labels."""
+def make_teacher(task: SyntheticTask, cfg: SweepConfig, seed: int, unit: str) -> ToyNetwork:
+    """Wider single-head network trained with plain cross-entropy on ``unit`` labels,
+    on ``cfg``'s teacher schedule."""
     unit_map = task.unit_maps[unit]
     k = int(unit_map.max()) + 1
+    hidden_dim = cfg.hidden_dim * cfg.teacher_hidden_multiplier
+    n_samples = cfg.n_train * cfg.teacher_data_multiplier
     net = ToyNetwork(task.input_dim, hidden_dim, {"sl": k}, _derive_seed(seed, "teacher-init"))
     x, y = generate_data(task, n_samples, _derive_seed(seed, "teacher-data"))
-    y = unit_map[y]
-    cfg = TrainConfig(
+    tcfg = TrainConfig(
         method="baseline",
-        epochs=epochs,
-        learning_rate=learning_rate,
-        batch_size=batch_size,
+        epochs=cfg.teacher_epochs,
+        learning_rate=cfg.learning_rate,
+        batch_size=cfg.batch_size,
         seed=_derive_seed(seed, "teacher-shuffle"),
     )
-    train(net, x, y, cfg)
+    train(net, x, unit_map[y], tcfg)
     return net
 
 
@@ -542,12 +535,7 @@ def _unit_levels(task: SyntheticTask, cfg: SweepConfig, methods: Sequence[str]) 
 def _teacher_logits(job) -> np.ndarray:
     """One teacher's logits on the student's training inputs."""
     task, cfg, seed, x_train, unit = job
-    teacher = make_teacher(
-        task, _derive_seed(seed, f"teacher-{unit}"), unit,
-        hidden_dim=cfg.hidden_dim * cfg.teacher_hidden_multiplier,
-        n_samples=cfg.n_train * cfg.teacher_data_multiplier,
-        epochs=cfg.teacher_epochs, learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
-    )
+    teacher = make_teacher(task, cfg, _derive_seed(seed, f"teacher-{unit}"), unit)
     _, logits = teacher.forward_batch(x_train)
     return logits["sl"]
 
@@ -669,7 +657,7 @@ def sweep_csv(rows: Sequence[SweepRow]) -> str:
     lines = ["method,lambda,seed,acc,ece1,ece2,ece3"]
     for r in rows:
         lines.append(
-            f"{r.method},{r.lam:.6f},{r.seed},"
-            f"{r.acc:.6f},{r.ece1:.6f},{r.ece2:.6f},{r.ece3:.6f}"
+            f"{r.method},{_fmt6(r.lam)},{r.seed},"
+            f"{_fmt6(r.acc)},{_fmt6(r.ece1)},{_fmt6(r.ece2)},{_fmt6(r.ece3)}"
         )
     return "\n".join(lines) + "\n"

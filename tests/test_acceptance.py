@@ -192,15 +192,15 @@ def test_criterion_06_temperature_fitting_and_combination():
     ok_scale = (abs(fit_half.t_star - fit_full.t_star / 2) <= 0.02 * fit_full.t_star / 2
                 and abs(fit_full.t_star - oracle_t) <= 0.02 * oracle_t)
 
-    h1 = dc.ScoredHypothesis("H1", -10.0, -2.0)
-    h2 = dc.ScoredHypothesis("H2", -9.0, -4.0)
-    flip = (dc.combine_scores([h1, h2], 1, 1)[0] == "H1"
-            and dc.combine_scores([h1, h2], 1, 4)[0] == "H2")
-    hyps = [dc.ScoredHypothesis(f"h{i}", float(rng.normal(-10, 3)),
-                                float(rng.normal(-5, 2))) for i in range(15)]
-    base_order = [h.id for h, _ in dc.combine_scores(hyps, 1.7, 0.8)[1]]
+    ids = ["H1", "H2"]
+    am, lm = [-10.0, -9.0], [-2.0, -4.0]
+    flip = (ids[dc.combine_scores(am, lm, 1, 1)[0][0]] == "H1"
+            and ids[dc.combine_scores(am, lm, 1, 4)[0][0]] == "H2")
+    pairs = np.array([(rng.normal(-10, 3), rng.normal(-5, 2)) for i in range(15)])
+    am, lm = pairs[:, 0], pairs[:, 1]
+    base_order = dc.combine_scores(am, lm, 1.7, 0.8)[0].tolist()
     ok_scaling = all(
-        [h.id for h, _ in dc.combine_scores(hyps, 1.7 * c, 0.8 * c)[1]] == base_order
+        dc.combine_scores(am, lm, 1.7 * c, 0.8 * c)[0].tolist() == base_order
         for c in (0.25, 3.0, 40.0)
     )
     ok = ok_nll and ok_scale and flip and ok_scaling

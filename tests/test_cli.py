@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -186,6 +188,30 @@ class TestFitTempCommand:
             assert stdout == ""
             assert "t_min < t_max < inf" in err
 
+    @pytest.mark.parametrize("scale, labels", [("1e307", (0, 0)), ("1e308", (0, 1))])
+    def test_overflowing_temperatures_never_print_nan(self, tmp_path, scale, labels):
+        # logits / t overflows below t=1, though the NLL at t=1 is finite; at
+        # 1e308 the gap to the row maximum overflows in the ECE readout too.
+        fix = tmp_path / "huge.jsonl"
+        fix.write_text(f'{{"logits": [{scale}, -{scale}], "label": {labels[0]}}}\n'
+                       f'{{"logits": [-{scale}, {scale}], "label": {labels[1]}}}\n')
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "distilcal.cli", "fit-temp", "--val", str(fix)],
+            cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        values = [float(kv.split("=")[1]) for kv in proc.stdout.split()]
+        assert len(values) == 5 and all(np.isfinite(values))
+
+    def test_non_finite_nll_at_unit_rejected(self, tmp_path):
+        fix = tmp_path / "huge.jsonl"
+        fix.write_text('{"logits": [1.7e308, -1.7e308], "label": 1}\n'
+                       '{"logits": [-1.7e308, 1.7e308], "label": 0}\n')
+        stdout, err = run_rejected(tmp_path, "fit-temp", "--val", fix)
+        assert stdout == ""
+        assert "NLL at t=1 is not finite" in err
+
 
 class TestCombineCommand:
     def test_unit_temperatures_golden(self, capsys):
@@ -226,6 +252,99 @@ class TestCombineCommand:
         stdout, err = run_rejected(tmp_path, "combine", "--hyps", fix)
         assert stdout == ""
         assert ":1: bad JSON: Exceeds the limit" in err
+
+    @pytest.mark.parametrize("line, field", [
+        ('{"utt": "u", "id": "a", "am_logp": true, "lm_logp": -1.0}', "'am_logp'"),
+        ('{"utt": "u", "id": "a", "am_logp": -1.0, "lm_logp": "-2.5"}', "'am_logp'"),
+        ('{"utt": null, "id": "a", "am_logp": -1.0, "lm_logp": -1.0}', "'utt'"),
+        ('{"utt": "u", "id": 7, "am_logp": -1.0, "lm_logp": -1.0}', "'id'"),
+        ('{"utt": "u", "id": "", "am_logp": -1.0, "lm_logp": -1.0}', "'id'"),
+        ('{"utt": "u", "id": "a", "am_logp": -1' + "0" * 400 + ', "lm_logp": -1.0}', "'am_logp'"),
+        ('{"utt": "u", "id": "a\\nu\\tbest\\tzzz", "am_logp": -1.0, "lm_logp": -1.0}', "'id'"),
+        ('{"utt": "u\\tx", "id": "a", "am_logp": -1.0, "lm_logp": -1.0}', "'utt'"),
+        ('{"utt": "u\\rx", "id": "a", "am_logp": -1.0, "lm_logp": -1.0}', "'utt'"),
+    ], ids=["bool-score", "string-score", "null-utt", "integer-id", "empty-id",
+            "400-digit-score", "newline-in-id", "tab-in-utt", "cr-in-utt"])
+    def test_hypothesis_contract_violation_names_line(self, tmp_path, line, field):
+        fix = tmp_path / "hyps.jsonl"
+        fix.write_text('{"utt": "u", "id": "ok", "am_logp": -1.0, "lm_logp": -1.0}\n'
+                       + line + "\n")
+        stdout, err = run_rejected(tmp_path, "combine", "--hyps", fix)
+        assert stdout == ""
+        assert f"hyps.jsonl:2: {field}" in err
+
+
+#: Ways to break one hypothesis line; "integer" and "none" leave it valid.
+MUTATIONS = ("true", "null", "string", "nan", "digits", "missing", "tab", "newline", "array",
+             "integer", "none")
+
+
+def mutate_hypothesis(obj, mutation, key):
+    """One hypothesis line as JSON text, changed by ``mutation`` at ``key``."""
+    if mutation == "none":
+        return json.dumps(obj)
+    obj = dict(obj)
+    score_key = key if key in ("am_logp", "lm_logp") else "am_logp"
+    text_key = key if key in ("utt", "id") else "id"
+    if mutation == "array":
+        return json.dumps(list(obj.values()))
+    if mutation == "missing":
+        del obj[key]
+    elif mutation in ("tab", "newline"):
+        obj[text_key] += "\t" if mutation == "tab" else "\n"
+    else:
+        # Scores are written by hand so that NaN and long integers stay JSON tokens.
+        value = {"true": "true", "null": "null", "string": '"-2.5"', "nan": "NaN",
+                 "digits": "-1" + "0" * 400, "integer": "-3"}[mutation]
+        obj[score_key] = "@"
+        return json.dumps(obj).replace('"@"', value)
+    return json.dumps(obj)
+
+
+@st.composite
+def hypothesis_file(draw):
+    n = draw(st.integers(1, 8))
+    score = st.floats(-1e4, 1e4, allow_nan=False).map(lambda v: round(v, 3))
+    lines = [
+        json.dumps({"utt": f"u{draw(st.integers(0, 2))}", "id": f"h{i}",
+                    "am_logp": draw(score), "lm_logp": draw(score)})
+        for i in range(n)
+    ]
+    bad = draw(st.integers(0, n - 1))
+    mutation = draw(st.sampled_from(MUTATIONS))
+    key = draw(st.sampled_from(["utt", "id", "am_logp", "lm_logp"]))
+    lines[bad] = mutate_hypothesis(json.loads(lines[bad]), mutation, key)
+    return "\n".join(lines) + "\n", bad + 1
+
+
+def run_quiet(argv):
+    """``main(argv)`` in this process, returning the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestCombineMutations:
+    @settings(max_examples=150, deadline=None)
+    @given(hypothesis_file(), st.sampled_from([("1", "1"), ("0.5", "4")]))
+    def test_exit_0_or_2_and_clean_output(self, tmp_path_factory, case, temperatures):
+        text, bad_line = case
+        path = tmp_path_factory.mktemp("combine") / "hyps.jsonl"
+        path.write_text(text)
+        argv = ["combine", "--hyps", str(path), "--t1", temperatures[0], "--t2", temperatures[1]]
+        code, stdout, stderr = run_quiet(argv)
+        assert code in (0, 2), stderr
+        if code == 2:
+            assert stdout == ""
+            assert stderr.startswith(f"error: {path}:{bad_line}: ")
+            return
+        for line in stdout.splitlines():
+            fields = line.split("\t")
+            assert len(fields) in (3, 4)
+            if len(fields) == 4:
+                assert np.isfinite(float(fields[3]))
+        assert run_quiet(argv) == (0, stdout, stderr)
 
 
 def write_posteriors(path, table):

@@ -101,19 +101,24 @@ class TestLogSoftmax:
             )
 
 
+def top_n_lists(probs, n):
+    idx, conf = top_n(probs, n)
+    return idx.tolist(), conf.tolist()
+
+
 class TestTopN:
     def test_direct_ordering(self):
-        assert top_n([0.7, 0.2, 0.1], 2) == (1, 0.2)
-        assert top_n([0.1, 0.3, 0.6], 3) == (0, 0.1)
+        assert top_n_lists([[0.7, 0.2, 0.1]], 2) == ([1], [0.2])
+        assert top_n_lists([[0.1, 0.3, 0.6]], 3) == ([0], [0.1])
 
     def test_tie_breaks_to_lower_index(self):
-        assert top_n([0.5, 0.5], 1) == (0, 0.5)
-        assert top_n([0.5, 0.5], 2) == (1, 0.5)
+        assert top_n_lists([[0.5, 0.5]], 1) == ([0], [0.5])
+        assert top_n_lists([[0.5, 0.5]], 2) == ([1], [0.5])
 
     def test_rank_out_of_range(self):
         for n in (0, 4, -1):
             with pytest.raises(InvalidParameterError):
-                top_n([0.2, 0.3, 0.5], n)
+                top_n([[0.2, 0.3, 0.5]], n)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -122,11 +127,29 @@ class TestTopN:
     def test_enumerates_permutation_with_nonincreasing_confidence(self, raw):
         p = np.array(raw) / np.sum(raw)
         k = len(p)
-        picks = [top_n(p, n) for n in range(1, k + 1)]
-        indices = [i for i, _ in picks]
-        confs = [c for _, c in picks]
+        picks = [top_n_lists(p, n) for n in range(1, k + 1)]
+        indices = [i[0] for i, _ in picks]
+        confs = [c[0] for _, c in picks]
         assert sorted(indices) == list(range(k))
         assert all(a >= b for a, b in zip(confs, confs[1:]))
+
+    def test_batch_rows_match_single_rows(self):
+        rng = np.random.default_rng(4)
+        p = rng.dirichlet(np.ones(6), size=30)
+        p[::3, 1] = p[::3, 4] = (p[::3, 1] + p[::3, 4]) / 2  # ties inside rows
+        for n in range(1, 7):
+            idx, conf = top_n(p, n)
+            assert idx.shape == conf.shape == (30,)
+            for i, row in enumerate(p):
+                assert top_n_lists(row, n) == ([idx[i]], [conf[i]])
+
+    def test_vector_is_a_batch_of_one(self):
+        assert top_n_lists([0.7, 0.2, 0.1], 2) == ([1], [0.2])
+
+    def test_empty_or_deep_input_rejected(self):
+        for probs in (np.empty((0, 3)), np.full((2, 2, 2), 0.5)):
+            with pytest.raises(InvalidInputError):
+                top_n(probs, 1)
 
 
 class TestAsProbs:

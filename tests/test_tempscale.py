@@ -1,14 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from distilcal import (
     InvalidInputError,
     InvalidParameterError,
-    ScoredHypothesis,
     combine_scores,
     fit_temperature,
     nll_at_temperature,
 )
+from distilcal import tempscale
 
 from oracles import dense_grid_temperature
 
@@ -59,6 +61,32 @@ class TestFitTemperature:
         nlls = [nll_at_temperature(logits, labels, t) for t in t_grid]
         assert min(nlls) >= 0  # sanity: NLL is a mean of non-negative terms
 
+    def test_unit_nll_comes_from_the_grid(self, monkeypatch):
+        logits, labels = random_validation(4)
+        temperatures = []
+
+        def counting(z, y, t):
+            temperatures.append(t)
+            return nll_at_temperature(z, y, t)
+
+        monkeypatch.setattr(tempscale, "nll_at_temperature", counting)
+        fit = fit_temperature(logits, labels)
+        assert temperatures.count(1.0) == 1
+        assert fit.nll_at_unit == nll_at_temperature(logits, labels, 1.0)
+
+    def test_overflowing_temperatures_never_win(self):
+        logits = np.array([[1e307, -1e307], [-1e307, 1e307]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_temperature(logits, np.array([0, 0]))
+        assert np.isfinite(fit.nll_at_t_star) and fit.nll_at_t_star <= fit.nll_at_unit
+        assert fit.t_star == 20.0  # the NLL falls with t wherever it is finite
+
+    def test_non_finite_unit_nll_rejected(self):
+        logits = np.array([[1.7e308, -1.7e308], [-1.7e308, 1.7e308]])
+        with pytest.raises(InvalidInputError, match="t=1"):
+            fit_temperature(logits, np.array([1, 0]))
+
     def test_empty_validation_rejected(self):
         with pytest.raises(InvalidInputError):
             fit_temperature(np.empty((0, 2)), np.empty(0, dtype=int))
@@ -73,59 +101,65 @@ class TestFitTemperature:
             fit_temperature(*val, bounds=(2.0, 20.0))  # must contain t=1
 
 
-H1 = ScoredHypothesis("H1", am_logp=-10.0, lm_logp=-2.0)
-H2 = ScoredHypothesis("H2", am_logp=-9.0, lm_logp=-4.0)
+def ranked(ids, am_logp, lm_logp, t1, t2):
+    """``combine_scores`` read back as ``[(id, score), ...]`` in rank order."""
+    order, scores = combine_scores(am_logp, lm_logp, t1, t2)
+    return [(ids[i], scores[i]) for i in order]
+
+
+def random_hypotheses(rng, n):
+    """``n`` ids with acoustic and language scores, drawn in (am, lm) pairs."""
+    pairs = np.array([(rng.normal(-10, 3), rng.normal(-5, 2)) for _ in range(n)])
+    return [f"h{i}" for i in range(n)], pairs[:, 0], pairs[:, 1]
+
+
+H12 = (["H1", "H2"], [-10.0, -9.0], [-2.0, -4.0])
 
 
 class TestCombineScores:
     def test_unit_temperatures_pick_plain_sum(self):
-        best, ranked = combine_scores([H1, H2], 1.0, 1.0)
-        assert best == "H1"
-        assert [(h.id, s) for h, s in ranked] == [("H1", -12.0), ("H2", -13.0)]
+        ranking = ranked(*H12, 1.0, 1.0)
+        assert ranking[0][0] == "H1"
+        assert ranking == [("H1", -12.0), ("H2", -13.0)]
 
     def test_language_temperature_flips_winner(self):
-        best, ranked = combine_scores([H1, H2], 1.0, 4.0)
-        assert best == "H2"
-        assert [(h.id, s) for h, s in ranked] == [("H2", -10.0), ("H1", -10.5)]
+        ranking = ranked(*H12, 1.0, 4.0)
+        assert ranking[0][0] == "H2"
+        assert ranking == [("H2", -10.0), ("H1", -10.5)]
 
     def test_joint_scaling_preserves_full_order(self):
         rng = np.random.default_rng(17)
-        hyps = [
-            ScoredHypothesis(f"h{i}", float(rng.normal(-10, 3)), float(rng.normal(-5, 2)))
-            for i in range(12)
-        ]
-        base_best, base = combine_scores(hyps, 1.3, 2.7)
+        hyps = random_hypotheses(rng, 12)
+        base = ranked(*hyps, 1.3, 2.7)
         for c in (0.5, 2.0, 17.0):
-            best, ranked = combine_scores(hyps, 1.3 * c, 2.7 * c)
-            assert best == base_best
-            assert [h.id for h, _ in ranked] == [h.id for h, _ in base]
+            ranking = ranked(*hyps, 1.3 * c, 2.7 * c)
+            assert ranking[0][0] == base[0][0]
+            assert [h for h, _ in ranking] == [h for h, _ in base]
 
     def test_constant_shift_preserves_order(self):
         rng = np.random.default_rng(23)
-        hyps = [
-            ScoredHypothesis(f"h{i}", float(rng.normal(-10, 3)), float(rng.normal(-5, 2)))
-            for i in range(10)
-        ]
-        _, base = combine_scores(hyps, 1.0, 3.0)
-        shifted_am = [ScoredHypothesis(h.id, h.am_logp + 7.5, h.lm_logp) for h in hyps]
-        shifted_lm = [ScoredHypothesis(h.id, h.am_logp, h.lm_logp - 3.25) for h in hyps]
-        for variant in (shifted_am, shifted_lm):
-            _, ranked = combine_scores(variant, 1.0, 3.0)
-            assert [h.id for h, _ in ranked] == [h.id for h, _ in base]
+        ids, am, lm = random_hypotheses(rng, 10)
+        base = ranked(ids, am, lm, 1.0, 3.0)
+        for variant in ((ids, am + 7.5, lm), (ids, am, lm - 3.25)):
+            assert [h for h, _ in ranked(*variant, 1.0, 3.0)] == [h for h, _ in base]
 
     def test_ties_keep_input_order(self):
-        a = ScoredHypothesis("first", -5.0, -5.0)
-        b = ScoredHypothesis("second", -6.0, -4.0)
-        best, ranked = combine_scores([a, b], 1.0, 1.0)
-        assert best == "first"
-        assert [h.id for h, _ in ranked] == ["first", "second"]
+        ranking = ranked(["first", "second"], [-5.0, -6.0], [-5.0, -4.0], 1.0, 1.0)
+        assert ranking[0][0] == "first"
+        assert [h for h, _ in ranking] == ["first", "second"]
 
     def test_empty_and_bad_temperature_rejected(self):
         with pytest.raises(InvalidInputError):
-            combine_scores([], 1.0, 1.0)
+            combine_scores([], [], 1.0, 1.0)
         with pytest.raises(InvalidParameterError):
-            combine_scores([H1], 0.0, 1.0)
+            combine_scores([-10.0], [-2.0], 0.0, 1.0)
 
     def test_non_finite_scores_rejected(self):
         with pytest.raises(InvalidInputError):
-            ScoredHypothesis("bad", float("nan"), -1.0)
+            combine_scores([float("nan")], [-1.0], 1.0, 1.0)
+
+    def test_mismatched_or_overflowing_scores_rejected(self):
+        for am, lm, t1 in (([-1.0, -2.0], [-1.0], 1.0), ([[-1.0]], [[-1.0]], 1.0),
+                           ([-1e308], [-1.0], 0.5)):
+            with pytest.raises(InvalidInputError):
+                combine_scores(am, lm, t1, 1.0)

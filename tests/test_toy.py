@@ -18,6 +18,7 @@ from distilcal import (
     head_targets,
     make_student,
     make_task,
+    make_teacher,
     network_loss_and_grad,
     sweep_csv,
     sweep_lambda,
@@ -345,6 +346,21 @@ class TestEvaluate:
         assert sum(rank_accs) <= 1.0 + 1e-12  # ranks are disjoint per sample
 
 
+class TestMakeTeacher:
+    def test_reads_its_schedule_from_the_sweep_config(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(toy, "train", lambda *args: calls.append(args))
+        cfg = SweepConfig(n_train=50, hidden_dim=3, teacher_hidden_multiplier=2,
+                          teacher_data_multiplier=3, teacher_epochs=4,
+                          learning_rate=0.05, batch_size=7)
+        teacher = make_teacher(tiny_task(), cfg, 5, "coarse")
+        ((net, x, y, tcfg),) = calls
+        assert net is teacher and net.hidden_dim == 6 and net.head_dims == {"sl": 2}
+        assert x.shape == (150, 3) and set(y.tolist()) <= {0, 1}
+        assert (tcfg.method, tcfg.epochs, tcfg.learning_rate, tcfg.batch_size) == (
+            "baseline", 4, 0.05, 7)
+
+
 FAST_SWEEP = SweepConfig(
     n_train=200, n_test=200, epochs=3, hidden_dim=8,
     teacher_epochs=2, teacher_data_multiplier=2, noise_sigma=1.0,
@@ -378,6 +394,12 @@ class TestSweep:
         fields = lines[1].split(",")
         assert fields[0] == "lst" and fields[1] == "0.500000" and fields[2] == "0"
         assert all("." in f and len(f.split(".")[1]) == 6 for f in fields[3:])
+
+    def test_csv_prints_negative_zero_as_zero(self):
+        rows = [toy.SweepRow("lst", -0.0, 0, 0.5, 0.125, 0.25, -0.0)]
+        assert sweep_csv(rows).splitlines()[1] == (
+            "lst,0.000000,0,0.500000,0.125000,0.250000,0.000000"
+        )
 
     def test_rejects_bad_method(self):
         with pytest.raises(Exception):
