@@ -41,7 +41,9 @@ def cross_entropy(student_logits, targets) -> tuple[np.ndarray, np.ndarray]:
 
     ``values[i] = -sum_j targets[i, j] * log_softmax(student[i])_j`` and
     ``grads[i] = softmax(student[i]) - targets[i]``. The logits get one
-    ``as_logits`` check; the targets are taken as given.
+    ``as_logits`` check; the targets are taken as given. A class whose gap
+    to the row maximum passes the float range counts as the widest finite
+    gap, so a zero target on it adds exactly 0.
     """
     logits = as_logits(student_logits)
     t = np.asarray(targets, dtype=np.float64)
@@ -49,12 +51,25 @@ def cross_entropy(student_logits, targets) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidInputError(
             f"logits shape {logits.shape} does not match targets shape {t.shape}"
         )
-    # log_softmax_t and softmax_t at t=1, sharing one max shift and one exp.
-    z = logits - logits.max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        z = logits - logits.max(axis=-1, keepdims=True)
+    np.maximum(z, -np.finfo(np.float64).max, out=z)
+    values, grads = _cross_entropy(z, t)
+    return values[..., 0], grads
+
+
+def _cross_entropy(z, t) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`cross_entropy`'s arithmetic without its checks, for logits ``z``
+    already shifted by their row maxima, which it overwrites. The values come
+    as an (..., 1) column; the training step runs this as it stands.
+    """
     e = np.exp(z)
     s = e.sum(axis=-1, keepdims=True)
-    values = -(t * (z - np.log(s))).sum(axis=-1)
-    return values, e / s - t
+    np.subtract(np.log(s), z, out=z)
+    z *= t
+    e /= s
+    e -= t
+    return z.sum(axis=-1, keepdims=True), e
 
 
 def kd_loss(
@@ -96,22 +111,29 @@ def multitask_loss(
     independently of the teacher count. Heads of ``logits_by_head`` without
     targets are not graded.
     """
-    values, grads = cross_entropy(logits_by_head["sl"], targets_by_head["sl"])
-    b = grads.shape[0]
-    value = lam * float(values.mean())
-    dlogits = {"sl": (lam / b) * grads}
     m = len(targets_by_head) - 1
-    for head, target in targets_by_head.items():
-        if head == "sl":
-            continue
+    value, dlogits = None, {}
+    for head in ["sl"] + [h for h in targets_by_head if h != "sl"]:
         try:
             head_logits = logits_by_head[head]
         except KeyError:
             raise InvalidInputError(f"no logits for head {head!r}") from None
-        kd_values, kd_grads = cross_entropy(head_logits, target)
-        value += (1.0 - lam) * float(kd_values.mean()) / m
-        dlogits[head] = ((1.0 - lam) / (m * b)) * kd_grads
-    return value, dlogits
+        values, grads = cross_entropy(head_logits, targets_by_head[head])
+        value = _add_head(value, head, values.mean(), grads, lam, m, values.size)
+        dlogits[head] = grads
+    return float(value), dlogits
+
+
+def _add_head(value, head: str, mean, grads: np.ndarray, lam, m: int, b: int):
+    """:func:`multitask_loss`'s running ``value`` plus one head's term, for the
+    head's batch-mean loss ``mean`` over b rows; ``"sl"`` comes first, with
+    ``value`` None. Scales the head's gradient rows ``grads`` in place.
+    """
+    if head == "sl":
+        grads *= lam / b
+        return lam * mean
+    grads *= (1.0 - lam) / (m * b)
+    return value + (1.0 - lam) * mean / m
 
 
 def grad_check(

@@ -18,16 +18,21 @@ from .errors import InvalidInputError, InvalidParameterError
 SIMPLEX_ATOL = 1e-9
 
 
-def as_logits(values) -> np.ndarray:
-    """Coerce to a float64 logit array, validating finiteness and K >= 2."""
+def _as_vectors(values, kind: str, plural: str) -> np.ndarray:
+    """Coerce to a finite float64 array of ``kind`` vectors over K >= 2 classes."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 0 or arr.shape[-1] < 2:
         raise InvalidInputError(
-            f"logit vectors need at least 2 classes, got shape {arr.shape}"
+            f"{kind} vectors need at least 2 classes, got shape {arr.shape}"
         )
     if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("logits must be finite")
+        raise InvalidInputError(f"{plural} must be finite")
     return arr
+
+
+def as_logits(values) -> np.ndarray:
+    """Coerce to a float64 logit array, validating finiteness and K >= 2."""
+    return _as_vectors(values, "logit", "logits")
 
 
 def as_probs(values) -> np.ndarray:
@@ -37,13 +42,7 @@ def as_probs(values) -> np.ndarray:
         InvalidInputError: if any entry falls outside [0, 1] or any vector's
             sum deviates from 1 by more than ``SIMPLEX_ATOL``.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 0 or arr.shape[-1] < 2:
-        raise InvalidInputError(
-            f"probability vectors need at least 2 classes, got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("probabilities must be finite")
+    arr = _as_vectors(values, "probability", "probabilities")
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         raise InvalidInputError("probabilities must lie in [0, 1]")
     sums = arr.sum(axis=-1)
@@ -85,7 +84,8 @@ def log_softmax_t(logits, t: float = 1.0) -> np.ndarray:
     """
     arr = as_logits(logits)
     t = _check_temperature(t)
-    z = (arr - arr.max(axis=-1, keepdims=True)) / t
+    with np.errstate(over="ignore"):  # a gap past the float range is the -inf limit
+        z = (arr - arr.max(axis=-1, keepdims=True)) / t
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 

@@ -12,17 +12,20 @@ which gives distillation a genuine quality gap to transfer.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
 import os
 import zlib
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .calibration import ReliabilityReport, _fmt6, ece, rank_confidence_correct
 from .errors import ConfigurationError, InvalidInputError, InvalidParameterError
-from .losses import cross_entropy, multitask_loss
+from .losses import _add_head, _cross_entropy
 from .probs import softmax_t
 from .targets import interpolate_target, one_hot, smooth_label, soft_label
 
@@ -154,23 +157,41 @@ class ToyNetwork:
         for name, k in self.head_dims.items():
             layout.append((f"{name}.W", (k, hidden_dim)))
             layout.append((f"{name}.b", (k,)))
-        total = sum(int(np.prod(shape)) for _, shape in layout)
-        self.params = np.empty(total)
+        self._shapes = dict(layout)
         # Flat slot of each named block, shared by the parameter vector and
-        # every gradient vector, so a training step writes its gradient
+        # every gradient buffer, so a training step writes its gradient
         # without working out offsets.
         self._slots: dict[str, slice] = {}
-        self._views: dict[str, np.ndarray] = {}
         offset = 0
         for name, shape in layout:
             size = int(np.prod(shape))
             self._slots[name] = slice(offset, offset + size)
-            self._views[name] = self.params[self._slots[name]].reshape(shape)
             offset += size
+        self._bind(np.empty(offset))
 
         self._init_component("trunk", fan_in=input_dim)
         for name in self.head_dims:
             self._init_component(name, fan_in=hidden_dim)
+
+    def _bind(self, params: np.ndarray) -> None:
+        """Use ``params`` (shape (P,), or (C, P) for C cells) as the parameters."""
+        self.params = params
+        lead = params.shape[:-1]
+        self._views = {
+            name: params[..., slot].reshape(lead + self._shapes[name])
+            for name, slot in self._slots.items()
+        }
+
+    def _like(self, params: np.ndarray) -> "ToyNetwork":
+        """This network's layout over ``params``, shared rather than copied.
+
+        With a leading cell axis, ``params`` of shape (C, P) make a stack of C
+        networks that :func:`train` moves in lockstep; ``stack._like(
+        stack.params[c])`` is cell c. A zeroed ``params`` is a gradient buffer.
+        """
+        net = copy.copy(self)
+        net._bind(params)
+        return net
 
     def _init_component(self, name: str, fan_in: int) -> None:
         rng = np.random.default_rng(
@@ -197,16 +218,20 @@ class ToyNetwork:
 
     def forward_batch(self, inputs: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Hidden activations and per-head logits for a (B, d) batch."""
-        return self._forward(self._as_inputs(inputs))
+        hidden = self._hidden(self._as_inputs(inputs))
+        return hidden, {name: self._logits(hidden, name) for name in self.head_dims}
 
-    def _forward(self, x: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    def _hidden(self, x: np.ndarray) -> np.ndarray:
         views = self._views
-        hidden = np.tanh(x @ views["trunk.W"].T + views["trunk.b"])
-        logits = {
-            name: hidden @ views[f"{name}.W"].T + views[f"{name}.b"]
-            for name in self.head_dims
-        }
-        return hidden, logits
+        hidden = np.matmul(x, views["trunk.W"].mT)
+        hidden += views["trunk.b"][..., None, :]
+        return np.tanh(hidden, out=hidden)
+
+    def _logits(self, hidden: np.ndarray, head: str) -> np.ndarray:
+        views = self._views
+        logits = np.matmul(hidden, views[f"{head}.W"].mT)
+        logits += views[f"{head}.b"][..., None, :]
+        return logits
 
 
 @dataclass(frozen=True)
@@ -311,48 +336,71 @@ def network_loss_and_grad(
     inputs: np.ndarray,
     targets: Mapping[str, np.ndarray],
     cfg: TrainConfig,
+    out: Optional[ToyNetwork] = None,
 ) -> tuple[float, np.ndarray]:
     """Mean loss over the batch and its gradient w.r.t. the flat parameters.
 
     ``inputs`` is a float64 (B, d) batch and ``targets`` holds the same B
     samples' rows of :func:`head_targets`; neither is checked again here.
-    Only the student logits are: each head's cross-entropy rejects
-    non-finite ones.
+    Only the heads in ``targets`` get logits, and non-finite ones are
+    rejected. On a stack of C networks (:meth:`ToyNetwork._like`) the loss
+    is a (C,) array, ``cfg.lam`` may be a (C, 1, 1) array and ``"sl"`` may
+    have (C, B, K) rows. ``out``, a zeroed gradient buffer from
+    ``net._like``, receives the gradient; slots of ungraded heads keep theirs.
     """
-    hidden, logits = net._forward(inputs)
-    if cfg.method == "multitask":
-        value, dlogits = multitask_loss(logits, targets, cfg.lam)
-    else:
-        values, grads = cross_entropy(logits["sl"], targets["sl"])
-        value, dlogits = float(values.mean()), {"sl": grads / inputs.shape[0]}
+    grad = net._like(np.zeros_like(net.params)) if out is None else out
+    views, gviews = net._views, grad._views
+    hidden = net._hidden(inputs)
+    b = inputs.shape[0]
+    value, dlogits = None, {}
+    for head, target in targets.items():  # multitask_loss's order: "sl" first
+        z = net._logits(hidden, head)
+        if not np.isfinite(z).all():
+            raise InvalidInputError("logits must be finite")
+        z -= z.max(axis=-1, keepdims=True)
+        values, dl = _cross_entropy(z, target)
+        mean = np.add.reduce(values, axis=-2, keepdims=True) / b
+        if cfg.method == "multitask":
+            value = _add_head(value, head, mean, dl, cfg.lam, len(targets) - 1, b)
+        else:
+            value = mean
+            dl /= b
+        dlogits[head] = dl
 
-    grad = np.zeros_like(net.params)
-    slots, views = net._slots, net._views
-    d_hidden = np.zeros_like(hidden)
+    d_hidden = None
     for head in sorted(dlogits):
         dl = dlogits[head]
-        grad[slots[f"{head}.W"]] = (dl.T @ hidden).ravel()
-        grad[slots[f"{head}.b"]] = dl.sum(axis=0)
-        d_hidden += dl @ views[f"{head}.W"]
-    d_pre = d_hidden * (1.0 - hidden**2)
-    grad[slots["trunk.W"]] = (d_pre.T @ inputs).ravel()
-    grad[slots["trunk.b"]] = d_pre.sum(axis=0)
-    return value, grad
+        np.matmul(dl.mT, hidden, out=gviews[f"{head}.W"])
+        np.add.reduce(dl, axis=-2, out=gviews[f"{head}.b"])
+        part = np.matmul(dl, views[f"{head}.W"])
+        d_hidden = part if d_hidden is None else np.add(d_hidden, part, out=d_hidden)
+    slope = np.square(hidden, out=hidden)
+    np.subtract(1.0, slope, out=slope)
+    d_hidden *= slope
+    np.matmul(d_hidden.mT, inputs, out=gviews["trunk.W"])
+    np.add.reduce(d_hidden, axis=-2, out=gviews["trunk.b"])
+    value = value[..., 0, 0]
+    return (float(value) if value.ndim == 0 else value), grad.params
 
 
 def train(
     net: ToyNetwork,
     inputs: np.ndarray,
     labels: np.ndarray,
-    cfg: TrainConfig,
+    cfg: TrainConfig | Sequence[TrainConfig],
     teacher_logits: Optional[Mapping[str, np.ndarray]] = None,
-) -> tuple[ToyNetwork, list[float]]:
+) -> tuple[ToyNetwork, list]:
     """Mini-batch SGD in place; returns the net and the per-epoch mean loss.
 
     Inputs, labels and teachers are checked, and every head's targets built
-    (:func:`head_targets`), once per call; each step takes its rows by index.
-    Floating-point warnings are off in the loop: a step that diverges leaves
-    non-finite logits, which the next step rejects as an input error.
+    (:func:`head_targets`), once per call; each step takes its rows by index
+    and writes its gradient into one buffer. Floating-point warnings are off
+    in the loop: a step that diverges leaves non-finite logits, which the
+    next step rejects as an input error.
+
+    A stack of C networks (``net.params`` of shape (C, P)) trains C cells in
+    lockstep, each bit for bit as it would train alone: ``cfg`` then holds
+    one config per cell, equal but for ``lam``, and the curve one per cell.
     """
     x = net._as_inputs(inputs)
     if not np.all(np.isfinite(x)):
@@ -361,21 +409,36 @@ def train(
     y = np.asarray(labels)
     if y.shape[:1] != (n,):
         raise InvalidInputError(f"got {n} inputs but labels of shape {y.shape}")
-    targets = head_targets(net, y, cfg, teacher_logits)
-    rng = np.random.default_rng(cfg.seed)
-    curve: list[float] = []
+    stacked = net.params.ndim == 2
+    cells = list(cfg) if stacked else [cfg]
+    first = step_cfg = cells[0]
+    if stacked and (
+        len(cells) != len(net.params)
+        or any(dataclasses.replace(c, lam=first.lam) != first for c in cells)
+    ):
+        raise ConfigurationError("a stack needs one config per cell, equal but for lam")
+    targets = head_targets(net, y, first, teacher_logits)
+    if stacked:
+        if first.method == "lst":
+            targets["sl"] = np.stack([head_targets(net, y, c, teacher_logits)["sl"] for c in cells])
+        lams = np.array([c.lam for c in cells])[:, None, None]
+        step_cfg = SimpleNamespace(method=first.method, lam=lams)
+    grad = net._like(np.zeros_like(net.params))
+    rng = np.random.default_rng(first.seed)
+    curve: list = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(cfg.epochs):
+        for _ in range(first.epochs):
             perm = rng.permutation(n)
             epoch_loss = 0.0
-            for start in range(0, n, cfg.batch_size):
-                idx = perm[start : start + cfg.batch_size]
-                batch = {head: t[idx] for head, t in targets.items()}
-                value, grad = network_loss_and_grad(net, x[idx], batch, cfg)
-                net.params -= cfg.learning_rate * grad
+            for start in range(0, n, first.batch_size):
+                idx = perm[start : start + first.batch_size]
+                batch = {head: t.take(idx, -2) for head, t in targets.items()}
+                value, g = network_loss_and_grad(net, x.take(idx, 0), batch, step_cfg, grad)
+                g *= first.learning_rate
+                net.params -= g
                 epoch_loss += value * len(idx)
             curve.append(epoch_loss / n)
-    return net, curve
+    return net, (np.array(curve).T.tolist() if stacked else curve)
 
 
 @dataclass
@@ -577,13 +640,26 @@ def _cell_config(cfg: SweepConfig, method: str, seed: int, **overrides) -> Train
     )
 
 
-def _run_cell(task, cfg: SweepConfig, tcfg: TrainConfig, seed: int, data, streams):
-    """Train and evaluate one cell's student; return it, its loss curve and its evaluation."""
+def _run_cells(task, cfg: SweepConfig, tcfgs: Sequence[TrainConfig], seed: int, data, streams):
+    """Train the students of one seed's cells ``tcfgs``, equal but for ``lam``,
+    and evaluate each; return a (student, loss curve, evaluation) per cell.
+
+    One cell trains alone and several train in lockstep as one stack; either
+    way each starts from the seed's student and gives the same bits.
+    """
     x_train, y_train, x_test, y_test = data
     student = make_student(task, cfg.hidden_dim, _derive_seed(seed, "student"))
-    _, curve = train(student, x_train, y_train, tcfg, streams)
-    ev = evaluate(student, x_test, y_test, ranks=(1, 2, 3), num_bins=cfg.eval_bins)
-    return student, curve, ev
+    if len(tcfgs) == 1:
+        _, curve = train(student, x_train, y_train, tcfgs[0], streams)
+        cells = [(student, curve)]
+    else:
+        stack = student._like(np.repeat(student.params[None], len(tcfgs), axis=0))
+        _, curves = train(stack, x_train, y_train, tcfgs, streams)
+        cells = [(stack._like(params), curve) for params, curve in zip(stack.params, curves)]
+    return [
+        (net, curve, evaluate(net, x_test, y_test, ranks=(1, 2, 3), num_bins=cfg.eval_bins))
+        for net, curve in cells
+    ]
 
 
 def train_cell(
@@ -599,15 +675,16 @@ def train_cell(
     task = _sweep_task(cfg)
     data = _seed_data(task, cfg, seed)
     streams = teacher_streams(task, cfg, seed, data[0], _unit_levels(task, cfg, [method]))
-    return _run_cell(task, cfg, tcfg, seed, data, streams)
+    return _run_cells(task, cfg, [tcfg], seed, data, streams)[0]
 
 
-def _sweep_cell(job) -> SweepRow:
-    """Train and evaluate the student of one (method, lambda, seed) cell."""
-    _, _, tcfg, seed, _, _ = job
-    ev = _run_cell(*job)[2]
-    eces = (ev.reports[r].ece for r in (1, 2, 3))
-    return SweepRow(tcfg.method, tcfg.lam, seed, ev.accuracy, *eces)
+def _sweep_cells(job) -> list[SweepRow]:
+    """Train and evaluate the students of one (method, seed) over every lambda."""
+    _, _, tcfgs, seed, _, _ = job
+    return [
+        SweepRow(tcfg.method, tcfg.lam, seed, ev.accuracy, *(ev.reports[r].ece for r in (1, 2, 3)))
+        for tcfg, (_, _, ev) in zip(tcfgs, _run_cells(*job))
+    ]
 
 
 def sweep_lambda(
@@ -621,8 +698,9 @@ def sweep_lambda(
     Within one seed, data and teachers are generated once and shared across
     all cells; the student always restarts from the same seed-determined
     initialization, so cells are independent and the output is deterministic.
-    All teachers train first, then all cells, each phase spread over worker
-    processes. Rows are ordered by method, lambda, then seed.
+    All teachers train first, then the cells, each phase spread over worker
+    processes; the lambda cells of one (method, seed) train in lockstep as
+    one stack. Rows are ordered by method, lambda, then seed.
     """
     if not lambdas or not methods or not seeds:
         raise InvalidInputError("lambdas, methods, and seeds must be non-empty")
@@ -634,22 +712,28 @@ def sweep_lambda(
 
     task = _sweep_task(cfg)
     levels = _unit_levels(task, cfg, methods)
+    seeds = [int(s) for s in seeds]
     data, jobs = {}, []
-    for seed in dict.fromkeys(int(s) for s in seeds):
+    for seed in dict.fromkeys(seeds):
         data[seed] = _seed_data(task, cfg, seed)
         jobs += [(task, cfg, seed, data[seed][0], unit) for unit in levels]
     streams: dict[int, dict[str, np.ndarray]] = {seed: {} for seed in data}
     # Every cell's TrainConfig is checked before any teacher trains; the
-    # cells hold each seed's streams dict, filled in below.
-    cells = [
-        (task, cfg, _cell_config(cfg, m, s, lam=float(lam)), s, data[s], streams[s])
+    # stacks hold each seed's streams dict, filled in below.
+    stacks = [
+        (task, cfg, [_cell_config(cfg, m, s, lam=float(lam)) for lam in lambdas], s, data[s], streams[s])
         for m in methods
-        for lam in lambdas
-        for s in map(int, seeds)
+        for s in seeds
     ]
     for (_, _, seed, _, unit), logits in zip(jobs, _parallel_map(_teacher_logits, jobs)):
         streams[seed][unit] = logits
-    return _parallel_map(_sweep_cell, cells)
+    rows = _parallel_map(_sweep_cells, stacks)
+    return [
+        rows[i * len(seeds) + j][k]
+        for i in range(len(methods))
+        for k in range(len(lambdas))
+        for j in range(len(seeds))
+    ]
 
 
 def sweep_csv(rows: Sequence[SweepRow]) -> str:

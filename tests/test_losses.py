@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,15 @@ class TestCrossEntropy:
     def test_nonnegative_and_finite(self):
         values, _ = cross_entropy([[30.0, -30.0]], [[0.0, 1.0]])
         assert np.isfinite(values[0]) and values[0] >= 0.0
+
+    def test_gap_past_float_range_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, grads = cross_entropy([[1e308, -1e308]], [[1.0, 0.0]])
+            spread, _ = cross_entropy([[1e308, -1e308]], [[0.5, 0.5]])
+        assert values.tolist() == [0.0]  # the zero target on the -inf class adds 0
+        assert grads.tolist() == [[0.0, 0.0]]
+        assert np.isfinite(spread[0]) and spread[0] > 1e307
 
     def test_gradient_sums_to_zero(self):
         for _ in range(20):
@@ -229,6 +239,15 @@ class TestMultitaskLoss:
         targets["t0"] = soft_label([random_logits(3)], 1.0)
         with pytest.raises(InvalidInputError):
             multitask_loss(logits, targets, 0.5)
+
+    def test_single_vectors_are_a_batch_of_one(self):
+        logits, targets = make_multitask(1, n_teachers=2)
+        value, dlogits = multitask_loss(logits, targets, 0.4)
+        one_value, one = multitask_loss({h: v[0] for h, v in logits.items()},
+                                        {h: t[0] for h, t in targets.items()}, 0.4)
+        assert one_value == value
+        for head, g in dlogits.items():
+            np.testing.assert_array_equal(one[head], g[0])
 
     def test_head_gradients_independent(self):
         # each head's gradient only depends on its own logits

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,12 @@ class TestLogSoftmax:
         assert np.all(np.isfinite(out))
         assert abs(out[0]) < 1e-12
         assert abs(out[1] + 1000.0) < 1e-9
+
+    def test_gap_past_float_range_is_minus_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = log_softmax_t([1e308, -1e308])
+        assert out.tolist() == [0.0, -math.inf]
 
     def test_magnitude_1e4_stays_finite(self):
         rng = np.random.default_rng(2)

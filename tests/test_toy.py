@@ -24,6 +24,7 @@ from distilcal import (
     sweep_lambda,
     teacher_streams,
     train,
+    train_cell,
 )
 from distilcal import toy
 from distilcal.probs import softmax_t
@@ -430,6 +431,62 @@ class TestSweep:
 
 
 HIER_SWEEP = dataclasses.replace(FAST_SWEEP, hierarchical=True)
+
+
+class TestLockstep:
+    """The lambda cells of one (method, seed) train as one stack, each cell
+    bit for bit as it trains alone."""
+
+    @pytest.mark.parametrize("method,cfg", [("lst", FAST_SWEEP), ("multitask", HIER_SWEEP)])
+    def test_every_stack_cell_matches_train_cell(self, monkeypatch, method, cfg):
+        stacks = []
+        run = toy._run_cells
+
+        def spy(*job):
+            cells = run(*job)
+            stacks.append((job[2], job[3], cells))
+            return cells
+
+        monkeypatch.setattr(toy, "_run_cells", spy)
+        monkeypatch.setattr(toy, "_parallel_map", lambda fn, jobs: [fn(job) for job in jobs])
+        lambdas, seeds = [0.0, 0.3, 1.0], [0, 1]
+        rows = sweep_lambda(cfg, lambdas, [method], seeds)
+        swept = list(stacks)
+        assert [(len(tcfgs), seed) for tcfgs, seed, _ in swept] == [(3, 0), (3, 1)]
+        by_cell = {(r.lam, r.seed): r for r in rows}
+        for tcfgs, seed, cells in swept:
+            for tcfg, (net, curve, _) in zip(tcfgs, cells):
+                alone, alone_curve, ev = train_cell(cfg, method, seed, lam=tcfg.lam)
+                np.testing.assert_array_equal(net.params, alone.params)
+                assert curve == alone_curve
+                eces = (ev.reports[r].ece for r in (1, 2, 3))
+                assert by_cell[(tcfg.lam, seed)] == toy.SweepRow(
+                    method, tcfg.lam, seed, ev.accuracy, *eces)
+
+    def test_one_step_call_per_stack_step(self, monkeypatch):
+        calls = []
+        step = toy.network_loss_and_grad
+        monkeypatch.setattr(toy, "network_loss_and_grad",
+                            lambda *a: calls.append(a[0].params.shape) or step(*a))
+        task = tiny_task()
+        x, y = generate_data(task, 40, seed=1)
+        teachers = {"fine": np.random.default_rng(2).normal(size=(40, 4))}
+        student = make_student(task, 5, seed=3)
+        stack = student._like(np.repeat(student.params[None], 3, axis=0))
+        cfgs = [TrainConfig(method="lst", epochs=2, batch_size=16, lam=lam) for lam in (0.1, 0.5, 0.9)]
+        _, curves = train(stack, x, y, cfgs, teachers)
+        assert calls == [stack.params.shape] * 6  # 2 epochs of 3 batches
+        assert len(curves) == 3 and all(len(c) == 2 for c in curves)
+
+    def test_stack_needs_one_config_per_cell_equal_but_for_lam(self):
+        task = tiny_task()
+        x, y = generate_data(task, 16, seed=0)
+        student = make_student(task, 4, seed=0)
+        stack = student._like(np.repeat(student.params[None], 2, axis=0))
+        base = TrainConfig(method="baseline", epochs=1)
+        for cfgs in ([base], [base, base, base], [base, dataclasses.replace(base, seed=1)]):
+            with pytest.raises(ConfigurationError, match="one config per cell"):
+                train(stack, x, y, cfgs)
 USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
