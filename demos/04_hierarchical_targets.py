@@ -6,8 +6,11 @@ teacher's vocabulary, collapse repeated neighbours while remembering run
 lengths, fetch one posterior per collapsed token, then repeat each posterior
 by its run length so every frame carries a soft label again. With several
 teachers of different vocabularies this yields one hard label plus one soft
-label per teacher on every frame: ``teacher_stream`` gives each teacher's
+label per teacher on every frame: ``teacher_posteriors`` gives each teacher's
 token posteriors and run lengths, and ``np.repeat`` brings them to frame rate.
+
+A whole alignment file is one int code array into one vocabulary, with
+utterance offsets, so every step runs once over all utterances.
 
 Run:  python demos/04_hierarchical_targets.py
 """
@@ -18,48 +21,45 @@ import distilcal as dc
 
 np.set_printoptions(precision=3, suppress=True)
 
-frames = ("s1", "s1", "s1", "s2", "s2", "s3", "s3", "s3", "s3")
-alignment = dc.Alignment(frames, unit="senone")
-print("frame labels:   ", " ".join(alignment.frames))
+# One utterance "utt1" of nine frames: each frame is a code into the vocabulary.
+alignment = dc.Alignments(
+    utts=["utt1"], offsets=np.array([0, 9]), vocab=["s1", "s2", "s3"],
+    codes=np.array([0, 0, 0, 1, 1, 2, 2, 2, 2]),
+)
+frames = [alignment.vocab[c] for c in alignment.codes]
+print("frame labels:   ", " ".join(frames))
 
 # Step 1: map senones onto a coarser unit.
-to_phone = dc.UnitMap({"s1": "p1", "s2": "p1", "s3": "p2"},
-                      source="senone", target="phone")
+to_phone = {"s1": "p1", "s2": "p1", "s3": "p2"}
 mapped = dc.map_units(alignment, to_phone)
-print("mapped to phone:", " ".join(mapped.frames))
+print("mapped to phone:", " ".join(mapped.vocab[c] for c in mapped.codes))
 
 # Step 2: deduplicate, keeping run lengths.
-rla = dc.deduplicate(mapped)
-print(f"deduplicated:    labels={rla.labels} runs={rla.runs}")
+runs = dc.deduplicate(mapped)
+print(f"deduplicated:    labels={[mapped.vocab[c] for c in runs.labels]} runs={runs.runs}")
 
 # Step 3: one teacher posterior per deduplicated token...
-phone_posteriors = [np.array([0.9, 0.1]), np.array([0.2, 0.8])]
-print("token posteriors:", [p.tolist() for p in phone_posteriors])
+phone_posteriors = np.array([[0.9, 0.1], [0.2, 0.8]])
+print("token posteriors:", phone_posteriors.tolist())
 
-# Step 4: ...rearranged back to frame rate.
-framewise = dc.rearrange(phone_posteriors, rla)
+# Step 4: ...repeated back to frame rate.
+framewise = np.repeat(phone_posteriors, runs.runs, axis=0)
 print("frame posteriors:")
 for i, p in enumerate(framewise):
     print(f"  frame {i}: {p}")
 
 print("\n=== three teachers with different vocabularies ===")
-fine_posteriors = {
-    "s1": np.array([0.8, 0.1, 0.1]),
-    "s2": np.array([0.1, 0.8, 0.1]),
-    "s3": np.array([0.1, 0.1, 0.8]),
-}
+fine_posteriors = np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
 teachers = [
-    ("senone-lm", None, lambda toks: [fine_posteriors[t] for t in toks]),
-    ("phone-lm", to_phone, lambda toks: phone_posteriors[: len(toks)]),
-    ("word-lm",
-     dc.UnitMap({"s1": "w", "s2": "w", "s3": "w"}, source="senone", target="word"),
-     lambda toks: [np.full(4, 0.25) for _ in toks]),
+    ("senone-lm", None, {"utt1": fine_posteriors}),
+    ("phone-lm", to_phone, {"utt1": phone_posteriors}),
+    ("word-lm", {"s1": "w", "s2": "w", "s3": "w"}, {"utt1": np.full((1, 4), 0.25)}),
 ]
 # Each teacher: its (tokens, K) posteriors and run lengths, repeated to frame rate.
 streams = [
-    (tid, np.repeat(*dc.teacher_stream(alignment, unit_map, provider), axis=0))
-    for tid, unit_map, provider in teachers
+    (tid, np.repeat(posteriors, runs, axis=0))
+    for (tid, _, _), (posteriors, runs) in zip(teachers, dc.teacher_posteriors(alignment, teachers))
 ]
-for i, hard in enumerate(alignment.frames):
+for i, hard in enumerate(frames):
     soft = "  ".join(f"{tid}:{stream[i]}" for tid, stream in streams)
     print(f"frame {i}: hard={hard}  {soft}")

@@ -10,8 +10,8 @@ The package is organized by pipeline stage:
   batch multi-task loss, analytic gradients and a finite-difference check;
 * :mod:`distilcal.tempscale` - post-hoc temperature fitting and two-stream
   score combination;
-* :mod:`distilcal.alignment` - deduplication/rearrangement of frame labels
-  into per-frame multi-teacher supervision;
+* :mod:`distilcal.alignment` - a whole alignment file as one code array, unit
+  maps, per-utterance deduplication and each teacher's token posteriors;
 * :mod:`distilcal.toy` - a tiny multi-head classifier with hand-written
   backprop for end-to-end experiments;
 * :mod:`distilcal.cli` - the ``distilcal`` command.
@@ -20,13 +20,11 @@ The package is organized by pipeline stage:
 __version__ = "0.1.0"
 
 from .alignment import (
-    Alignment,
-    RunLengthAlignment,
-    UnitMap,
+    Alignments,
+    Runs,
     deduplicate,
     map_units,
-    rearrange,
-    teacher_stream,
+    teacher_posteriors,
 )
 from .calibration import (
     BinStats,

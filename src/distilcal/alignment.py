@@ -3,107 +3,63 @@
 A forced alignment labels every frame; consecutive frames usually repeat the
 same label. Teacher posteriors, on the other hand, arrive once per *token*.
 The bridge is: map the alignment into the teacher's unit vocabulary, collapse
-repeated neighbours (deduplication, keeping run lengths), look up one teacher
-posterior per collapsed token, then repeat each posterior by its run length
-(rearrangement) so the teacher stream is frame-synchronous again.
+repeated neighbours within each utterance (deduplication, keeping run
+lengths) and take one teacher posterior per collapsed token. Repeating each
+posterior by its run length makes the teacher stream frame-synchronous again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import groupby
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError, UnmappedTokenError
 from .probs import as_probs
 
-#: Yields one posterior vector per deduplicated token it is given, as a
-#: sequence of vectors or as one ``(tokens, classes)`` matrix.
-PosteriorProvider = Callable[[Sequence[str]], Sequence[np.ndarray]]
+
+class Alignments(NamedTuple):
+    """A whole alignment file as one array: utterance u owns the frames
+    ``codes[offsets[u]:offsets[u + 1]]``, each an int code into ``vocab``
+    (-1 for a token that a unit map has no image for)."""
+
+    utts: list[str]
+    offsets: np.ndarray
+    vocab: list[str]
+    codes: np.ndarray
 
 
-@dataclass(frozen=True)
-class Alignment:
-    """A frame-wise label sequence tagged with its unit vocabulary."""
+class Runs(NamedTuple):
+    """Deduplicated codes: ``labels[i]`` repeats over ``runs[i]`` frames, and
+    utterance u owns the tokens ``offsets[u]:offsets[u + 1]``."""
 
-    frames: tuple[str, ...]
-    unit: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(str(t) for t in self.frames))
-        object.__setattr__(self, "unit", str(self.unit))
+    labels: np.ndarray
+    runs: list[int]
+    offsets: np.ndarray
 
 
-@dataclass(frozen=True)
-class UnitMap:
-    """Total fine-to-coarse token mapping between two unit vocabularies."""
-
-    mapping: Mapping[str, str]
-    source: str
-    target: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "mapping", dict(self.mapping))
-
-    def apply(self, token: str) -> str:
-        try:
-            return self.mapping[token]
-        except KeyError:
-            raise UnmappedTokenError(token, self.source, self.target) from None
+def map_units(a: Alignments, mapping: Mapping[str, str]) -> Alignments:
+    """Recode every frame to its image under ``mapping`` (-1 if it has none)."""
+    target: dict[str, int] = {}
+    table = [target.setdefault(mapping[t], len(target)) if t in mapping else -1 for t in a.vocab]
+    return a._replace(vocab=list(target), codes=np.array(table, dtype=np.intp)[a.codes])
 
 
-@dataclass(frozen=True)
-class RunLengthAlignment:
-    """Deduplicated labels plus the length of each collapsed run."""
-
-    labels: tuple[str, ...]
-    runs: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "runs", tuple(int(r) for r in self.runs))
-        if len(self.labels) != len(self.runs):
-            raise InvalidInputError(
-                f"{len(self.labels)} labels but {len(self.runs)} run lengths"
-            )
-        if any(r < 1 for r in self.runs):
-            raise InvalidInputError("run lengths must be positive")
-        if any(a == b for a, b in zip(self.labels, self.labels[1:])):
-            raise InvalidInputError("deduplicated labels cannot repeat consecutively")
+def deduplicate(a: Alignments) -> Runs:
+    """Collapse maximal runs of equal consecutive codes within each utterance."""
+    bounds = np.zeros(len(a.codes) + 1, dtype=bool)
+    bounds[1:-1] = a.codes[1:] != a.codes[:-1]
+    bounds[a.offsets] = True
+    bounds = np.flatnonzero(bounds)
+    return Runs(a.codes[bounds[:-1]], np.diff(bounds).tolist(), np.searchsorted(bounds, a.offsets))
 
 
-def map_units(a: Alignment, m: UnitMap) -> Alignment:
-    """Replace every frame token by its image under the unit map."""
-    if a.unit != m.source:
-        raise InvalidInputError(
-            f"alignment unit {a.unit!r} does not match map source {m.source!r}"
-        )
-    return Alignment(frames=tuple(m.apply(t) for t in a.frames), unit=m.target)
-
-
-def deduplicate(a: Alignment) -> RunLengthAlignment:
-    """Collapse maximal runs of equal consecutive tokens, keeping run lengths."""
-    labels: list[str] = []
-    runs: list[int] = []
-    for token, grp in groupby(a.frames):
-        labels.append(token)
-        runs.append(sum(1 for _ in grp))
-    return RunLengthAlignment(labels=tuple(labels), runs=tuple(runs))
-
-
-def _posterior_matrix(posteriors, rla: RunLengthAlignment) -> np.ndarray:
-    """Check one posterior per deduplicated token and stack them as ``(T, K)``."""
-    if len(posteriors) != len(rla.labels):
-        raise InvalidInputError(
-            f"got {len(posteriors)} posteriors for {len(rla.labels)} "
-            f"deduplicated labels"
-        )
-    if not len(posteriors):
+def _posterior_matrix(rows: list) -> np.ndarray:
+    """Stack per-utterance posterior rows as one validated ``(T, K)`` matrix."""
+    if not rows:
         return np.empty((0, 0))
     try:
-        mat = np.asarray(posteriors, dtype=np.float64)
+        mat = np.concatenate([np.asarray(r, dtype=np.float64) for r in rows])
     except (TypeError, ValueError):
         raise InvalidInputError("posteriors must be numeric vectors of one width") from None
     if mat.ndim != 2:
@@ -113,22 +69,42 @@ def _posterior_matrix(posteriors, rla: RunLengthAlignment) -> np.ndarray:
     return as_probs(mat)
 
 
-def rearrange(posteriors, rla: RunLengthAlignment) -> np.ndarray:
-    """Repeat posterior i ``runs[i]`` times: a ``(frames, K)`` matrix."""
-    return np.repeat(_posterior_matrix(posteriors, rla), rla.runs, axis=0)
+def teacher_posteriors(
+    a: Alignments,
+    teachers: Sequence[tuple[str, Optional[Mapping[str, str]], Mapping[str, Sequence]]],
+    unit: str = "fine",
+) -> list[tuple[np.ndarray, list[int]]]:
+    """Per ``(tid, mapping, {utt: (T_u, K) posteriors})`` teacher, its ``(T, K)``
+    token posteriors over all utterances plus their ``T`` run lengths.
 
-
-def teacher_stream(
-    a: Alignment, unit_map: Optional[UnitMap], provider: PosteriorProvider
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """One teacher's ``(T, K)`` token posteriors plus their ``T`` run lengths.
-
-    The alignment is mapped into the teacher's unit (``None`` keeps it) and
-    deduplicated; the provider must yield exactly one posterior per
-    deduplicated token, else an error naming both lengths is raised. Repeating
-    row i ``runs[i]`` times gives the frame-synchronous stream.
+    The alignment is mapped into each teacher's unit (``None`` keeps it) and
+    deduplicated; every utterance with frames needs exactly one posterior
+    row per token. Of the errors, the one raised is the first that checking
+    utterance by utterance would meet: a missing utterance (any teacher),
+    then each teacher in turn, its first unmapped token (named with the
+    source ``unit``) before its count check. Repeating row i ``runs[i]``
+    times gives the frame-synchronous stream.
     """
-    mapped = a if unit_map is None else map_units(a, unit_map)
-    rla = deduplicate(mapped)
-    return _posterior_matrix(provider(list(rla.labels)), rla), rla.runs
-
+    errors, streams = [], []  # errors keyed (utterance, -1 if missing else teacher, check)
+    for t, (tid, mapping, table) in enumerate(teachers):
+        mapped = a if mapping is None else map_units(a, mapping)
+        runs = deduplicate(mapped)
+        unmapped = np.flatnonzero(mapped.codes < 0)
+        if unmapped.size:
+            u = np.searchsorted(a.offsets, unmapped[0], side="right") - 1
+            errors.append(((u, t, 0), UnmappedTokenError(a.vocab[a.codes[unmapped[0]]], unit, tid)))
+        rows = np.array([len(table[u]) if u in table else -1 for u in a.utts], dtype=np.intp)
+        tokens = np.diff(runs.offsets)
+        wrong = np.flatnonzero((tokens > 0) & (rows != tokens))  # missing: -1 rows
+        if wrong.size:
+            u = wrong[0]
+            errors.append(((u, -1, t), InvalidInputError(
+                f"utterance {a.utts[u]!r} missing from posterior file for teacher {tid}"
+            )) if rows[u] < 0 else ((u, t, 1), InvalidInputError(
+                f"got {rows[u]} posteriors for {tokens[u]} deduplicated labels"
+            )))
+        streams.append((table, runs.runs))
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    spoken_utts = [u for u, n in zip(a.utts, np.diff(a.offsets)) if n]  # with frames
+    return [(_posterior_matrix([table[u] for u in spoken_utts]), runs) for table, runs in streams]

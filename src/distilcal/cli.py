@@ -14,7 +14,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .alignment import teacher_stream
+from .alignment import teacher_posteriors
 from .calibration import _fmt6, _fmt6_rows, ece, reliability_csv
 from .errors import DistilcalError, InvalidInputError, InvalidParameterError
 from .fileio import (
@@ -88,42 +88,29 @@ def _cmd_combine(args) -> int:
 # ---------------------------------------------------------------- targets
 
 def _cmd_targets(args) -> int:
-    alignments = read_alignment_file(args.align, args.unit)
-    maps = args.map or []
+    alignments = read_alignment_file(args.align)
     posts = args.posteriors or []
-    if maps and len(maps) != len(posts):
+    maps = args.map or ["identity"] * len(posts)
+    if len(maps) != len(posts):
         raise InvalidInputError(
             f"got {len(maps)} --map but {len(posts)} --posteriors"
         )
-    teacher_files = [
-        (f"t{i}", maps[i] if maps else "identity", posts[i]) for i in range(len(posts))
-    ]
-    teacher_tables = []
-    for tid, map_path, post_path in teacher_files:
-        unit_map = (
-            None
-            if map_path == "identity"
-            else read_unit_map_file(map_path, source=args.unit, target=tid)
-        )
-        teacher_tables.append((tid, unit_map, read_posterior_file(post_path)))
+    streams = teacher_posteriors(alignments, [
+        (f"t{i}", None if map_path == "identity" else read_unit_map_file(map_path),
+         read_posterior_file(post_path))
+        for i, (map_path, post_path) in enumerate(zip(maps, posts))
+    ], args.unit)
 
-    lines = []
-    for utt, alignment in alignments.items():
-        if not alignment.frames:
-            continue  # no frames: no posterior rows to look up, no lines to write
-        for tid, _, table in teacher_tables:
-            if utt not in table:
-                raise InvalidInputError(
-                    f"utterance {utt!r} missing from posterior file for teacher {tid}"
-                )
-        columns = [[f"{utt}\t{i}\t{hard}" for i, hard in enumerate(alignment.frames)]]
-        for tid, unit_map, table in teacher_tables:
-            posteriors, runs = teacher_stream(alignment, unit_map, lambda _, p=table[utt]: p)
-            cells = [f"{tid}:{row}" for row in _fmt6_rows(posteriors)]
-            columns.append([cell for cell, run in zip(cells, runs) for _ in range(run)])
-        lines.extend(map("\t".join, zip(*columns)))
-    write_text_atomic(args.out, "\n".join(lines) + "\n")
-    print(f"utterances={len(alignments)} frames={len(lines)} teachers={len(posts)}")
+    utts, offsets, vocab, codes = alignments
+    columns = [
+        [f"{utt}\t{i}" for utt, lo, hi in zip(utts, offsets, offsets[1:]) for i in range(hi - lo)],
+        [vocab[c] for c in codes.tolist()],  # the hard label of every frame
+    ]
+    for t, (posteriors, runs) in enumerate(streams):
+        cells = [f"t{t}:{row}" for row in _fmt6_rows(posteriors)]
+        columns.append([cell for cell, run in zip(cells, runs) for _ in range(run)])
+    write_text_atomic(args.out, "\n".join(map("\t".join, zip(*columns))) + "\n")
+    print(f"utterances={len(utts)} frames={len(codes)} teachers={len(posts)}")
     return 0
 
 
@@ -254,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("targets", _cmd_targets, "Frame-wise targets from alignment + posteriors.")
     p.add_argument("--align", required=True, help="alignment file (utt<TAB>tokens)")
-    p.add_argument("--unit", default="fine", help="alignment unit tag (default 'fine')")
+    p.add_argument("--unit", default="fine", help="alignment unit for error messages (default 'fine')")
     p.add_argument(
         "--map",
         action="append",

@@ -6,7 +6,7 @@ Formats (one record per line throughout):
 * hypothesis file: JSON objects
   ``{"utt": str, "id": str, "am_logp": float, "lm_logp": float}``, where
   ``utt`` and ``id`` are non-empty and hold no TAB, CR or LF;
-* alignment file: ``utt-id<TAB>tok tok tok ...``;
+* alignment file: ``utt-id<TAB>tok tok tok ...``, the id without whitespace;
 * unit-map file: TSV lines ``fine<TAB>coarse``;
 * posterior file: ``utt-id<TAB>token-index<TAB>p0 p1 ... pK-1``.
 
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alignment import Alignment, UnitMap
+from .alignment import Alignments
 from .errors import FileFormatError
 
 #: Posterior rows may miss the simplex by this much before being rejected.
@@ -38,7 +38,12 @@ _FIELD_BREAKS = frozenset("\t\r\n")  # would split an id or utt across output fi
 
 
 def _lines(path) -> list[tuple[int, str]]:
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line_no = len((data[: e.start].decode("utf-8") + "x").splitlines())
+        raise FileFormatError(path, line_no, f"not valid UTF-8 (byte 0x{data[e.start]:02x})") from None
     return [
         (i, line)
         for i, line in enumerate(text.splitlines(), start=1)
@@ -127,24 +132,29 @@ def read_hypothesis_file(path) -> dict[str, tuple[list[str], np.ndarray]]:
     return {utt: (ids, np.array(rows)) for utt, (ids, rows) in groups.items()}
 
 
-def read_alignment_file(path, unit: str) -> dict[str, Alignment]:
-    """Alignments keyed by utterance id, in file order."""
-    out: dict[str, Alignment] = {}
+def read_alignment_file(path) -> Alignments:
+    """All utterances of an alignment file as one code array, in file order."""
+    starts: dict[str, int] = {}  # utterance id -> offset of its first frame
+    vocab: dict[str, int] = {}  # token -> code, in order of first use
+    codes: list[int] = []
     for line_no, line in _lines(path):
-        parts = line.split("\t", 1)
-        utt = parts[0].strip()
+        utt, _, frames = line.partition("\t")
+        utt = utt.strip()
         if not utt:
             raise FileFormatError(path, line_no, "missing utterance id")
-        if utt in out:
+        if len(utt.split()) > 1:
+            raise FileFormatError(path, line_no, f"whitespace in utterance id {utt!r}")
+        if utt in starts:
             raise FileFormatError(path, line_no, f"duplicate utterance {utt!r}")
-        tokens = parts[1].split() if len(parts) == 2 else []
-        out[utt] = Alignment(frames=tuple(tokens), unit=unit)
-    if not out:
+        starts[utt] = len(codes)
+        codes += [vocab.setdefault(t, len(vocab)) for t in frames.split()]
+    if not starts:
         raise FileFormatError(path, 0, "no alignments found")
-    return out
+    offsets = np.array([*starts.values(), len(codes)])
+    return Alignments(list(starts), offsets, list(vocab), np.array(codes, dtype=np.intp))
 
 
-def read_unit_map_file(path, source: str, target: str) -> UnitMap:
+def read_unit_map_file(path) -> dict[str, str]:
     """Fine-to-coarse token table from a 2-column TSV file."""
     mapping: dict[str, str] = {}
     for line_no, line in _lines(path):
@@ -158,7 +168,7 @@ def read_unit_map_file(path, source: str, target: str) -> UnitMap:
         mapping[parts[0]] = parts[1]
     if not mapping:
         raise FileFormatError(path, 0, "empty unit map")
-    return UnitMap(mapping=mapping, source=source, target=target)
+    return mapping
 
 
 def read_posterior_file(path) -> dict[str, np.ndarray]:

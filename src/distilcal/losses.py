@@ -114,11 +114,10 @@ def multitask_loss(
     m = len(targets_by_head) - 1
     value, dlogits = None, {}
     for head in ["sl"] + [h for h in targets_by_head if h != "sl"]:
-        try:
-            head_logits = logits_by_head[head]
-        except KeyError:
-            raise InvalidInputError(f"no logits for head {head!r}") from None
-        values, grads = cross_entropy(head_logits, targets_by_head[head])
+        for kind, by_head in (("logits", logits_by_head), ("targets", targets_by_head)):
+            if head not in by_head:
+                raise InvalidInputError(f"no {kind} for head {head!r}")
+        values, grads = cross_entropy(logits_by_head[head], targets_by_head[head])
         value = _add_head(value, head, values.mean(), grads, lam, m, values.size)
         dlogits[head] = grads
     return float(value), dlogits

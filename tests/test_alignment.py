@@ -1,206 +1,238 @@
+from itertools import groupby
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distilcal import (
-    Alignment,
     InvalidInputError,
-    RunLengthAlignment,
-    UnitMap,
     UnmappedTokenError,
     deduplicate,
     map_units,
-    rearrange,
-    teacher_stream,
+    teacher_posteriors,
 )
+
+from oracles import alignments_of
 
 P1 = np.array([1.0, 0.0])
 P2 = np.array([0.0, 1.0])
 P3 = np.array([0.5, 0.5])
 
 
+def one_utt(frames):
+    """Alignments holding the one utterance ``u``."""
+    return alignments_of({"u": frames})
+
+
+def tokens(a):
+    """Every frame of ``a`` as its token."""
+    return tuple(a.vocab[c] for c in a.codes)
+
+
+def stream(frames, mapping, rows):
+    """One teacher's ``(posteriors, runs)`` over the utterance ``u``."""
+    [out] = teacher_posteriors(one_utt(frames), [("t0", mapping, {"u": rows})])
+    return out
+
+
 class TestMapUnits:
     def test_identity_map(self):
-        a = Alignment(("s1", "s2", "s1"), "senone")
-        m = UnitMap({"s1": "s1", "s2": "s2"}, source="senone", target="senone")
-        assert map_units(a, m).frames == a.frames
+        a = one_utt(("s1", "s2", "s1"))
+        m = {"s1": "s1", "s2": "s2"}
+        assert tokens(map_units(a, m)) == tokens(a)
 
     def test_hand_mapped(self):
-        a = Alignment(("s1", "s2", "s2", "s3"), "senone")
-        m = UnitMap({"s1": "p1", "s2": "p1", "s3": "p2"}, source="senone", target="phone")
+        a = one_utt(("s1", "s2", "s2", "s3"))
+        m = {"s1": "p1", "s2": "p1", "s3": "p2"}
         out = map_units(a, m)
-        assert out.frames == ("p1", "p1", "p1", "p2")
-        assert out.unit == "phone"
+        assert tokens(out) == ("p1", "p1", "p1", "p2")
+        assert out.vocab == ["p1", "p2"]
 
     def test_empty_alignment(self):
-        a = Alignment((), "senone")
-        m = UnitMap({"s1": "p1"}, source="senone", target="phone")
-        assert map_units(a, m).frames == ()
-
-    def test_unit_mismatch_rejected(self):
-        a = Alignment(("s1",), "phone")
-        m = UnitMap({"s1": "p1"}, source="senone", target="phone")
-        with pytest.raises(InvalidInputError):
-            map_units(a, m)
+        a = one_utt(())
+        m = {"s1": "p1"}
+        assert tokens(map_units(a, m)) == ()
 
     def test_missing_token_named_in_error(self):
-        a = Alignment(("s1", "s9"), "senone")
-        m = UnitMap({"s1": "p1"}, source="senone", target="phone")
-        with pytest.raises(UnmappedTokenError, match="s9"):
-            map_units(a, m)
+        a = one_utt(("s1", "s9"))
+        m = {"s1": "p1"}
+        assert map_units(a, m).codes.tolist() == [0, -1]
+        with pytest.raises(UnmappedTokenError, match="s9") as info:
+            teacher_posteriors(a, [("phone", m, {"u": [P1, P2]})], "senone")
+        assert (info.value.source, info.value.target) == ("senone", "phone")
 
 
 class TestDeduplicate:
     def test_run_length_definition(self):
-        rla = deduplicate(Alignment(("a", "a", "a", "b", "b", "c"), "u"))
-        assert rla.labels == ("a", "b", "c")
-        assert rla.runs == (3, 2, 1)
+        a = one_utt(("a", "a", "a", "b", "b", "c"))
+        runs = deduplicate(a)
+        assert [a.vocab[c] for c in runs.labels] == ["a", "b", "c"]
+        assert runs.runs == [3, 2, 1]
 
     def test_non_consecutive_repeats_kept(self):
-        rla = deduplicate(Alignment(("a", "b", "a"), "u"))
-        assert rla.labels == ("a", "b", "a")
-        assert rla.runs == (1, 1, 1)
+        a = one_utt(("a", "b", "a"))
+        runs = deduplicate(a)
+        assert [a.vocab[c] for c in runs.labels] == ["a", "b", "a"]
+        assert runs.runs == [1, 1, 1]
 
     def test_empty(self):
-        rla = deduplicate(Alignment((), "u"))
-        assert rla.labels == () and rla.runs == ()
+        runs = deduplicate(one_utt(()))
+        assert len(runs.labels) == 0 and runs.runs == []
 
-    def test_invalid_run_length_alignment_rejected(self):
-        with pytest.raises(InvalidInputError):
-            RunLengthAlignment(("a", "a"), (1, 2))
-        with pytest.raises(InvalidInputError):
-            RunLengthAlignment(("a", "b"), (1, 0))
-        with pytest.raises(InvalidInputError):
-            RunLengthAlignment(("a",), (1, 2))
+    def test_runs_are_python_ints(self):
+        runs = deduplicate(alignments_of({"u": ("a", "a"), "v": ("a", "b")}))
+        assert runs.runs == [2, 1, 1]
+        assert all(type(r) is int for r in runs.runs)
+        assert type(sum(runs.runs)) is int
 
 
 class TestRearrange:
+    """Repeating token posteriors by their runs brings them to frame rate."""
+
     def test_repetition(self):
-        rla = RunLengthAlignment(("x", "y", "z"), (3, 2, 1))
-        out = rearrange([P1, P2, P3], rla)
+        posteriors, runs = stream(("x", "x", "x", "y", "y", "z"), None, [P1, P2, P3])
+        out = np.repeat(posteriors, runs, axis=0)
         np.testing.assert_array_equal(np.stack(out), np.stack([P1, P1, P1, P2, P2, P3]))
 
     def test_unit_runs_are_identity(self):
-        rla = RunLengthAlignment(("x", "y"), (1, 1))
-        out = rearrange([P1, P2], rla)
+        posteriors, runs = stream(("x", "y"), None, [P1, P2])
+        out = np.repeat(posteriors, runs, axis=0)
         np.testing.assert_array_equal(np.stack(out), np.stack([P1, P2]))
 
     def test_length_mismatch_states_both_lengths(self):
-        rla = RunLengthAlignment(("x", "y", "z"), (1, 1, 1))
         with pytest.raises(InvalidInputError, match="2.*3"):
-            rearrange([P1, P2], rla)
+            stream(("x", "y", "z"), None, [P1, P2])
 
 
 class TestTeacherStream:
     def test_mapped_tokens_and_runs(self):
-        a = Alignment(("a", "a", "b", "c"), "fine")
-        m = UnitMap({"a": "x", "b": "x", "c": "y"}, source="fine", target="coarse")
-        seen = []
-
-        def provider(labels):
-            seen.append(labels)
-            return [P1, P3]
-
-        posteriors, runs = teacher_stream(a, m, provider)
-        assert seen == [["x", "y"]]
+        a = one_utt(("a", "a", "b", "c"))
+        m = {"a": "x", "b": "x", "c": "y"}
+        mapped = map_units(a, m)
+        assert [mapped.vocab[c] for c in deduplicate(mapped).labels] == ["x", "y"]
+        posteriors, runs = stream(("a", "a", "b", "c"), m, [P1, P3])
         np.testing.assert_array_equal(posteriors, np.stack([P1, P3]))
-        assert runs == (3, 1)
+        assert runs == [3, 1]
 
     def test_matrix_from_provider_is_kept(self):
         mat = np.stack([P1, P2])
-        posteriors, runs = teacher_stream(Alignment(("a", "b", "b"), "u"), None,
-                                          lambda labels: mat)
+        posteriors, runs = stream(("a", "b", "b"), None, mat)
         np.testing.assert_array_equal(posteriors, mat)
-        assert runs == (1, 2)
+        assert runs == [1, 2]
 
     def test_empty_alignment_with_zero_posteriors(self):
-        posteriors, runs = teacher_stream(Alignment((), "u"), None, lambda labels: [])
+        [(posteriors, runs)] = teacher_posteriors(one_utt(()), [("t0", None, {})])
         assert len(posteriors) == 0 and len(runs) == 0
-        assert len(rearrange([], deduplicate(Alignment((), "u")))) == 0
+        assert len(np.repeat(posteriors, runs, axis=0)) == 0
 
     def test_ragged_widths_rejected(self):
-        a = Alignment(("a", "b"), "u")
         with pytest.raises(InvalidInputError, match="one width"):
-            teacher_stream(a, None, lambda labels: [P1, np.full(3, 1 / 3)])
+            stream(("a", "b"), None, [P1, np.full(3, 1 / 3)])
 
     def test_off_simplex_posterior_rejected(self):
-        a = Alignment(("a", "b"), "u")
         with pytest.raises(InvalidInputError):
-            teacher_stream(a, None, lambda labels: [P1, np.array([0.5, 0.6])])
+            stream(("a", "b"), None, [P1, np.array([0.5, 0.6])])
 
     def test_count_mismatch_states_both_lengths(self):
-        a = Alignment(("a", "b", "c"), "u")
         with pytest.raises(InvalidInputError, match="got 2 posteriors for 3"):
-            teacher_stream(a, None, lambda labels: [P1, P2])
+            stream(("a", "b", "c"), None, [P1, P2])
 
 
 def framewise(a, teachers):
     """Per teacher, its stream repeated to frame rate: ``np.repeat`` of
-    :func:`teacher_stream`'s token posteriors by their run lengths."""
-    return [(tid, np.repeat(*teacher_stream(a, m, p), axis=0)) for tid, m, p in teachers]
+    :func:`teacher_posteriors`' token posteriors by their run lengths."""
+    streams = teacher_posteriors(a, teachers)
+    return [(tid, np.repeat(p, runs, axis=0)) for (tid, _, _), (p, runs) in zip(teachers, streams)]
 
 
 class TestBuildFramewiseTargets:
     """Frame-wise targets: the frames as hard labels, one stream per teacher."""
 
     def test_single_identity_teacher(self):
-        a = Alignment(("a", "a", "b"), "fine")
-        provider = lambda labels: [P1, P2]
-        [(_, stream)] = framewise(a, [("t0", None, provider)])
+        a = one_utt(("a", "a", "b"))
+        [(_, stream)] = framewise(a, [("t0", None, {"u": [P1, P2]})])
         np.testing.assert_array_equal(stream, np.stack([P1, P1, P2]))
 
     def test_three_teachers_per_frame_structure(self):
-        a = Alignment(("a", "a", "b"), "fine")
-        fine_to_mid = UnitMap({"a": "x", "b": "y"}, source="fine", target="mid")
-        fine_to_one = UnitMap({"a": "z", "b": "z"}, source="fine", target="one")
-        mid_post = lambda labels: [np.full(3, 1 / 3) for _ in labels]
-        one_post = lambda labels: [np.full(4, 0.25) for _ in labels]
-        fine_post = lambda labels: [P1 if t == "a" else P2 for t in labels]
+        a = one_utt(("a", "a", "b"))
+        fine_to_mid = {"a": "x", "b": "y"}
+        fine_to_one = {"a": "z", "b": "z"}
         streams = framewise(
             a,
             [
-                ("fine", None, fine_post),
-                ("mid", fine_to_mid, mid_post),
-                ("one", fine_to_one, one_post),
+                ("fine", None, {"u": [P1, P2]}),
+                ("mid", fine_to_mid, {"u": [np.full(3, 1 / 3)] * 2}),
+                ("one", fine_to_one, {"u": [np.full(4, 0.25)]}),
             ],
         )
         assert [len(stream) for _, stream in streams] == [3, 3, 3]
-        for i in range(len(a.frames)):
+        for i in range(len(a.codes)):
             ids = [tid for tid, _ in streams]
             sizes = [stream[i].shape[0] for _, stream in streams]
             assert ids == ["fine", "mid", "one"]
             assert sizes == [2, 3, 4]
 
     def test_provider_count_mismatch_propagates(self):
-        a = Alignment(("a", "b"), "fine")
+        a = one_utt(("a", "b"))
         with pytest.raises(InvalidInputError, match="1.*2"):
-            framewise(a, [("t0", None, lambda labels: [P1])])
+            framewise(a, [("t0", None, {"u": [P1]})])
 
 
-tokens = st.sampled_from([f"w{i}" for i in range(50)])
+tokens_st = st.sampled_from([f"w{i}" for i in range(50)])
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(tokens, min_size=0, max_size=200))
+@given(st.lists(tokens_st, min_size=0, max_size=200))
 def test_dedup_properties(frames):
-    a = Alignment(tuple(frames), "u")
-    rla = deduplicate(a)
-    assert sum(rla.runs) == len(frames)
-    assert all(x != y for x, y in zip(rla.labels, rla.labels[1:]))
+    a = one_utt(tuple(frames))
+    runs = deduplicate(a)
+    labels = runs.labels.tolist()
+    assert sum(runs.runs) == len(frames)
+    assert all(x != y for x, y in zip(labels, labels[1:]))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(tokens, min_size=1, max_size=120))
+@given(st.lists(tokens_st, min_size=1, max_size=120))
 def test_one_hot_roundtrip_reproduces_frames(frames):
-    """Rearranging the dedup labels themselves recovers the frame sequence."""
-    a = Alignment(tuple(frames), "u")
-    rla = deduplicate(a)
-    vocab = sorted(set(rla.labels))
+    """Repeating the one-hot dedup labels by their runs recovers the frames."""
+    a = one_utt(tuple(frames))
+    runs = deduplicate(a)
+    vocab = sorted({a.vocab[c] for c in runs.labels})
     if len(vocab) == 1:
         vocab.append(vocab[0] + "_pad")
     eye = np.eye(len(vocab))
-    onehots = [eye[vocab.index(t)] for t in rla.labels]
-    frames_back = rearrange(onehots, rla)
+    onehots = [eye[vocab.index(a.vocab[c])] for c in runs.labels]
+    frames_back = np.repeat(onehots, runs.runs, axis=0)
     recovered = [vocab[int(np.argmax(v))] for v in frames_back]
     assert recovered == list(frames)
+
+
+@st.composite
+def touching_utterances(draw):
+    """Utterances (some empty) where each one with frames starts on the
+    token that the one before it ends on, plus a coarse unit map."""
+    utts = {}
+    last = draw(tokens_st)
+    for u in range(draw(st.integers(1, 6))):
+        frames = draw(st.lists(tokens_st, max_size=30))
+        utts[f"u{u}"] = [last, *frames] if draw(st.booleans()) else []
+        last = utts[f"u{u}"][-1] if utts[f"u{u}"] else last
+    mapping = {f"w{i}": f"c{draw(st.integers(0, 2))}" for i in range(50)}
+    return utts, mapping
+
+
+@settings(max_examples=200, deadline=None)
+@given(touching_utterances())
+def test_runs_never_cross_utterance_boundaries(case):
+    utts, mapping = case
+    mapped = map_units(alignments_of(utts), mapping)
+    runs = deduplicate(mapped)
+    for u, frames in enumerate(utts.values()):
+        lo, hi = runs.offsets[u], runs.offsets[u + 1]
+        coarse = [mapping[f] for f in frames]
+        assert [mapped.vocab[c] for c in runs.labels[lo:hi]] == [k for k, _ in groupby(coarse)]
+        assert runs.runs[lo:hi] == [len(list(g)) for _, g in groupby(coarse)]
+    eye = np.eye(max(len(mapped.vocab), 1))
+    back = np.repeat(eye[runs.labels], runs.runs, axis=0).argmax(axis=1)
+    np.testing.assert_array_equal(back, mapped.codes)

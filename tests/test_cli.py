@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distilcal import Alignment, UnitMap, teacher_stream
 from distilcal.calibration import _fmt6
 from distilcal import SweepConfig
 from distilcal.cli import _build_sweep_config, main
@@ -356,14 +356,18 @@ def write_posteriors(path, table):
 
 
 def reference_targets(alignments, teachers):
-    """The per-frame path: one ``_fmt6`` call per float on every frame."""
+    """The per-frame path in plain Python, independent of ``distilcal.alignment``:
+    a dict lookup per frame, ``groupby`` runs per utterance, then one ``_fmt6``
+    call per float on every frame."""
     lines = []
     for utt, frames in alignments.items():
         streams = []
         for tid, unit_map, table in teachers:
-            provider = lambda _, rows=table[utt]: [r / r.sum() for r in rows]
-            posteriors, runs = teacher_stream(Alignment(frames, "fine"), unit_map, provider)
-            streams.append((tid, np.repeat(posteriors, runs, axis=0)))
+            mapped = frames if unit_map is None else [unit_map[f] for f in frames]
+            runs = [len(list(run)) for _, run in groupby(mapped)]
+            rows = [r / r.sum() for r in table[utt]]
+            assert len(rows) == len(runs)
+            streams.append((tid, [row for row, run in zip(rows, runs) for _ in range(run)]))
         for i, hard in enumerate(frames):
             cells = [utt, str(i), hard]
             cells += [f"{tid}:" + ",".join(_fmt6(v) for v in stream[i]) for tid, stream in streams]
@@ -384,12 +388,11 @@ def targets_case(draw):
     teachers = []
     for t in range(draw(st.integers(1, 3))):
         coarse = draw(st.sampled_from([None, 1, 2, 3]))
-        unit_map = None if coarse is None else UnitMap(
-            {f: f"c{rng.integers(coarse)}" for f in FINE}, source="fine", target=f"t{t}")
+        unit_map = None if coarse is None else {f: f"c{rng.integers(coarse)}" for f in FINE}
         width = draw(st.sampled_from([2, 8, 40, 200]))
         table = {}
         for utt, frames in alignments.items():
-            mapped = [f if unit_map is None else unit_map.apply(f) for f in frames]
+            mapped = [f if unit_map is None else unit_map[f] for f in frames]
             tokens = sum(1 for i, f in enumerate(mapped) if i == 0 or f != mapped[i - 1])
             rows = rng.dirichlet(np.ones(width), size=tokens)
             zero = rng.random(rows.shape) < 0.1
@@ -416,7 +419,7 @@ class TestTargetsFormatOnce:
                 argv += ["--map", "identity"]
             else:
                 (work / f"{tid}.map").write_text(
-                    "".join(f"{f}\t{c}\n" for f, c in unit_map.mapping.items()))
+                    "".join(f"{f}\t{c}\n" for f, c in unit_map.items()))
                 argv += ["--map", work / f"{tid}.map"]
             write_posteriors(work / f"{tid}.tsv", table)
             argv += ["--posteriors", work / f"{tid}.tsv"]
@@ -492,6 +495,88 @@ class TestTargetsCommand:
                            "--posteriors", post, "--out", tmp_path / "t.tsv")
         assert code == 2
         assert "3" in err and "2" in err
+
+    def test_whitespace_in_utterance_id_names_line(self, capsys, tmp_path):
+        align = tmp_path / "align.tsv"
+        align.write_text("u0\ta\nu1 a b\n")  # a space where the TAB belongs
+        post = tmp_path / "post.tsv"
+        post.write_text("u0\t0\t0.5 0.5\nu1\t0\t0.5 0.5\nu1\t1\t0.5 0.5\n")
+        out = tmp_path / "t.tsv"
+        code, stdout, err = run(capsys, "targets", "--align", align,
+                                "--posteriors", post, "--out", out)
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: {align}:2: ")
+        assert "'u1 a b'" in err
+        assert not out.exists()
+
+    def test_non_utf8_alignment_names_line(self, tmp_path):
+        align = tmp_path / "align.tsv"
+        align.write_bytes(b"u0\ta\nu1\ta b\xff\n")
+        _, err = run_rejected(tmp_path, "targets", "--align", align, "--out", "t.tsv")
+        assert err.startswith(f"error: {align}:2: ")
+        assert not (tmp_path / "t.tsv").exists()
+
+
+def posterior_rows(utt, n):
+    return "".join(f"{utt}\t{i}\t0.5 0.5\n" for i in range(n))
+
+
+MISSING_U1_T0 = "utterance 'u1' missing from posterior file for teacher t0"
+MISSING_U1_T1 = "utterance 'u1' missing from posterior file for teacher t1"
+UNMAPPED_X_T1 = "token 'x' has no 'fine' -> 't1' mapping"
+
+#: name -> (alignment, t0 posteriors, t1 posteriors, the one error reported).
+#: Teacher t0 shares the alignment's unit; t1 maps a and b, but not x.
+TARGETS_ERRORS = {
+    "missing_utterance": ("u1\ta b\n", posterior_rows("u9", 1), posterior_rows("u1", 2),
+                          MISSING_U1_T0),
+    "unmapped_token": ("u1\ta x\n", posterior_rows("u1", 2), posterior_rows("u1", 2),
+                       UNMAPPED_X_T1),
+    "count_mismatch": ("u1\ta a b\n", posterior_rows("u1", 3), posterior_rows("u1", 2),
+                       "got 3 posteriors for 2 deduplicated labels"),
+    # The first utterance with any error wins, whichever teacher it belongs to.
+    "u1_t1_unmapped_beats_u2_t0_missing": (
+        "u1\ta x\nu2\ta\n", posterior_rows("u1", 2),
+        posterior_rows("u1", 2) + posterior_rows("u2", 1), UNMAPPED_X_T1),
+    "u1_t1_count_beats_u2_t0_count": (
+        "u1\ta b\nu2\ta\n", posterior_rows("u1", 2) + posterior_rows("u2", 4),
+        posterior_rows("u1", 5) + posterior_rows("u2", 1),
+        "got 5 posteriors for 2 deduplicated labels"),
+    "u1_t0_count_beats_u2_t1_unmapped": (
+        "u1\ta b\nu2\tx\n", posterior_rows("u1", 3) + posterior_rows("u2", 1),
+        posterior_rows("u1", 2) + posterior_rows("u2", 1),
+        "got 3 posteriors for 2 deduplicated labels"),
+    "u1_t0_missing_beats_u2_t1_missing": (
+        "u1\ta\nu2\tb\n", posterior_rows("u2", 1), posterior_rows("u1", 1), MISSING_U1_T0),
+    # Within one utterance: any missing utterance, then t0's checks, then t1's.
+    "t1_missing_beats_t0_count": ("u1\ta b\n", posterior_rows("u1", 3),
+                                  posterior_rows("u9", 1), MISSING_U1_T1),
+    "t0_count_beats_t1_unmapped": ("u1\ta x\n", posterior_rows("u1", 3),
+                                   posterior_rows("u1", 2),
+                                   "got 3 posteriors for 2 deduplicated labels"),
+    # An utterance without frames is skipped before any check.
+    "empty_utterance_skipped": ("u0\nu1\ta b\n", posterior_rows("u1", 3),
+                                posterior_rows("u1", 2),
+                                "got 3 posteriors for 2 deduplicated labels"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TARGETS_ERRORS))
+def test_targets_error_message_and_order(name, capsys, tmp_path):
+    align, post0, post1, message = TARGETS_ERRORS[name]
+    (tmp_path / "align.tsv").write_text(align)
+    (tmp_path / "t1.map").write_text("a\tA\nb\tB\n")
+    (tmp_path / "t0.tsv").write_text(post0)
+    (tmp_path / "t1.tsv").write_text(post1)
+    out = tmp_path / "out.tsv"
+    code, stdout, err = run(
+        capsys, "targets", "--align", tmp_path / "align.tsv",
+        "--map", "identity", "--map", tmp_path / "t1.map",
+        "--posteriors", tmp_path / "t0.tsv", "--posteriors", tmp_path / "t1.tsv",
+        "--out", out,
+    )
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert not out.exists()
 
 
 def write_config(path, **kv):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distilcal import FileFormatError
+from distilcal import fileio
 from distilcal.fileio import read_posterior_file
 
 # One malformed posterior file per error, with the line and message reported
@@ -104,3 +105,25 @@ def test_renormalised_rows_match_per_row_division(tmp_path_factory, seed, width,
     want = np.stack([row / row.sum() for row in rows])
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+#: reader -> one valid line of its format.
+GOOD_LINES = {
+    "read_prediction_file": b'{"logits": [0.0, 1.0], "label": 0}',
+    "read_hypothesis_file": b'{"utt": "u", "id": "a", "am_logp": -1.0, "lm_logp": -1.0}',
+    "read_alignment_file": b"u\ta b",
+    "read_unit_map_file": b"a\tA",
+    "read_posterior_file": b"u\t0\t0.5 0.5",
+    "read_config_file": b"epochs=1",
+}
+
+
+@pytest.mark.parametrize("reader", sorted(GOOD_LINES))
+def test_non_utf8_byte_names_its_line(reader, tmp_path):
+    good = GOOD_LINES[reader]
+    path = tmp_path / "input"
+    path.write_bytes(good + b"\r\n\n" + good[:3] + b"\xff" + good[3:] + b"\n" + good + b"\n")
+    with pytest.raises(FileFormatError) as info:
+        getattr(fileio, reader)(path)
+    assert info.value.line_no == 3
+    assert str(info.value) == f"{path}:3: not valid UTF-8 (byte 0xff)"

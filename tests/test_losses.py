@@ -228,6 +228,10 @@ class TestMultitaskLoss:
         kd_values, _ = kd_loss([shared], [teacher], t, "ce")
         assert value == pytest.approx(lam * ce_values[0] + (1 - lam) * kd_values[0], abs=1e-12)
 
+    def test_missing_supervised_targets_name_the_head(self):
+        with pytest.raises(InvalidInputError, match="no targets for head 'sl'"):
+            multitask_loss({"sl": [[0.0, 1.0]], "t0": [[1.0, 0.0]]}, {"t0": [[0.5, 0.5]]}, 0.5)
+
     def test_teacher_head_mismatch_rejected(self):
         logits, targets = make_multitask(0, n_teachers=1)
         targets = {"sl": targets["sl"], "other": soft_label([random_logits(5)], 1.0)}
