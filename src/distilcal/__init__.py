@@ -13,7 +13,8 @@ The package is organized by pipeline stage:
 * :mod:`distilcal.alignment` - a whole alignment file as one code array, unit
   maps, per-utterance deduplication and each teacher's token posteriors;
 * :mod:`distilcal.toy` - a tiny multi-head classifier with hand-written
-  backprop for end-to-end experiments;
+  backprop for end-to-end experiments, imported on first use of one of its
+  names;
 * :mod:`distilcal.cli` - the ``distilcal`` command.
 """
 
@@ -52,25 +53,23 @@ from .tempscale import (
     fit_temperature,
     nll_at_temperature,
 )
-from .toy import (
-    EvalResult,
-    SweepConfig,
-    SweepRow,
-    SyntheticTask,
-    ToyNetwork,
-    TrainConfig,
-    evaluate,
-    generate_data,
-    head_targets,
-    make_student,
-    make_task,
-    make_teacher,
-    network_loss_and_grad,
-    sweep_csv,
-    sweep_lambda,
-    teacher_streams,
-    train,
-    train_cell,
-)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: ``toy``'s public names, resolved on first use by :func:`__getattr__`, so
+#: that importing the package does not compile the trainer.
+_TOY_NAMES = frozenset({
+    "EvalResult", "SweepConfig", "SweepRow", "SyntheticTask", "ToyNetwork", "TrainConfig",
+    "evaluate", "generate_data", "head_targets", "make_student", "make_task", "make_teacher",
+    "network_loss_and_grad", "sweep_csv", "sweep_lambda", "teacher_streams", "train",
+    "train_cell",
+})
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + ["toy", *_TOY_NAMES])
+
+
+def __getattr__(name: str):
+    if name == "toy" or name in _TOY_NAMES:
+        from importlib import import_module
+
+        toy = import_module(".toy", __name__)
+        return toy if name == "toy" else getattr(toy, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -28,7 +28,6 @@ from .fileio import (
 )
 from .probs import softmax_t
 from .tempscale import DEFAULT_BOUNDS, combine_scores, fit_temperature
-from .toy import SweepConfig, sweep_csv, sweep_lambda, train_cell
 
 
 # ---------------------------------------------------------------- ece
@@ -74,13 +73,17 @@ def _cmd_fit_temp(args) -> int:
 # ---------------------------------------------------------------- combine
 
 def _cmd_combine(args) -> int:
-    groups = read_hypothesis_file(args.hyps)
+    utts, offsets, ids, scores = read_hypothesis_file(args.hyps)
+    order, combined = combine_scores(scores[:, 0], scores[:, 1], args.t1, args.t2, offsets)
+    ranked_ids = [ids[i] for i in order.tolist()]
+    ranked = combined[order].tolist()
     out_lines = []
-    for utt, (ids, scores) in groups.items():
-        order, combined = combine_scores(scores[:, 0], scores[:, 1], args.t1, args.t2)
-        out_lines.append(f"{utt}\tbest\t{ids[order[0]]}")
-        for position, i in enumerate(order, start=1):
-            out_lines.append(f"{utt}\t{position}\t{ids[i]}\t{_fmt6(combined[i])}")
+    for utt, lo, hi in zip(utts, offsets.tolist(), offsets[1:].tolist()):
+        out_lines.append(f"{utt}\tbest\t{ranked_ids[lo]}")
+        out_lines += [
+            f"{utt}\t{position}\t{ranked_ids[i]}\t{_fmt6(ranked[i])}"
+            for position, i in enumerate(range(lo, hi), start=1)
+        ]
     print("\n".join(out_lines))
     return 0
 
@@ -126,7 +129,6 @@ _PARSERS = {
     "bool": lambda v: _BOOLS[v.lower()],
     "Optional[int]": lambda v: None if v.lower() == "none" else int(v),
 }
-_SWEEP_KEYS = {f.name: _PARSERS[f.type] for f in dataclasses.fields(SweepConfig)}
 
 #: Train config keys that set a TrainConfig field, and the field they set.
 _TRAIN_FLOATS = {"lambda": "lam", "epsilon": "epsilon", "temperature": "temperature"}
@@ -144,12 +146,17 @@ def _cast(cfg: dict[str, str], key: str, cast, default=None):
         raise InvalidInputError(f"bad value for config key {key!r}: {cfg[key]!r}") from None
 
 
-def _build_sweep_config(cfg: dict[str, str], extra_keys: set[str]) -> SweepConfig:
-    unknown = set(cfg) - set(_SWEEP_KEYS) - extra_keys
+def _build_sweep_config(cfg: dict[str, str], extra_keys: set[str]):
+    # ``toy`` is imported here, and only by the commands that train, so that
+    # the others start without compiling it.
+    from .toy import SweepConfig
+
+    sweep_keys = {f.name: _PARSERS[f.type] for f in dataclasses.fields(SweepConfig)}
+    unknown = set(cfg) - set(sweep_keys) - extra_keys
     if unknown:
         raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
     return SweepConfig(
-        **{key: _cast(cfg, key, parse) for key, parse in _SWEEP_KEYS.items() if key in cfg}
+        **{key: _cast(cfg, key, parse) for key, parse in sweep_keys.items() if key in cfg}
     )
 
 
@@ -160,6 +167,8 @@ def _require(cfg: dict[str, str], key: str) -> str:
 
 
 def _cmd_train(args) -> int:
+    from .toy import train_cell
+
     cfg = read_config_file(args.config)
     scfg = _build_sweep_config(cfg, _TRAIN_ONLY_KEYS)
     method = _require(cfg, "method")
@@ -193,6 +202,8 @@ def _parse_list(text: str, cast, key: str) -> list:
 
 
 def _cmd_sweep(args) -> int:
+    from .toy import sweep_csv, sweep_lambda
+
     cfg = read_config_file(args.config)
     scfg = _build_sweep_config(cfg, _SWEEP_ONLY_KEYS)
     out_path = _require(cfg, "out")

@@ -10,9 +10,14 @@ Formats (one record per line throughout):
 * unit-map file: TSV lines ``fine<TAB>coarse``;
 * posterior file: ``utt-id<TAB>token-index<TAB>p0 p1 ... pK-1``.
 
-Parse errors raise :class:`FileFormatError` carrying the offending line
-number. Posterior vectors may be off the simplex by up to 1e-6 (6-decimal
-files round); they are renormalized on load, anything worse is rejected.
+Only LF ends a line (a CR before it is dropped), and blank lines are
+skipped but counted. Parse errors raise :class:`FileFormatError` carrying
+the offending line number. The two JSON-lines readers parse each line on its
+own, then check and convert the whole file at once; only a file that fails
+that check is walked record by record, and that walk alone decides which
+line and message are reported. Posterior vectors may be off the simplex by up to 1e-6
+(6-decimal files round); they are renormalized on load, anything worse is
+rejected.
 """
 
 from __future__ import annotations
@@ -21,7 +26,10 @@ import json
 import math
 import os
 import tempfile
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,28 +40,52 @@ from .errors import FileFormatError
 POSTERIOR_SUM_TOL = 1e-6
 
 #: ``type(v)`` of a JSON number; JSON true/false parse to bool, an int subclass.
-_NUMBER_TYPES = (int, float)
+_NUMBER_TYPES = frozenset({int, float})
 _HYPOTHESIS_KEYS = {"utt", "id", "am_logp", "lm_logp"}
 _FIELD_BREAKS = frozenset("\t\r\n")  # would split an id or utt across output fields
+#: JSON lines parsed at a time by the whole-file checks.
+_CHUNK = 4096
 
 
 def _lines(path) -> list[tuple[int, str]]:
+    """``(line_no, line)`` per non-blank line. Only LF ends a line, and one CR
+    at a line's end is dropped; a form feed or U+2028 stays inside its line."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
-        line_no = len((data[: e.start].decode("utf-8") + "x").splitlines())
+        line_no = data.count(b"\n", 0, e.start) + 1
         raise FileFormatError(path, line_no, f"not valid UTF-8 (byte 0x{data[e.start]:02x})") from None
     return [
-        (i, line)
-        for i, line in enumerate(text.splitlines(), start=1)
+        (i, line.removesuffix("\r"))
+        for i, line in enumerate(text.split("\n"), start=1)
         if line.strip()
     ]
 
 
-def _json_lines(path):
-    """``(line_no, value)`` per non-blank line, each parsed as one JSON value."""
-    for line_no, line in _lines(path):
+def _json_columns(lines, keys: tuple[str, ...]) -> list[list] | None:
+    """Per key, its value on every line, or None when a line is not a JSON
+    object holding every key. Lines are parsed a chunk at a time, so that
+    the parsed objects of the whole file never live at once."""
+    columns: list[list] = [[] for _ in keys]
+    for start in range(0, len(lines), _CHUNK):
+        try:
+            records = [json.loads(line) for _, line in lines[start : start + _CHUNK]]
+        except ValueError:  # JSONDecodeError, or an integer over the digit limit
+            return None
+        if set(map(type, records)) != {dict}:
+            return None
+        try:
+            for column, key in zip(columns, keys):
+                column += map(itemgetter(key), records)
+        except KeyError:
+            return None
+    return columns
+
+
+def _json_lines(path, lines):
+    """``(line_no, value)`` per line, each parsed as one JSON value."""
+    for line_no, line in lines:
         try:
             yield line_no, json.loads(line)
         except ValueError as e:  # JSONDecodeError, or an integer over the digit limit
@@ -69,12 +101,43 @@ def _finite_floats(values) -> list[float] | None:
     return floats if all(map(math.isfinite, floats)) else None
 
 
-def read_prediction_file(path) -> tuple[np.ndarray, np.ndarray]:
-    """Logit matrix and label vector from a JSON-lines prediction file."""
+def _finite_array(rows) -> np.ndarray | None:
+    """``rows`` of JSON numbers as one float64 array, or None when one is not
+    finite as a float; each value converts exactly as ``float(v)`` does."""
+    try:
+        arr = np.array(rows, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return arr if np.isfinite(arr).all() else None
+
+
+def _predictions_at_once(lines) -> tuple[np.ndarray, np.ndarray] | None:
+    """The arrays of a prediction file when every record is valid, else None."""
+    columns = _json_columns(lines, ("logits", "label"))
+    if columns is None:
+        return None
+    rows, labels = columns
+    widths = set(map(len, rows)) if set(map(type, rows)) == {list} else set()
+    if len(widths) != 1 or min(widths) < 2:
+        return None
+    (width,) = widths
+    if (
+        not set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES
+        or set(map(type, labels)) != {int}
+        or not 0 <= min(labels) <= max(labels) < width
+    ):
+        return None
+    logits = _finite_array(rows)
+    return None if logits is None else (logits, np.array(labels))
+
+
+def _predictions_by_line(path, lines) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays of a prediction file, read one record at a time; raises at
+    the first bad line with the message of the first check it fails."""
     logits: list[list[float]] = []
     labels: list[int] = []
     width = None
-    for line_no, obj in _json_lines(path):
+    for line_no, obj in _json_lines(path, lines):
         if not isinstance(obj, dict) or "logits" not in obj or "label" not in obj:
             raise FileFormatError(path, line_no, "need keys 'logits' and 'label'")
         row = obj["logits"]
@@ -107,11 +170,57 @@ def read_prediction_file(path) -> tuple[np.ndarray, np.ndarray]:
     return np.array(logits), np.array(labels)
 
 
-def read_hypothesis_file(path) -> dict[str, tuple[list[str], np.ndarray]]:
-    """Per utterance, its hypothesis ids and ``(n, 2)`` ``[am_logp, lm_logp]``
-    scores, both levels in file order."""
-    groups: dict[str, tuple[list[str], list[list[float]]]] = {}
-    for line_no, obj in _json_lines(path):
+def read_prediction_file(path) -> tuple[np.ndarray, np.ndarray]:
+    """Logit matrix and label vector from a JSON-lines prediction file.
+
+    The whole file is checked at once; a file that fails that check is read
+    again one record at a time, which names its first bad line.
+    """
+    lines = _lines(path)
+    arrays = _predictions_at_once(lines)
+    return _predictions_by_line(path, lines) if arrays is None else arrays
+
+
+class Hypotheses(NamedTuple):
+    """A whole hypothesis file, grouped by utterance: utterance u owns rows
+    ``offsets[u]:offsets[u + 1]`` of ``ids`` and of the ``(N, 2)``
+    ``[am_logp, lm_logp]`` ``scores``. Utterances come in order of first
+    appearance and each keeps its rows in file order."""
+
+    utts: list[str]
+    offsets: np.ndarray
+    ids: list[str]
+    scores: np.ndarray
+
+
+def _hypotheses_at_once(lines) -> tuple[list[str], list[str], np.ndarray] | None:
+    """Utterance ids, hypothesis ids and ``(N, 2)`` scores of a hypothesis
+    file in file order when every record is valid, else None."""
+    columns = _json_columns(lines, ("utt", "id", "am_logp", "lm_logp"))
+    if columns is None:
+        return None
+    utts, ids, am, lm = columns
+    texts = utts + ids
+    if (
+        set(map(type, texts)) != {str}
+        or not all(texts)
+        or not set(map(type, am + lm)) <= _NUMBER_TYPES
+    ):
+        return None
+    joined = "".join(texts)
+    if any(c in joined for c in _FIELD_BREAKS):
+        return None
+    scores = _finite_array([am, lm])
+    return None if scores is None else (utts, ids, scores.T)
+
+
+def _hypotheses_by_line(path, lines) -> tuple[list[str], list[str], np.ndarray]:
+    """:func:`_hypotheses_at_once`'s fields, read one record at a time;
+    raises at the first bad line with the message of the first check it fails."""
+    utts: list[str] = []
+    ids: list[str] = []
+    rows: list[list[float]] = []
+    for line_no, obj in _json_lines(path, lines):
         if not isinstance(obj, dict) or not _HYPOTHESIS_KEYS <= obj.keys():
             raise FileFormatError(path, line_no, "need keys 'utt', 'id', 'am_logp' and 'lm_logp'")
         utt, hyp_id = obj["utt"], obj["id"]
@@ -124,12 +233,28 @@ def read_hypothesis_file(path) -> dict[str, tuple[list[str], np.ndarray]]:
         scores = _finite_floats(pair) if all(type(v) in _NUMBER_TYPES for v in pair) else None
         if scores is None:
             raise FileFormatError(path, line_no, "'am_logp' and 'lm_logp' must be finite numbers")
-        ids, rows = groups.setdefault(utt, ([], []))
+        utts.append(utt)
         ids.append(hyp_id)
         rows.append(scores)
-    if not groups:
+    if not rows:
         raise FileFormatError(path, 0, "no hypotheses found")
-    return {utt: (ids, np.array(rows)) for utt, (ids, rows) in groups.items()}
+    return utts, ids, np.array(rows)
+
+
+def read_hypothesis_file(path) -> Hypotheses:
+    """All hypotheses of a JSON-lines file, grouped by utterance.
+
+    The whole file is checked at once; a file that fails that check is read
+    again one record at a time, which names its first bad line.
+    """
+    lines = _lines(path)
+    fields = _hypotheses_at_once(lines)
+    utts, ids, scores = _hypotheses_by_line(path, lines) if fields is None else fields
+    group: dict[str, int] = {}  # utterance id -> its rank in order of first appearance
+    codes = np.array([group.setdefault(utt, len(group)) for utt in utts])
+    order = np.argsort(codes, kind="stable")
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(codes))))
+    return Hypotheses(list(group), offsets, [ids[i] for i in order.tolist()], scores[order])
 
 
 def read_alignment_file(path) -> Alignments:

@@ -19,12 +19,11 @@ from .targets import _check_labels
 
 #: Default search bounds; wide enough for any temperature seen in practice.
 DEFAULT_BOUNDS = (0.05, 20.0)
-#: Size of the coarse log-spaced search grid (always contains t = 1).
-GRID_POINTS = 64
-#: Golden-section refinement stops once the bracket is narrower than this.
-REFINE_TOL = 1e-4
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: The search on beta = 1/t stops once a Newton step would move beta by less
+#: than this fraction of beta, or the bracket around the optimum is that narrow.
+BETA_RTOL = 1e-10
+#: Derivative passes one search may take; bisection alone needs about 50.
+MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -50,13 +49,19 @@ def nll_at_temperature(logits: np.ndarray, labels: np.ndarray, t: float) -> floa
         return float(np.mean(lse - picked))
 
 
-def _search_grid(t_min: float, t_max: float) -> np.ndarray:
-    pts = np.geomspace(t_min, t_max, GRID_POINTS)
-    # Snap the point nearest to t=1 (in log space) onto exactly 1.0; the grid
-    # stays sorted because 1 lies strictly between that point's neighbours.
-    k = int(np.argmin(np.abs(np.log(pts))))
-    pts[k] = 1.0
-    return pts
+def _slope_and_curvature(gaps: np.ndarray, picked: np.ndarray, beta: float) -> tuple[float, float]:
+    """First and second derivative in beta of the mean NLL at t = 1/beta:
+    ``mean(E_p[z] - z_y)`` and ``mean(Var_p[z])``, with p the softmax of
+    ``beta * z``. ``gaps`` are the logits minus their row maximum (-inf where
+    that passes the float range) and ``picked`` is each label's gap."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        e = np.exp(beta * gaps)
+        p = e / e.sum(axis=1, keepdims=True)
+        live = p > 0.0  # a class of probability 0 adds nothing, however far its gap
+        mean = np.where(live, p * gaps, 0.0).sum(axis=1)
+        dev = np.where(live, gaps - mean[:, None], 0.0)
+        var = (p * dev * dev).sum(axis=1)
+    return float(np.mean(mean - picked)), float(np.mean(var))
 
 
 def fit_temperature(
@@ -66,11 +71,13 @@ def fit_temperature(
 ) -> TemperatureFit:
     """Fit the NLL-minimizing temperature on a validation set.
 
-    Search strategy: evaluate a 64-point log-spaced grid over ``bounds``
-    (with t=1 snapped onto the grid), then refine around the best grid point
-    with golden-section search until the bracket is narrower than 1e-4. The
-    best temperature evaluated anywhere is returned, so the fit is never
-    worse than t=1 and lands exactly on a bound when the NLL is monotone.
+    Search strategy: the mean NLL is convex in beta = 1/t, so its slope in
+    beta decides the side of the optimum. A slope of one sign over all of
+    ``bounds`` returns that bound exactly; otherwise a Newton search on the
+    slope, kept inside a shrinking bracket by bisection, finds its root. The
+    NLL is evaluated at t=1 and at the found temperature only, and the lower
+    of the two is returned (t=1 on a tie), so the fit is never worse than
+    t=1 and a temperature whose NLL is not finite never wins.
 
     Args:
         logits: ``(N, K)`` finite validation logits.
@@ -87,57 +94,73 @@ def fit_temperature(
     labels = _check_labels(labels, logits.shape[-1])
     if logits.shape != (len(labels), logits.shape[-1]):
         raise InvalidInputError(f"need one row of logits per label, got {logits.shape}")
-
-    def nll(t: float) -> float:
-        value = nll_at_temperature(logits, labels, t)
-        return value if math.isfinite(value) else math.inf  # never wins the search
-
-    grid = _search_grid(t_min, t_max)
-    values = np.array([nll(t) for t in grid])
-    nll_unit = float(values[grid == 1.0][0])
-    if nll_unit == math.inf:
+    nll_unit = nll_at_temperature(logits, labels, 1.0)
+    if not math.isfinite(nll_unit):
         raise InvalidInputError("the NLL at t=1 is not finite; logits are too large")
-    k = int(np.argmin(values))
-    best_t, best_nll = float(grid[k]), float(values[k])
 
-    # Golden-section refinement inside the bracket around the best grid point.
-    a = float(grid[max(k - 1, 0)])
-    b = float(grid[min(k + 1, len(grid) - 1)])
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = nll(c), nll(d)
-    while (b - a) > REFINE_TOL:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = nll(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = nll(d)
-    for t, v in ((c, fc), (d, fd)):
-        if v < best_nll:
-            best_t, best_nll = float(t), float(v)
+    with np.errstate(over="ignore"):
+        gaps = logits - logits.max(axis=1, keepdims=True)
+    picked = gaps[np.arange(len(labels)), labels]  # finite, as the NLL at t=1 is
+
+    lo, hi = 1.0 / t_max, 1.0 / t_min
+    if _slope_and_curvature(gaps, picked, lo)[0] >= 0.0:
+        t = t_max
+    elif _slope_and_curvature(gaps, picked, hi)[0] <= 0.0:
+        t = t_min
+    else:
+        beta = 1.0
+        for _ in range(MAX_STEPS):
+            slope, curvature = _slope_and_curvature(gaps, picked, beta)
+            if slope < 0.0:
+                lo = beta
+            elif slope > 0.0:
+                hi = beta
+            else:
+                break
+            step = slope / curvature if curvature > 0.0 else math.inf
+            if abs(step) <= BETA_RTOL * beta:
+                break
+            beta = beta - step if lo < beta - step < hi else 0.5 * (lo + hi)
+            if hi - lo <= BETA_RTOL * hi:
+                break
+        t = min(max(1.0 / beta, t_min), t_max)
+
+    nll_t = nll_unit if t == 1.0 else nll_at_temperature(logits, labels, t)
+    if not nll_t < nll_unit:  # also when the NLL at t overflows
+        t, nll_t = 1.0, nll_unit
     return TemperatureFit(
-        t_star=best_t,
-        nll_at_t_star=best_nll,
+        t_star=t,
+        nll_at_t_star=nll_t,
         nll_at_unit=nll_unit,
         search_bounds=(t_min, t_max),
     )
 
 
-def combine_scores(am_logp, lm_logp, t1: float, t2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rank one utterance's hypotheses by ``am_logp / t1 + lm_logp / t2``.
+def combine_scores(
+    am_logp, lm_logp, t1: float, t2: float, offsets=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rank each utterance's hypotheses by ``am_logp / t1 + lm_logp / t2``.
 
-    Takes the ``(n,)`` acoustic and language scores in input order and
-    returns ``(order, scores)``: the combined scores in input order, and the
-    indices that sort them in descending order (ties keep input order).
+    Takes the ``(n,)`` acoustic and language scores in input order, where
+    utterance u owns rows ``offsets[u]:offsets[u + 1]`` (no ``offsets``: all
+    rows are one utterance), and returns ``(order, scores)``: the combined
+    scores in input order, and the row indices that sort each utterance's
+    slice of them in descending order (ties keep input order), utterance
+    after utterance.
     """
     am = np.asarray(am_logp, dtype=np.float64)
     lm = np.asarray(lm_logp, dtype=np.float64)
     if am.ndim != 1 or am.shape != lm.shape or len(am) == 0:
         raise InvalidInputError(
             f"need two non-empty score vectors of one length, got shapes {am.shape}, {lm.shape}"
+        )
+    edges = np.asarray([0, len(am)] if offsets is None else offsets)
+    if (
+        edges.ndim != 1 or len(edges) < 2 or edges[0] != 0 or edges[-1] != len(am)
+        or np.any(np.diff(edges) <= 0)
+    ):
+        raise InvalidInputError(
+            f"offsets must rise from 0 to {len(am)}, one non-empty utterance each"
         )
     if not all(math.isfinite(t) and t > 0.0 for t in (t1, t2)):
         raise InvalidParameterError(
@@ -147,4 +170,5 @@ def combine_scores(am_logp, lm_logp, t1: float, t2: float) -> tuple[np.ndarray, 
         scores = am / t1 + lm / t2
     if not np.all(np.isfinite(scores)):  # a non-finite input, or an overflow
         raise InvalidInputError("combined hypothesis scores must be finite")
-    return np.argsort(-scores, kind="stable"), scores
+    utterance = np.repeat(np.arange(len(edges) - 1), np.diff(edges))
+    return np.lexsort((-scores, utterance)), scores

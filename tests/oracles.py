@@ -3,19 +3,22 @@
 The calibration and temperature oracles are deliberately written in plain
 Python (lists, ``sorted``, sequential sums) so they share no code path with
 the numpy implementations they verify. ``alignments_of`` builds the array
-form of an alignment from plain token lists. The reference trainer at the end
-is the earlier per-step trainer kept as it was, for bit-identity checks.
+form of an alignment from plain token lists. The reference readers and the
+reference trainer at the end are earlier versions kept as they were, for
+bit-identity checks.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Mapping, Optional
 
 import numpy as np
 
 from distilcal.alignment import Alignments
-from distilcal.errors import ConfigurationError, InvalidInputError
+from distilcal.errors import ConfigurationError, FileFormatError, InvalidInputError
+from distilcal.fileio import _lines
 from distilcal.probs import as_logits, log_softmax_t, softmax_t
 
 
@@ -77,6 +80,98 @@ def dense_grid_temperature(logit_rows, labels, t_min: float, t_max: float, point
         if nll < best_nll:
             best_t, best_nll = t, nll
     return best_t, best_nll
+
+
+# ---------------------------------------------------------------- reference readers
+#
+# The JSON-lines readers as they stood before whole-file checks: one record
+# at a time, each value converted by ``float``, hypotheses grouped in a dict.
+# They share only ``fileio._lines``, which decides what a line is.
+
+_NUMBER_TYPES = (int, float)
+_HYPOTHESIS_KEYS = {"utt", "id", "am_logp", "lm_logp"}
+_FIELD_BREAKS = frozenset("\t\r\n")  # would split an id or utt across output fields
+
+
+def _json_lines(path):
+    """``(line_no, value)`` per non-blank line, each parsed as one JSON value."""
+    for line_no, line in _lines(path):
+        try:
+            yield line_no, json.loads(line)
+        except ValueError as e:  # JSONDecodeError, or an integer over the digit limit
+            raise FileFormatError(path, line_no, f"bad JSON: {getattr(e, 'msg', e)}") from None
+
+
+def _finite_floats(values) -> list[float] | None:
+    """``values`` as floats, or None when one is not finite as a float."""
+    try:
+        floats = [float(v) for v in values]
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return floats if all(map(math.isfinite, floats)) else None
+
+
+def ref_read_prediction_file(path) -> tuple[np.ndarray, np.ndarray]:
+    """Logit matrix and label vector from a JSON-lines prediction file."""
+    logits: list[list[float]] = []
+    labels: list[int] = []
+    width = None
+    for line_no, obj in _json_lines(path):
+        if not isinstance(obj, dict) or "logits" not in obj or "label" not in obj:
+            raise FileFormatError(path, line_no, "need keys 'logits' and 'label'")
+        row = obj["logits"]
+        if (
+            not isinstance(row, list)
+            or len(row) < 2
+            or not all(type(v) in _NUMBER_TYPES for v in row)
+        ):
+            raise FileFormatError(path, line_no, "'logits' must list >= 2 numbers")
+        values = _finite_floats(row)
+        if values is None:
+            raise FileFormatError(path, line_no, "logits must be finite")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise FileFormatError(
+                path, line_no, f"expected {width} logits, got {len(row)}"
+            )
+        label = obj["label"]
+        if not isinstance(label, int) or isinstance(label, bool):
+            raise FileFormatError(path, line_no, "'label' must be an integer")
+        if not 0 <= label < len(row):
+            raise FileFormatError(
+                path, line_no, f"label {label} out of range for {len(row)} classes"
+            )
+        logits.append(values)
+        labels.append(label)
+    if not logits:
+        raise FileFormatError(path, 0, "no prediction records found")
+    return np.array(logits), np.array(labels)
+
+
+def ref_read_hypothesis_file(path) -> dict[str, tuple[list[str], np.ndarray]]:
+    """Per utterance, its hypothesis ids and ``(n, 2)`` ``[am_logp, lm_logp]``
+    scores, both levels in file order."""
+    groups: dict[str, tuple[list[str], list[list[float]]]] = {}
+    for line_no, obj in _json_lines(path):
+        if not isinstance(obj, dict) or not _HYPOTHESIS_KEYS <= obj.keys():
+            raise FileFormatError(path, line_no, "need keys 'utt', 'id', 'am_logp' and 'lm_logp'")
+        utt, hyp_id = obj["utt"], obj["id"]
+        for key, text in (("utt", utt), ("id", hyp_id)):
+            if not isinstance(text, str) or not text or not _FIELD_BREAKS.isdisjoint(text):
+                raise FileFormatError(
+                    path, line_no, f"{key!r} must be a non-empty string without tabs or newlines"
+                )
+        pair = (obj["am_logp"], obj["lm_logp"])
+        scores = _finite_floats(pair) if all(type(v) in _NUMBER_TYPES for v in pair) else None
+        if scores is None:
+            raise FileFormatError(path, line_no, "'am_logp' and 'lm_logp' must be finite numbers")
+        ids, rows = groups.setdefault(utt, ([], []))
+        ids.append(hyp_id)
+        rows.append(scores)
+    if not groups:
+        raise FileFormatError(path, 0, "no hypotheses found")
+    return {utt: (ids, np.array(rows)) for utt, (ids, rows) in groups.items()}
 
 
 # ---------------------------------------------------------------- reference trainer

@@ -13,10 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import distilcal
 from distilcal.calibration import _fmt6
-from distilcal import SweepConfig
+from distilcal import FileFormatError, SweepConfig, combine_scores
 from distilcal.cli import _build_sweep_config, main
-from distilcal.fileio import read_config_file
+from distilcal.fileio import read_config_file, read_prediction_file
+
+from oracles import ref_read_hypothesis_file, ref_read_prediction_file
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -114,6 +117,13 @@ class TestEceCommand:
         code, _, err = run(capsys, "ece", "--input", fix, "--out", tmp_path / "o.csv")
         assert code == 2
         assert ":2:" in err
+
+    def test_form_feed_does_not_end_a_line(self, capsys, tmp_path):
+        fix = tmp_path / "p.jsonl"
+        fix.write_bytes(b'{"logits": [0.0, 1.0], "label": 0}\f\n{"logits": [0.0], "label": 0}\n')
+        code, _, err = run(capsys, "ece", "--input", fix, "--out", tmp_path / "o.csv")
+        assert code == 2
+        assert err == f"error: {fix}:1: bad JSON: Extra data\n"
 
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "ece", "--input", tmp_path / "nope.jsonl",
@@ -325,6 +335,42 @@ def run_quiet(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def combine_by_utterance(path, t1: float, t2: float) -> str:
+    """``combine`` stdout as one ``combine_scores`` call per utterance makes
+    it from the reference reader's groups."""
+    out_lines = []
+    for utt, (ids, scores) in ref_read_hypothesis_file(path).items():
+        order, combined = combine_scores(scores[:, 0], scores[:, 1], t1, t2)
+        out_lines.append(f"{utt}\tbest\t{ids[order[0]]}")
+        for position, i in enumerate(order, start=1):
+            out_lines.append(f"{utt}\t{position}\t{ids[i]}\t{_fmt6(combined[i])}")
+    return "\n".join(out_lines) + "\n"
+
+
+@st.composite
+def tied_hypothesis_file(draw):
+    """Valid hypotheses over interleaved utterances, scores drawn from few values."""
+    score = st.sampled_from([-1.0, -2.5, -0.0, 0.0, -7.25, -1e-3, -123.0])
+    lines = [
+        json.dumps({"utt": f"u{draw(st.integers(0, 3))}", "id": f"h{i}",
+                    "am_logp": draw(score), "lm_logp": draw(score)})
+        for i in range(draw(st.integers(1, 15)))
+    ]
+    return "\n".join(lines) + "\n"
+
+
+class TestCombineMatchesPerUtteranceLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(tied_hypothesis_file(), st.sampled_from([(1.0, 1.0), (0.5, 4.0), (3.0, 0.25)]))
+    def test_stdout_byte_identical(self, tmp_path_factory, text, temperatures):
+        path = tmp_path_factory.mktemp("combine") / "hyps.jsonl"
+        path.write_text(text)
+        t1, t2 = temperatures
+        code, stdout, _ = run_quiet(["combine", "--hyps", str(path), "--t1", str(t1), "--t2", str(t2)])
+        assert code == 0
+        assert stdout == combine_by_utterance(path, t1, t2)
+
+
 class TestCombineMutations:
     @settings(max_examples=150, deadline=None)
     @given(hypothesis_file(), st.sampled_from([("1", "1"), ("0.5", "4")]))
@@ -345,6 +391,93 @@ class TestCombineMutations:
             if len(fields) == 4:
                 assert np.isfinite(float(fields[3]))
         assert run_quiet(argv) == (0, stdout, stderr)
+
+
+#: Ways to break one prediction line; "crlf" (the whole file) and "none"
+#: leave the file valid.
+PREDICTION_MUTATIONS = ("true", "null", "nan", "infinity", "digits400", "digits5000", "missing",
+                        "width", "negative", "range", "formfeed", "crlf", "none")
+
+
+def mutate_prediction(obj, mutation, key, index):
+    """One prediction line as JSON text, changed by ``mutation`` at ``key``
+    (the logit at ``index``, modulo the width, or the label)."""
+    obj = {"logits": list(obj["logits"]), "label": obj["label"]}
+    if mutation in ("none", "crlf"):
+        return json.dumps(obj)
+    if mutation == "formfeed":
+        return json.dumps(obj) + "\f"
+    if mutation == "missing":
+        del obj[key]
+        return json.dumps(obj)
+    if mutation == "width":
+        obj["logits"] = obj["logits"][:-1] if index % 2 else obj["logits"] + [0.5]
+        return json.dumps(obj)
+    if mutation in ("negative", "range"):
+        obj["label"] = -1 if mutation == "negative" else len(obj["logits"])
+        return json.dumps(obj)
+    # Written by hand so that NaN, Infinity and long integers stay JSON tokens.
+    value = {"true": "true", "null": "null", "nan": "NaN", "infinity": "-Infinity",
+             "digits400": "1" + "0" * 400, "digits5000": "-1" + "0" * 5000}[mutation]
+    if key == "label":
+        obj["label"] = "@"
+    else:
+        obj["logits"][index % len(obj["logits"])] = "@"
+    return json.dumps(obj).replace('"@"', value)
+
+
+@st.composite
+def prediction_file(draw):
+    k = draw(st.integers(2, 4))
+    logit = st.floats(-20, 20, allow_nan=False).map(lambda v: round(v, 3))
+    records = [{"logits": [draw(logit) for _ in range(k)], "label": draw(st.integers(0, k - 1))}
+               for _ in range(draw(st.integers(1, 6)))]
+    lines = [json.dumps(r) for r in records]
+    bad = draw(st.integers(0, len(lines) - 1))
+    mutation = draw(st.sampled_from(PREDICTION_MUTATIONS))
+    key = draw(st.sampled_from(["logits", "label"]))
+    lines[bad] = mutate_prediction(records[bad], mutation, key, draw(st.integers(0, 7)))
+    end = "\r\n" if mutation == "crlf" else "\n"
+    return end.join(lines) + end
+
+
+def reader_outcome(reader, path):
+    """What ``reader`` makes of ``path``: its arrays' bytes, or its error."""
+    try:
+        return [(a.dtype, a.shape, a.tobytes()) for a in reader(path)]
+    except FileFormatError as e:
+        return type(e), e.line_no, str(e)
+
+
+def all_finite(values) -> bool:
+    return all(np.isfinite(float(v)) for v in values)
+
+
+class TestPredictionMutations:
+    @settings(max_examples=100, deadline=None)
+    @given(prediction_file())
+    def test_ece_and_fit_temp_exit_0_or_2_and_clean_output(self, tmp_path_factory, text):
+        work = tmp_path_factory.mktemp("preds")
+        path = work / "preds.jsonl"
+        path.write_bytes(text.encode())
+        outcome = reader_outcome(ref_read_prediction_file, path)
+        assert reader_outcome(read_prediction_file, path) == outcome
+        csv = work / "ece.csv"
+        for argv in (["ece", "--input", str(path), "--rank", "2", "--bins", "3", "--out", str(csv)],
+                     ["fit-temp", "--val", str(path), "--bins", "3"]):
+            code, stdout, stderr = run_quiet(argv)
+            assert "Traceback" not in stderr
+            if isinstance(outcome, tuple):  # the reader's error, naming a line
+                assert outcome[1] >= 1
+                assert (code, stdout, stderr) == (2, "", f"error: {outcome[2]}\n")
+                assert not csv.exists()
+                continue
+            assert code == 0, stderr
+            written = csv.read_text() if argv[0] == "ece" else ""
+            assert all_finite(kv.split("=")[1] for kv in stdout.split())
+            assert all_finite(v for row in written.splitlines()[1:] for v in row.split(","))
+            assert run_quiet(argv) == (0, stdout, stderr)
+            assert written == "" or csv.read_text() == written
 
 
 def write_posteriors(path, table):
@@ -515,6 +648,13 @@ class TestTargetsCommand:
         _, err = run_rejected(tmp_path, "targets", "--align", align, "--out", "t.tsv")
         assert err.startswith(f"error: {align}:2: ")
         assert not (tmp_path / "t.tsv").exists()
+
+    def test_next_line_character_does_not_end_an_alignment_line(self, capsys, tmp_path):
+        align = tmp_path / "align.tsv"
+        align.write_bytes(b"u1\ta a\xc2\x85b\n")
+        code, stdout, _ = run(capsys, "targets", "--align", align, "--out", tmp_path / "t.tsv")
+        assert code == 0
+        assert stdout == "utterances=1 frames=3 teachers=0\n"
 
 
 def posterior_rows(utt, n):
@@ -792,6 +932,37 @@ class TestPlumbing:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_package_exports_are_pinned(self):
+        assert distilcal.__all__ == [
+            "Alignments", "BinStats", "ConfigurationError", "DEFAULT_BOUNDS", "DistilcalError",
+            "EvalResult", "FileFormatError", "InvalidInputError", "InvalidParameterError",
+            "ReliabilityReport", "Runs", "SweepConfig", "SweepRow", "SyntheticTask",
+            "TemperatureFit", "ToyNetwork", "TrainConfig", "UnmappedTokenError", "alignment",
+            "as_logits", "as_probs", "bin_by_confidence", "calibration", "combine_scores",
+            "cross_entropy", "deduplicate", "ece", "entropy", "errors", "evaluate",
+            "fit_temperature", "generate_data", "grad_check", "head_targets",
+            "interpolate_target", "kd_loss", "log_softmax_t", "losses", "make_student",
+            "make_task", "make_teacher", "map_units", "multitask_loss", "network_loss_and_grad",
+            "nll_at_temperature", "one_hot", "probs", "rank_confidence_correct",
+            "reliability_csv", "smooth_label", "soft_label", "softmax_t", "sweep_csv",
+            "sweep_lambda", "targets", "teacher_posteriors", "teacher_streams", "tempscale",
+            "top_n", "toy", "train", "train_cell",
+        ]
+        assert all(hasattr(distilcal, name) for name in distilcal.__all__)
+
+    @pytest.mark.parametrize("argv", [
+        ["--version"],
+        ["ece", "--input", str(DATA / "predictions_hand4.jsonl"), "--out", "o.csv"],
+    ], ids=["version", "ece"])
+    def test_commands_that_train_nothing_never_import_toy(self, tmp_path, argv):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "distilcal.cli", *argv],
+            cwd=tmp_path, env=child_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        assert "distilcal.fileio" in imported and "distilcal.toy" not in imported
 
     def test_help_on_every_subcommand(self, capsys):
         for sub in ("ece", "fit-temp", "combine", "targets", "train", "sweep"):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,9 @@ from hypothesis import strategies as st
 
 from distilcal import FileFormatError
 from distilcal import fileio
-from distilcal.fileio import read_posterior_file
+from distilcal.fileio import read_hypothesis_file, read_posterior_file, read_prediction_file
+
+from oracles import ref_read_hypothesis_file, ref_read_prediction_file
 
 # One malformed posterior file per error, with the line and message reported
 # by the line-at-a-time reader that the vectorised one replaced.
@@ -127,3 +131,117 @@ def test_non_utf8_byte_names_its_line(reader, tmp_path):
         getattr(fileio, reader)(path)
     assert info.value.line_no == 3
     assert str(info.value) == f"{path}:3: not valid UTF-8 (byte 0xff)"
+
+
+@pytest.mark.parametrize("reader", sorted(GOOD_LINES))
+def test_non_utf8_line_number_counts_line_feeds_only(reader, tmp_path):
+    good = GOOD_LINES[reader]
+    path = tmp_path / "input"
+    path.write_bytes(good + b"\n\f\x0b\n" + good[:3] + b"\xff" + good[3:] + b"\n")
+    with pytest.raises(FileFormatError) as info:
+        getattr(fileio, reader)(path)
+    assert str(info.value) == f"{path}:3: not valid UTF-8 (byte 0xff)"
+
+
+def test_crlf_unit_map_keeps_no_carriage_return(tmp_path):
+    path = tmp_path / "map.tsv"
+    path.write_bytes(b"a\tA\r\nb\tB\r\n")
+    assert fileio.read_unit_map_file(path) == {"a": "A", "b": "B"}
+
+
+#: JSON number tokens whose float conversion is easy to get wrong.
+NUMBER_TOKENS = [
+    "0", "-0", "-0.0", "0.0", "1e3", "-2.5E-3", "1E+2", "3.25", "5e-324",
+    "1.7976931348623157e308", str(2**53 + 1), str(2**63), str(2**64),
+    str(-(2**63) - 1), "123456789012345678901234567890",
+]
+number_token = st.one_of(
+    st.sampled_from(NUMBER_TOKENS), st.floats(-1e6, 1e6, allow_nan=False).map(repr)
+)
+
+
+@st.composite
+def prediction_text(draw):
+    k = draw(st.integers(2, 5))
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        row = ", ".join(draw(number_token) for _ in range(k))
+        lines.append(f'{{"logits": [{row}], "label": {draw(st.integers(0, k - 1))}}}')
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_predictions(path):
+    logits, labels = read_prediction_file(path)
+    ref_logits, ref_labels = ref_read_prediction_file(path)
+    for got, want in ((logits, ref_logits), (labels, ref_labels)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_prediction_number_forms_bit_identical_to_reference(tmp_path):
+    path = tmp_path / "p.jsonl"
+    path.write_text("".join(
+        f'{{"logits": [{token}, 1], "label": {i % 2}}}\n' for i, token in enumerate(NUMBER_TOKENS)
+    ))
+    assert_same_predictions(path)
+    logits, _ = read_prediction_file(path)
+    assert np.signbit(logits[2, 0]) and logits[10, 0] == 2.0**53 and logits[12, 0] == 2.0**64
+
+
+@settings(max_examples=80, deadline=None)
+@given(prediction_text())
+def test_prediction_arrays_bit_identical_to_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("pred") / "p.jsonl"
+    path.write_text(text)
+    assert_same_predictions(path)
+
+
+def hypothesis_groups(hyps):
+    """``read_hypothesis_file``'s arrays as the reference reader's dict."""
+    return {
+        utt: (hyps.ids[lo:hi], hyps.scores[lo:hi])
+        for utt, lo, hi in zip(hyps.utts, hyps.offsets.tolist(), hyps.offsets[1:].tolist())
+    }
+
+
+def assert_same_hypotheses(path):
+    got, want = hypothesis_groups(read_hypothesis_file(path)), ref_read_hypothesis_file(path)
+    assert list(got) == list(want)
+    for utt, (ids, scores) in want.items():
+        assert got[utt][0] == ids
+        assert (got[utt][1].dtype, got[utt][1].shape) == (scores.dtype, scores.shape)
+        assert got[utt][1].tobytes() == scores.tobytes()
+
+
+def test_hypotheses_grouped_by_first_appearance_in_file_order(tmp_path):
+    path = tmp_path / "h.jsonl"
+    rows = [("b", "x", -1), ("a", "y", -2.5), ("b", "z", -1), ("c", "w", "-0.0"), ("a", "v", "1e1")]
+    path.write_text("".join(
+        f'{{"utt": "{utt}", "id": "{i}", "am_logp": {am}, "lm_logp": -1.0}}\n' for utt, i, am in rows
+    ))
+    hyps = read_hypothesis_file(path)
+    assert hyps.utts == ["b", "a", "c"]
+    assert hyps.offsets.tolist() == [0, 2, 4, 5]
+    assert hyps.ids == ["x", "z", "y", "v", "w"]
+    assert hyps.scores.tolist() == [[-1, -1], [-1, -1], [-2.5, -1], [10, -1], [-0.0, -1]]
+    assert_same_hypotheses(path)
+
+
+@st.composite
+def hypothesis_text(draw):
+    score = st.one_of(st.sampled_from(["-1", "-1.5", "-0.0", "2e1", "-3E-2", str(2**53 + 1)]),
+                      st.floats(-100, 100).map(repr))
+    lines = []
+    for i in range(draw(st.integers(1, 12))):
+        text = json.dumps({"utt": f"u{draw(st.integers(0, 3))}", "id": f"h{i}",
+                           "am_logp": "@am", "lm_logp": "@lm"})
+        lines.append(text.replace('"@am"', draw(score)).replace('"@lm"', draw(score)))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(hypothesis_text())
+def test_hypothesis_groups_bit_identical_to_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("hyps") / "h.jsonl"
+    path.write_text(text)
+    assert_same_hypotheses(path)

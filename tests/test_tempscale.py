@@ -82,6 +82,29 @@ class TestFitTemperature:
         assert np.isfinite(fit.nll_at_t_star) and fit.nll_at_t_star <= fit.nll_at_unit
         assert fit.t_star == 20.0  # the NLL falls with t wherever it is finite
 
+    def test_nll_evaluated_at_unit_and_found_temperature_only(self, monkeypatch):
+        logits, labels = random_validation(6)
+        temperatures = []
+
+        def counting(z, y, t):
+            temperatures.append(t)
+            return nll_at_temperature(z, y, t)
+
+        monkeypatch.setattr(tempscale, "nll_at_temperature", counting)
+        fit = fit_temperature(logits, labels)
+        assert temperatures == [1.0, fit.t_star]
+
+    def test_monotone_nll_lands_exactly_on_a_bound(self):
+        logits, _ = random_validation(7, n=50, k=4)
+        # always the least likely class: the NLL falls as t grows
+        assert fit_temperature(logits, np.argmin(logits, axis=1), bounds=(0.5, 3.7)).t_star == 3.7
+        sharp = 6.0 * np.eye(4)[np.arange(20) % 4]
+        assert fit_temperature(sharp, np.arange(20) % 4, bounds=(0.3, 2.0)).t_star == 0.3
+
+    def test_flat_nll_keeps_unit_temperature(self):
+        fit = fit_temperature(np.zeros((6, 3)), np.arange(6) % 3)
+        assert (fit.t_star, fit.nll_at_t_star) == (1.0, fit.nll_at_unit)
+
     def test_non_finite_unit_nll_rejected(self):
         logits = np.array([[1.7e308, -1.7e308], [-1.7e308, 1.7e308]])
         with pytest.raises(InvalidInputError, match="t=1"):
@@ -157,6 +180,23 @@ class TestCombineScores:
     def test_non_finite_scores_rejected(self):
         with pytest.raises(InvalidInputError):
             combine_scores([float("nan")], [-1.0], 1.0, 1.0)
+
+    def test_offsets_rank_each_utterance_as_its_own_call(self):
+        rng = np.random.default_rng(29)
+        sizes = [3, 1, 5, 2]
+        am = rng.choice([-1.0, -2.0, -0.0, 0.0, -3.5], size=sum(sizes))
+        lm = rng.choice([-1.0, -4.0, -0.5], size=sum(sizes))
+        offsets = np.cumsum([0, *sizes])
+        order, scores = combine_scores(am, lm, 0.7, 2.5, offsets)
+        for lo, hi in zip(offsets, offsets[1:]):
+            want_order, want_scores = combine_scores(am[lo:hi], lm[lo:hi], 0.7, 2.5)
+            assert order[lo:hi].tolist() == (lo + want_order).tolist()
+            assert scores[lo:hi].tobytes() == want_scores.tobytes()
+
+    def test_bad_offsets_rejected(self):
+        for offsets in ([0, 2], [1, 3], [0, 0, 3], [0, 2, 1, 3], [[0, 3]], [3]):
+            with pytest.raises(InvalidInputError, match="offsets"):
+                combine_scores([-1.0, -2.0, -3.0], [-1.0, -1.0, -1.0], 1.0, 1.0, offsets)
 
     def test_mismatched_or_overflowing_scores_rejected(self):
         for am, lm, t1 in (([-1.0, -2.0], [-1.0], 1.0), ([[-1.0]], [[-1.0]], 1.0),
