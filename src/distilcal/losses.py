@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError
-from .probs import as_logits, as_probs
+from .probs import _row_gaps, as_logits, as_probs
 from .targets import soft_label
 
 #: Floor on log arguments; zero-probability entries contribute exactly 0.
@@ -51,8 +51,7 @@ def cross_entropy(student_logits, targets) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidInputError(
             f"logits shape {logits.shape} does not match targets shape {t.shape}"
         )
-    with np.errstate(over="ignore"):
-        z = logits - logits.max(axis=-1, keepdims=True)
+    z = _row_gaps(logits)
     np.maximum(z, -np.finfo(np.float64).max, out=z)
     values, grads = _cross_entropy(z, t)
     return values[..., 0], grads

@@ -57,8 +57,17 @@ def as_probs(values) -> np.ndarray:
 def _check_temperature(t: float) -> float:
     t = float(t)
     if not np.isfinite(t) or t <= 0.0:
-        raise InvalidParameterError(f"temperature must be positive, got {t!r}")
+        raise InvalidParameterError(f"temperature must be positive and finite, got {t!r}")
     return t
+
+
+def _row_gaps(logits: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """Each row of ``logits`` minus its maximum, divided by ``t``; a gap that
+    passes the float range, before or after the division, is -inf."""
+    with np.errstate(over="ignore"):
+        gaps = logits - logits.max(axis=-1, keepdims=True)
+        gaps /= t
+    return gaps
 
 
 def softmax_t(logits, t: float = 1.0) -> np.ndarray:
@@ -68,24 +77,17 @@ def softmax_t(logits, t: float = 1.0) -> np.ndarray:
     subtracted first, so no intermediate overflows for any finite input.
     ``t=1`` is the plain softmax; large ``t`` flattens toward uniform.
     """
-    arr = as_logits(logits)
-    t = _check_temperature(t)
-    with np.errstate(over="ignore"):  # a gap past the float range is -inf, and exp gives 0
-        z = (arr - arr.max(axis=-1, keepdims=True)) / t
-    e = np.exp(z)
+    e = np.exp(_row_gaps(as_logits(logits), _check_temperature(t)))
     return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax_t(logits, t: float = 1.0) -> np.ndarray:
     """Log of ``softmax_t`` computed without leaving the log domain.
 
-    ``exp(log_softmax_t(x, t))`` agrees with ``softmax_t(x, t)`` to ~1e-16;
-    safe for logit magnitudes up to at least 1e4.
+    ``exp(log_softmax_t(x, t))`` agrees with ``softmax_t(x, t)`` to ~1e-16
+    for any finite input.
     """
-    arr = as_logits(logits)
-    t = _check_temperature(t)
-    with np.errstate(over="ignore"):  # a gap past the float range is the -inf limit
-        z = (arr - arr.max(axis=-1, keepdims=True)) / t
+    z = _row_gaps(as_logits(logits), _check_temperature(t))
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 

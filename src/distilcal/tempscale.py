@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError
-from .probs import as_logits
+from .errors import InvalidInputError
+from .probs import _check_temperature, _row_gaps, as_logits, log_softmax_t
 from .targets import _check_labels
 
 #: Default search bounds; wide enough for any temperature seen in practice.
@@ -37,16 +37,11 @@ class TemperatureFit:
 
 
 def nll_at_temperature(logits: np.ndarray, labels: np.ndarray, t: float) -> float:
-    """Mean negative log-likelihood of the labels under logits / t; not finite,
-    without a warning, where logits near the float limit overflow."""
-    if t <= 0.0:
-        raise InvalidParameterError(f"temperature must be positive, got {t}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = logits / t
-        z = z - z.max(axis=-1, keepdims=True)
-        lse = np.log(np.exp(z).sum(axis=-1))
-        picked = z[np.arange(len(labels)), labels]
-        return float(np.mean(lse - picked))
+    """Mean negative log-likelihood of the labels under ``softmax_t(logits, t)``:
+    the mean of ``-log_softmax_t(logits, t)`` at the labels. It is +inf where a
+    label's gap to its row maximum passes the float range at t."""
+    picked = log_softmax_t(logits, t)[np.arange(len(labels)), labels]
+    return float(0.0 - np.mean(picked))  # +0.0, not -0.0, for a perfect fit
 
 
 def _slope_and_curvature(gaps: np.ndarray, picked: np.ndarray, beta: float) -> tuple[float, float]:
@@ -98,8 +93,7 @@ def fit_temperature(
     if not math.isfinite(nll_unit):
         raise InvalidInputError("the NLL at t=1 is not finite; logits are too large")
 
-    with np.errstate(over="ignore"):
-        gaps = logits - logits.max(axis=1, keepdims=True)
+    gaps = _row_gaps(logits)
     picked = gaps[np.arange(len(labels)), labels]  # finite, as the NLL at t=1 is
 
     lo, hi = 1.0 / t_max, 1.0 / t_min
@@ -162,10 +156,7 @@ def combine_scores(
         raise InvalidInputError(
             f"offsets must rise from 0 to {len(am)}, one non-empty utterance each"
         )
-    if not all(math.isfinite(t) and t > 0.0 for t in (t1, t2)):
-        raise InvalidParameterError(
-            f"temperatures must be positive and finite, got {t1}, {t2}"
-        )
+    t1, t2 = _check_temperature(t1), _check_temperature(t2)
     with np.errstate(over="ignore", invalid="ignore"):
         scores = am / t1 + lm / t2
     if not np.all(np.isfinite(scores)):  # a non-finite input, or an overflow

@@ -26,7 +26,7 @@ import numpy as np
 from .calibration import ReliabilityReport, _fmt6, ece, rank_confidence_correct
 from .errors import ConfigurationError, InvalidInputError, InvalidParameterError
 from .losses import _add_head, _cross_entropy
-from .probs import softmax_t
+from .probs import _check_temperature, softmax_t
 from .targets import interpolate_target, one_hot, smooth_label, soft_label
 
 _METHODS = ("baseline", "label_smooth", "lst", "multitask")
@@ -100,7 +100,7 @@ def make_task(
     if coarse_classes is not None:
         if not 2 <= coarse_classes <= num_classes:
             raise InvalidParameterError(
-                f"coarse_classes must be in [2, {num_classes}], got {coarse_classes}"
+                f"coarse_classes must be None or in [2, {num_classes}], got {coarse_classes}"
             )
         coarse = np.arange(num_classes) % coarse_classes
     return SyntheticTask(
@@ -262,10 +262,7 @@ class TrainConfig:
             raise InvalidParameterError(f"lam must be in [0, 1], got {self.lam}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise InvalidParameterError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if not (math.isfinite(self.temperature) and self.temperature > 0.0):
-            raise InvalidParameterError(
-                f"temperature must be positive and finite, got {self.temperature}"
-            )
+        _check_temperature(self.temperature)
 
 
 def _check_teachers(
@@ -525,11 +522,6 @@ class SweepConfig:
             raise InvalidParameterError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.input_dim < 1:
             raise InvalidParameterError(f"input_dim must be >= 1, got {self.input_dim}")
-        if self.coarse_classes is not None and not 2 <= self.coarse_classes <= self.num_classes:
-            raise InvalidParameterError(
-                f"coarse_classes must be None or in [2, {self.num_classes}], "
-                f"got {self.coarse_classes}"
-            )
         counts = (
             "n_train", "n_test", "epochs", "batch_size", "hidden_dim",
             "teacher_hidden_multiplier", "teacher_data_multiplier",
@@ -544,12 +536,7 @@ class SweepConfig:
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0.0):
                 raise InvalidParameterError(f"{key} must be positive and finite, got {value}")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
-            raise InvalidParameterError(
-                f"noise_sigma must be finite and >= 0, got {self.noise_sigma}"
-            )
-        if not math.isfinite(self.mean_scale):
-            raise InvalidParameterError(f"mean_scale must be finite, got {self.mean_scale}")
+        _sweep_task(self)
 
 
 @dataclass(frozen=True)

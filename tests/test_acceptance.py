@@ -13,7 +13,7 @@ import numpy as np
 import distilcal as dc
 from distilcal.cli import main as cli_main
 from distilcal.probs import softmax_t
-from distilcal.toy import _derive_seed, pooled_gap
+from distilcal.toy import _derive_seed, _parallel_map, pooled_gap
 
 from oracles import alignments_of, brute_force_ece, dense_grid_temperature
 
@@ -208,7 +208,8 @@ def test_criterion_06_temperature_fitting_and_combination():
            f"nll {ok_nll}, scale {ok_scale}, flip {flip}, joint-scaling {ok_scaling}")
 
 
-def _train_and_record(method, seed, epsilon=0.2):
+def _train_and_record(job):
+    method, seed = job
     run = CALIBRATION_RUN
     task = dc.make_task(seed=0, noise_sigma=run["noise_sigma"])
     x_train, y_train = dc.generate_data(task, run["n_samples"], _derive_seed(seed, "train"))
@@ -217,7 +218,7 @@ def _train_and_record(method, seed, epsilon=0.2):
     cfg = dc.TrainConfig(method=method, epochs=run["epochs"],
                          learning_rate=run["learning_rate"],
                          batch_size=run["batch_size"],
-                         seed=_derive_seed(seed, "shuffle"), epsilon=epsilon)
+                         seed=_derive_seed(seed, "shuffle"), epsilon=0.2)
     dc.train(net, x_train, y_train, cfg)
     _, logits = net.forward_batch(x_test)
     probs = softmax_t(logits["sl"])
@@ -227,9 +228,11 @@ def _train_and_record(method, seed, epsilon=0.2):
 def test_criterion_07_label_smoothing_underconfident_at_lower_ranks():
     hits = 0
     details = []
+    jobs = [(method, seed) for seed in SEEDS for method in ("baseline", "label_smooth")]
+    records = dict(zip(jobs, _parallel_map(_train_and_record, jobs)))
     for seed in SEEDS:
-        base = _train_and_record("baseline", seed)
-        smooth = _train_and_record("label_smooth", seed, epsilon=0.2)
+        base = records["baseline", seed]
+        smooth = records["label_smooth", seed]
         gap1_base = pooled_gap(*base, 1)
         gap1 = pooled_gap(*smooth, 1)
         gap2 = pooled_gap(*smooth, 2)

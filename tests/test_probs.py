@@ -92,6 +92,20 @@ class TestLogSoftmax:
             out = log_softmax_t([1e308, -1e308])
         assert out.tolist() == [0.0, -math.inf]
 
+    def test_division_past_float_range_is_minus_inf_without_warning(self):
+        for logits in ([1e308, -1e308], [1e308, -7e307]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                log_p = log_softmax_t(logits, 0.5)
+                p = softmax_t(logits, 0.5)
+            assert log_p.tolist() == [0.0, -math.inf]
+            assert p.tolist() == [1.0, 0.0]
+
+    def test_rejects_bad_temperature_naming_the_rule(self):
+        for t in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError, match="positive and finite"):
+                log_softmax_t([1.0, 2.0], t)
+
     def test_magnitude_1e4_stays_finite(self):
         rng = np.random.default_rng(2)
         for t in (1e-3, 1.0, 1e9):

@@ -25,6 +25,30 @@ def random_validation(seed, n=80, k=6, scale=3.0):
     return logits, labels
 
 
+class TestNllAtTemperature:
+    def test_gap_near_float_limit_at_low_temperature(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nll = nll_at_temperature(np.array([[1e308, 9.9e307]]), np.array([0]), 0.5)
+        assert nll == 0.0
+
+    def test_perfect_fit_is_positive_zero(self):
+        nll = nll_at_temperature(np.array([[0.0, -1000.0]]), np.array([0]), 1.0)
+        assert nll == 0.0 and np.copysign(1.0, nll) == 1.0
+
+    def test_label_past_float_range_is_infinite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nll = nll_at_temperature(np.array([[1e308, -1e308]]), np.array([1]), 1.0)
+        assert nll == np.inf
+
+    def test_non_finite_or_non_positive_temperature_rejected(self):
+        logits, labels = random_validation(0)
+        for t in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(InvalidParameterError, match="positive and finite"):
+                nll_at_temperature(logits, labels, t)
+
+
 class TestFitTemperature:
     def test_never_worse_than_unit(self):
         for seed in range(8):
@@ -81,6 +105,15 @@ class TestFitTemperature:
             fit = fit_temperature(logits, np.array([0, 0]))
         assert np.isfinite(fit.nll_at_t_star) and fit.nll_at_t_star <= fit.nll_at_unit
         assert fit.t_star == 20.0  # the NLL falls with t wherever it is finite
+
+    def test_low_temperature_near_float_limit_wins(self):
+        logits = np.array([[1e308, 1e308, 0.0]] + 20 * [[1.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_temperature(logits, np.zeros(21, dtype=int))
+        assert fit.t_star == 0.05
+        assert fit.nll_at_t_star == pytest.approx(np.log(2.0) / 21, rel=1e-6)
+        assert fit.nll_at_unit == pytest.approx(0.558, abs=1e-3)
 
     def test_nll_evaluated_at_unit_and_found_temperature_only(self, monkeypatch):
         logits, labels = random_validation(6)
