@@ -12,19 +12,19 @@ Formats (one record per line throughout):
 
 Only LF ends a line (a CR before it is dropped), and blank lines are
 skipped but counted. Parse errors raise :class:`FileFormatError` carrying
-the offending line number. The two JSON-lines readers parse each line on its
-own, then check and convert the whole file at once; only a file that fails
-that check is walked record by record, and that walk alone decides which
-line and message are reported. Posterior vectors may be off the simplex by up to 1e-6
-(6-decimal files round); they are renormalized on load, anything worse is
-rejected.
+the offending line number. The prediction, hypothesis and posterior formats
+each have one check, which runs on the file a chunk of lines at a time; a
+chunk it rejects is checked again line by line, and the first line rejected
+is reported with that check's message. Posterior vectors may be off the
+simplex by up to 1e-6 (6-decimal files round); they are renormalized on
+load, anything worse is rejected.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
+import re
 import tempfile
 from itertools import chain
 from operator import itemgetter
@@ -41,9 +41,8 @@ POSTERIOR_SUM_TOL = 1e-6
 
 #: ``type(v)`` of a JSON number; JSON true/false parse to bool, an int subclass.
 _NUMBER_TYPES = frozenset({int, float})
-_HYPOTHESIS_KEYS = {"utt", "id", "am_logp", "lm_logp"}
-_FIELD_BREAKS = frozenset("\t\r\n")  # would split an id or utt across output fields
-#: JSON lines parsed at a time by the whole-file checks.
+_FIELD_BREAK = re.compile("[\t\r\n]")  # would split an id or utt across output fields
+#: Lines checked at a time, so that the parsed lines of a whole file never live at once.
 _CHUNK = 4096
 
 
@@ -63,122 +62,89 @@ def _lines(path) -> list[tuple[int, str]]:
     ]
 
 
-def _json_columns(lines, keys: tuple[str, ...]) -> list[list] | None:
-    """Per key, its value on every line, or None when a line is not a JSON
-    object holding every key. Lines are parsed a chunk at a time, so that
-    the parsed objects of the whole file never live at once."""
-    columns: list[list] = [[] for _ in keys]
+class _Rejected(Exception):
+    """A check rejects a chunk of lines. Its message is shown only for a chunk
+    of one line, so it need only be right for one line."""
+
+
+def _checked(path, lines, check) -> list:
+    """``check(chunk)`` per chunk of ``_CHUNK`` lines. A check returns its
+    chunk's arrays or raises :class:`_Rejected`, and changes its state only
+    when the whole chunk passes; so a chunk passes exactly when each of its
+    lines passes in turn, and a rejected chunk is checked again line by line
+    to report the first line rejected, with its message."""
+    parts = []
     for start in range(0, len(lines), _CHUNK):
+        chunk = lines[start : start + _CHUNK]
         try:
-            records = [json.loads(line) for _, line in lines[start : start + _CHUNK]]
-        except ValueError:  # JSONDecodeError, or an integer over the digit limit
-            return None
-        if set(map(type, records)) != {dict}:
-            return None
-        try:
-            for column, key in zip(columns, keys):
-                column += map(itemgetter(key), records)
-        except KeyError:
-            return None
-    return columns
+            parts.append(check(chunk))
+        except _Rejected:
+            for line in chunk:
+                try:
+                    parts.append(check([line]))
+                except _Rejected as e:
+                    raise FileFormatError(path, line[0], str(e)) from None
+    return parts
 
 
-def _json_lines(path, lines):
-    """``(line_no, value)`` per line, each parsed as one JSON value."""
-    for line_no, line in lines:
-        try:
-            yield line_no, json.loads(line)
-        except ValueError as e:  # JSONDecodeError, or an integer over the digit limit
-            raise FileFormatError(path, line_no, f"bad JSON: {getattr(e, 'msg', e)}") from None
-
-
-def _finite_floats(values) -> list[float] | None:
-    """``values`` as floats, or None when one is not finite as a float."""
+def _json_columns(chunk, keys: tuple[str, ...]) -> list[list]:
+    """Per key, its value on every line of ``chunk``; rejects a line that is
+    not JSON, or not an object holding every key."""
     try:
-        floats = [float(v) for v in values]
-    except OverflowError:  # an integer beyond the float range
-        return None
-    return floats if all(map(math.isfinite, floats)) else None
+        records = [json.loads(line) for _, line in chunk]
+    except ValueError as e:  # JSONDecodeError, or an integer over the digit limit
+        raise _Rejected(f"bad JSON: {getattr(e, 'msg', e)}") from None
+    try:
+        if set(map(type, records)) == {dict}:
+            return [list(map(itemgetter(key), records)) for key in keys]
+    except KeyError:
+        pass
+    raise _Rejected(f"need keys {', '.join(map(repr, keys[:-1]))} and {keys[-1]!r}")
 
 
-def _finite_array(rows) -> np.ndarray | None:
-    """``rows`` of JSON numbers as one float64 array, or None when one is not
-    finite as a float; each value converts exactly as ``float(v)`` does."""
+def _finite_array(rows, message: str) -> np.ndarray:
+    """``rows`` of JSON numbers as one float64 array, each value converted as
+    ``float(v)`` converts it; rejects with ``message`` rows of several widths
+    and a value that is not finite as a float."""
     try:
         arr = np.array(rows, dtype=np.float64)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    return arr if np.isfinite(arr).all() else None
-
-
-def _predictions_at_once(lines) -> tuple[np.ndarray, np.ndarray] | None:
-    """The arrays of a prediction file when every record is valid, else None."""
-    columns = _json_columns(lines, ("logits", "label"))
-    if columns is None:
-        return None
-    rows, labels = columns
-    widths = set(map(len, rows)) if set(map(type, rows)) == {list} else set()
-    if len(widths) != 1 or min(widths) < 2:
-        return None
-    (width,) = widths
-    if (
-        not set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES
-        or set(map(type, labels)) != {int}
-        or not 0 <= min(labels) <= max(labels) < width
-    ):
-        return None
-    logits = _finite_array(rows)
-    return None if logits is None else (logits, np.array(labels))
-
-
-def _predictions_by_line(path, lines) -> tuple[np.ndarray, np.ndarray]:
-    """The arrays of a prediction file, read one record at a time; raises at
-    the first bad line with the message of the first check it fails."""
-    logits: list[list[float]] = []
-    labels: list[int] = []
-    width = None
-    for line_no, obj in _json_lines(path, lines):
-        if not isinstance(obj, dict) or "logits" not in obj or "label" not in obj:
-            raise FileFormatError(path, line_no, "need keys 'logits' and 'label'")
-        row = obj["logits"]
-        if (
-            not isinstance(row, list)
-            or len(row) < 2
-            or not all(type(v) in _NUMBER_TYPES for v in row)
-        ):
-            raise FileFormatError(path, line_no, "'logits' must list >= 2 numbers")
-        values = _finite_floats(row)
-        if values is None:
-            raise FileFormatError(path, line_no, "logits must be finite")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise FileFormatError(
-                path, line_no, f"expected {width} logits, got {len(row)}"
-            )
-        label = obj["label"]
-        if not isinstance(label, int) or isinstance(label, bool):
-            raise FileFormatError(path, line_no, "'label' must be an integer")
-        if not 0 <= label < len(row):
-            raise FileFormatError(
-                path, line_no, f"label {label} out of range for {len(row)} classes"
-            )
-        logits.append(values)
-        labels.append(label)
-    if not logits:
-        raise FileFormatError(path, 0, "no prediction records found")
-    return np.array(logits), np.array(labels)
+    except (ValueError, OverflowError):  # ragged rows, or an integer beyond the float range
+        raise _Rejected(message) from None
+    if not np.isfinite(arr).all():
+        raise _Rejected(message)
+    return arr
 
 
 def read_prediction_file(path) -> tuple[np.ndarray, np.ndarray]:
-    """Logit matrix and label vector from a JSON-lines prediction file.
+    """Logit matrix and label vector from a JSON-lines prediction file."""
+    width = None  # of the first row
 
-    The whole file is checked at once; a file that fails that check is read
-    again one record at a time, which names its first bad line.
-    """
-    lines = _lines(path)
-    arrays = _predictions_at_once(lines)
-    return _predictions_by_line(path, lines) if arrays is None else arrays
+    def check(chunk):
+        nonlocal width
+        rows, labels = _json_columns(chunk, ("logits", "label"))
+        if (
+            set(map(type, rows)) != {list}
+            or min(map(len, rows)) < 2
+            or not set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES
+        ):
+            raise _Rejected("'logits' must list >= 2 numbers")
+        logits = _finite_array(rows, "logits must be finite")
+        first = logits.shape[1] if width is None else width
+        if logits.shape[1] != first:
+            raise _Rejected(f"expected {first} logits, got {logits.shape[1]}")
+        if set(map(type, labels)) != {int}:
+            raise _Rejected("'label' must be an integer")
+        lo, hi = min(labels), max(labels)
+        if lo < 0 or hi >= first:
+            raise _Rejected(f"label {lo if lo < 0 else hi} out of range for {first} classes")
+        width = first
+        return logits, np.array(labels)
+
+    parts = _checked(path, _lines(path), check)
+    if not parts:
+        raise FileFormatError(path, 0, "no prediction records found")
+    logits, labels = zip(*parts)
+    return np.concatenate(logits), np.concatenate(labels)
 
 
 class Hypotheses(NamedTuple):
@@ -193,68 +159,31 @@ class Hypotheses(NamedTuple):
     scores: np.ndarray
 
 
-def _hypotheses_at_once(lines) -> tuple[list[str], list[str], np.ndarray] | None:
-    """Utterance ids, hypothesis ids and ``(N, 2)`` scores of a hypothesis
-    file in file order when every record is valid, else None."""
-    columns = _json_columns(lines, ("utt", "id", "am_logp", "lm_logp"))
-    if columns is None:
-        return None
-    utts, ids, am, lm = columns
-    texts = utts + ids
-    if (
-        set(map(type, texts)) != {str}
-        or not all(texts)
-        or not set(map(type, am + lm)) <= _NUMBER_TYPES
-    ):
-        return None
-    joined = "".join(texts)
-    if any(c in joined for c in _FIELD_BREAKS):
-        return None
-    scores = _finite_array([am, lm])
-    return None if scores is None else (utts, ids, scores.T)
-
-
-def _hypotheses_by_line(path, lines) -> tuple[list[str], list[str], np.ndarray]:
-    """:func:`_hypotheses_at_once`'s fields, read one record at a time;
-    raises at the first bad line with the message of the first check it fails."""
-    utts: list[str] = []
-    ids: list[str] = []
-    rows: list[list[float]] = []
-    for line_no, obj in _json_lines(path, lines):
-        if not isinstance(obj, dict) or not _HYPOTHESIS_KEYS <= obj.keys():
-            raise FileFormatError(path, line_no, "need keys 'utt', 'id', 'am_logp' and 'lm_logp'")
-        utt, hyp_id = obj["utt"], obj["id"]
-        for key, text in (("utt", utt), ("id", hyp_id)):
-            if not isinstance(text, str) or not text or not _FIELD_BREAKS.isdisjoint(text):
-                raise FileFormatError(
-                    path, line_no, f"{key!r} must be a non-empty string without tabs or newlines"
-                )
-        pair = (obj["am_logp"], obj["lm_logp"])
-        scores = _finite_floats(pair) if all(type(v) in _NUMBER_TYPES for v in pair) else None
-        if scores is None:
-            raise FileFormatError(path, line_no, "'am_logp' and 'lm_logp' must be finite numbers")
-        utts.append(utt)
-        ids.append(hyp_id)
-        rows.append(scores)
-    if not rows:
-        raise FileFormatError(path, 0, "no hypotheses found")
-    return utts, ids, np.array(rows)
+def _check_hypotheses(chunk) -> tuple[list[str], list[str], np.ndarray]:
+    """Utterance ids, hypothesis ids and ``(n, 2)`` scores of ``chunk``."""
+    utts, ids, am, lm = _json_columns(chunk, ("utt", "id", "am_logp", "lm_logp"))
+    for key, texts in (("utt", utts), ("id", ids)):
+        if set(map(type, texts)) != {str} or not all(texts) or _FIELD_BREAK.search("".join(texts)):
+            raise _Rejected(f"{key!r} must be a non-empty string without tabs or newlines")
+    message = "'am_logp' and 'lm_logp' must be finite numbers"
+    if not set(map(type, am + lm)) <= _NUMBER_TYPES:
+        raise _Rejected(message)
+    return utts, ids, _finite_array([am, lm], message).T
 
 
 def read_hypothesis_file(path) -> Hypotheses:
-    """All hypotheses of a JSON-lines file, grouped by utterance.
-
-    The whole file is checked at once; a file that fails that check is read
-    again one record at a time, which names its first bad line.
-    """
-    lines = _lines(path)
-    fields = _hypotheses_at_once(lines)
-    utts, ids, scores = _hypotheses_by_line(path, lines) if fields is None else fields
+    """All hypotheses of a JSON-lines file, grouped by utterance."""
+    parts = _checked(path, _lines(path), _check_hypotheses)
+    if not parts:
+        raise FileFormatError(path, 0, "no hypotheses found")
+    utts, ids, scores = zip(*parts)
     group: dict[str, int] = {}  # utterance id -> its rank in order of first appearance
-    codes = np.array([group.setdefault(utt, len(group)) for utt in utts])
+    codes = np.array([group.setdefault(utt, len(group)) for utt in chain.from_iterable(utts)])
     order = np.argsort(codes, kind="stable")
     offsets = np.concatenate(([0], np.cumsum(np.bincount(codes))))
-    return Hypotheses(list(group), offsets, [ids[i] for i in order.tolist()], scores[order])
+    ids = list(chain.from_iterable(ids))
+    return Hypotheses(list(group), offsets, [ids[i] for i in order.tolist()],
+                      np.concatenate(scores)[order])
 
 
 def read_alignment_file(path) -> Alignments:
@@ -300,90 +229,58 @@ def read_posterior_file(path) -> dict[str, np.ndarray]:
     """Per-utterance ``(T, K)`` posterior matrices, rows ordered by token index.
 
     Token indices must be contiguous from 0 within each utterance and all
-    vectors in the file must share one width. The first bad line is reported
-    as if lines were checked one at a time: columns, token index, numbers,
-    range, width, sum, then duplicate index.
+    vectors in the file must share one width. Each line is checked for its
+    columns, token index, numbers, range, width, sum, then duplicate index.
     """
-    line_nos: list[int] = []
-    counts: list[int] = []
-    fields: list[str] = []
-    rows: dict[str, dict[int, int]] = {}  # utt -> token index -> row
-    duplicate = None  # first row repeating an (utt, token index) pair
-    error = None  # the line that ends the scan, with its message
-    for line_no, line in _lines(path):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            error = (line_no, "expected 'utt<TAB>token-index<TAB>p0 p1 ...'")
-            break
+    width = None  # of the first row
+    rows: dict[tuple[str, int], int] = {}  # (utt, token index) -> its row, in file order
+
+    def check(chunk):
+        nonlocal width
+        split = [line.split("\t") for _, line in chunk]
+        if set(map(len, split)) != {3}:
+            raise _Rejected("expected 'utt<TAB>token-index<TAB>p0 p1 ...'")
+        utts, index_texts, value_texts = zip(*split)
         try:
-            index = int(parts[1])
+            indices = list(map(int, index_texts))
         except ValueError:
-            error = (line_no, f"bad token index {parts[1]!r}")
-            break
-        if index < 0:
-            error = (line_no, f"negative token index {index}")
-            break
-        row = len(line_nos)
-        per_utt = rows.setdefault(parts[0].strip(), {})
-        if index in per_utt:
-            if duplicate is None:
-                duplicate = (row, f"duplicate token index {index}")
-        else:
-            per_utt[index] = row
-        row_fields = parts[2].split()
-        line_nos.append(line_no)
-        counts.append(len(row_fields))
-        fields.extend(row_fields)
+            raise _Rejected(f"bad token index {index_texts[0]!r}") from None
+        if min(indices) < 0:
+            raise _Rejected(f"negative token index {min(indices)}")
+        fields = [text.split() for text in value_texts]
+        try:
+            flat = np.array(list(map(float, chain.from_iterable(fields))))
+        except ValueError:
+            raise _Rejected("probabilities must be numbers") from None
+        counts = set(map(len, fields))
+        if min(counts) < 2 or not (np.isfinite(flat) & (flat >= 0.0)).all():
+            raise _Rejected("need >= 2 finite non-negative probabilities")
+        first = len(fields[0]) if width is None else width
+        if counts != {first}:
+            raise _Rejected(f"expected {first} probabilities, got {max(counts - {first})}")
+        mat = flat.reshape(len(fields), first)
+        with np.errstate(over="ignore"):  # a sum past the float range is inf, rejected below
+            totals = mat.sum(axis=1)
+        off = np.abs(totals - 1.0) > POSTERIOR_SUM_TOL
+        if off.any():
+            raise _Rejected(f"probabilities sum to {totals[off.argmax()]:.8f}, not 1")
+        keys = list(zip(map(str.strip, utts), indices))
+        if len(set(keys)) < len(keys) or not rows.keys().isdisjoint(keys):
+            raise _Rejected(f"duplicate token index {indices[0]}")
+        width = first
+        rows.update(zip(keys, range(len(rows), len(rows) + len(keys))))
+        return mat / totals[:, None]
 
-    # Each check below looks only at the rows before the first bad line found
-    # so far, in the order a line is checked, so an earlier line always wins.
-    n = len(line_nos)
-
-    def fail(row: int, message: str) -> None:
-        nonlocal n, error
-        n, error = row, (line_nos[row], message)
-
-    try:
-        values = list(map(float, fields))
-    except ValueError:
-        values = []
-        for text in fields:
-            try:
-                values.append(float(text))
-            except ValueError:
-                break
-        row = int(np.searchsorted(np.cumsum(counts), len(values), side="right"))
-        fail(row, "probabilities must be numbers")
-    flat = np.array(values[: sum(counts[:n])], dtype=np.float64)
-    width = counts[0] if n else 0
-    counts_arr = np.array(counts[:n], dtype=np.intp)
-    out_of_range = ~np.isfinite(flat) | (flat < 0)
-    bad_values = np.bincount(
-        np.repeat(np.arange(n), counts_arr), weights=out_of_range, minlength=n
-    ) > 0
-    bad = (counts_arr < 2) | bad_values | (counts_arr != width)
-    if bad.any():
-        row = int(bad.argmax())
-        if counts_arr[row] < 2 or bad_values[row]:
-            fail(row, "need >= 2 finite non-negative probabilities")
-        else:
-            fail(row, f"expected {width} probabilities, got {counts_arr[row]}")
-    mat = flat[: n * width].reshape(n, width)
-    totals = mat.sum(axis=1)
-    off = np.abs(totals - 1.0) > POSTERIOR_SUM_TOL
-    if off.any():
-        row = int(off.argmax())
-        fail(row, f"probabilities sum to {totals[row]:.8f}, not 1")
-    if duplicate is not None and duplicate[0] < n:
-        fail(*duplicate)
-    if error is not None:
-        raise FileFormatError(path, *error)
-    if not line_nos:
+    parts = _checked(path, _lines(path), check)
+    if not parts:
         raise FileFormatError(path, 0, "no posteriors found")
-    mat = mat / totals[:, None]
+    mat = np.concatenate(parts)
+    by_utt: dict[str, dict[int, int]] = {}  # utt -> token index -> row
+    for (utt, index), row in rows.items():
+        by_utt.setdefault(utt, {})[index] = row
     out: dict[str, np.ndarray] = {}
-    for utt, by_index in rows.items():
-        if set(by_index) != set(range(len(by_index))):
+    for utt, by_index in by_utt.items():
+        if max(by_index) != len(by_index) - 1:
             raise FileFormatError(
                 path, 0, f"utterance {utt!r} has gaps in its token indices"
             )

@@ -36,10 +36,20 @@ class TemperatureFit:
     search_bounds: tuple[float, float]
 
 
+def _logits_and_labels(logits, labels) -> tuple[np.ndarray, np.ndarray]:
+    """``(N, K)`` finite logits and their N labels, each in ``[0, K)``."""
+    logits = as_logits(logits)
+    labels = _check_labels(labels, logits.shape[-1])
+    if logits.shape != (len(labels), logits.shape[-1]):
+        raise InvalidInputError(f"need one row of logits per label, got {logits.shape}")
+    return logits, labels
+
+
 def nll_at_temperature(logits: np.ndarray, labels: np.ndarray, t: float) -> float:
     """Mean negative log-likelihood of the labels under ``softmax_t(logits, t)``:
     the mean of ``-log_softmax_t(logits, t)`` at the labels. It is +inf where a
     label's gap to its row maximum passes the float range at t."""
+    logits, labels = _logits_and_labels(logits, labels)
     picked = log_softmax_t(logits, t)[np.arange(len(labels)), labels]
     return float(0.0 - np.mean(picked))  # +0.0, not -0.0, for a perfect fit
 
@@ -85,10 +95,7 @@ def fit_temperature(
         raise InvalidInputError(f"need 0 < t_min < t_max < inf, got {bounds!r}")
     if not (t_min <= 1.0 <= t_max):
         raise InvalidInputError(f"bounds must contain t=1, got {bounds!r}")
-    logits = as_logits(logits)
-    labels = _check_labels(labels, logits.shape[-1])
-    if logits.shape != (len(labels), logits.shape[-1]):
-        raise InvalidInputError(f"need one row of logits per label, got {logits.shape}")
+    logits, labels = _logits_and_labels(logits, labels)
     nll_unit = nll_at_temperature(logits, labels, 1.0)
     if not math.isfinite(nll_unit):
         raise InvalidInputError("the NLL at t=1 is not finite; logits are too large")

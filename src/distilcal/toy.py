@@ -518,8 +518,8 @@ class SweepConfig:
     eval_bins: int = 15
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise InvalidParameterError(f"num_classes must be >= 2, got {self.num_classes}")
+        if self.num_classes < 3:  # results report the ECE at ranks 1 to 3
+            raise InvalidParameterError(f"num_classes must be >= 3, got {self.num_classes}")
         if self.input_dim < 1:
             raise InvalidParameterError(f"input_dim must be >= 1, got {self.input_dim}")
         counts = (

@@ -86,6 +86,7 @@ def dense_grid_temperature(logit_rows, labels, t_min: float, t_max: float, point
 #
 # The JSON-lines readers as they stood before whole-file checks: one record
 # at a time, each value converted by ``float``, hypotheses grouped in a dict.
+# The posterior reader checks one line at a time in its documented order.
 # They share only ``fileio._lines``, which decides what a line is.
 
 _NUMBER_TYPES = (int, float)
@@ -172,6 +173,53 @@ def ref_read_hypothesis_file(path) -> dict[str, tuple[list[str], np.ndarray]]:
     if not groups:
         raise FileFormatError(path, 0, "no hypotheses found")
     return {utt: (ids, np.array(rows)) for utt, (ids, rows) in groups.items()}
+
+
+def ref_read_posterior_file(path) -> dict[str, np.ndarray]:
+    """Per-utterance posterior matrices, rows ordered by token index. Each line
+    is checked for its columns, token index, numbers, range, width, sum, then
+    duplicate index, and each row is divided by its own sum."""
+    groups: dict[str, dict[int, np.ndarray]] = {}
+    width = None
+    for line_no, line in _lines(path):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise FileFormatError(path, line_no, "expected 'utt<TAB>token-index<TAB>p0 p1 ...'")
+        try:
+            index = int(parts[1])
+        except ValueError:
+            raise FileFormatError(path, line_no, f"bad token index {parts[1]!r}") from None
+        if index < 0:
+            raise FileFormatError(path, line_no, f"negative token index {index}")
+        try:
+            values = [float(text) for text in parts[2].split()]
+        except ValueError:
+            raise FileFormatError(path, line_no, "probabilities must be numbers") from None
+        if len(values) < 2 or not all(math.isfinite(v) and v >= 0.0 for v in values):
+            raise FileFormatError(path, line_no, "need >= 2 finite non-negative probabilities")
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise FileFormatError(
+                path, line_no, f"expected {width} probabilities, got {len(values)}"
+            )
+        vec = np.array(values)
+        with np.errstate(over="ignore"):
+            total = vec.sum()
+        if abs(total - 1.0) > 1e-6:
+            raise FileFormatError(path, line_no, f"probabilities sum to {total:.8f}, not 1")
+        per_utt = groups.setdefault(parts[0].strip(), {})
+        if index in per_utt:
+            raise FileFormatError(path, line_no, f"duplicate token index {index}")
+        per_utt[index] = vec / total
+    if not groups:
+        raise FileFormatError(path, 0, "no posteriors found")
+    out: dict[str, np.ndarray] = {}
+    for utt, by_index in groups.items():
+        if set(by_index) != set(range(len(by_index))):
+            raise FileFormatError(path, 0, f"utterance {utt!r} has gaps in its token indices")
+        out[utt] = np.stack([by_index[i] for i in range(len(by_index))])
+    return out
 
 
 # ---------------------------------------------------------------- reference trainer

@@ -17,9 +17,9 @@ import distilcal
 from distilcal.calibration import _fmt6
 from distilcal import FileFormatError, SweepConfig, combine_scores
 from distilcal.cli import _build_sweep_config, main
-from distilcal.fileio import read_config_file, read_prediction_file
+from distilcal.fileio import read_config_file, read_posterior_file, read_prediction_file
 
-from oracles import ref_read_hypothesis_file, ref_read_prediction_file
+from oracles import ref_read_hypothesis_file, ref_read_posterior_file, ref_read_prediction_file
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -442,11 +442,14 @@ def prediction_file(draw):
 
 
 def reader_outcome(reader, path):
-    """What ``reader`` makes of ``path``: its arrays' bytes, or its error."""
+    """What ``reader`` makes of ``path``: its arrays' bytes, each with its key
+    when the reader returns a dict, or its error."""
     try:
-        return [(a.dtype, a.shape, a.tobytes()) for a in reader(path)]
+        result = reader(path)
     except FileFormatError as e:
         return type(e), e.line_no, str(e)
+    pairs = result.items() if isinstance(result, dict) else enumerate(result)
+    return [(key, a.dtype, a.shape, a.tobytes()) for key, a in pairs]
 
 
 def all_finite(values) -> bool:
@@ -478,6 +481,79 @@ class TestPredictionMutations:
             assert all_finite(v for row in written.splitlines()[1:] for v in row.split(","))
             assert run_quiet(argv) == (0, stdout, stderr)
             assert written == "" or csv.read_text() == written
+
+
+#: Ways to break one posterior line; "nudge" (a sum off by less than the
+#: tolerance), "crlf" (the whole file) and "none" leave the file valid.
+POSTERIOR_MUTATIONS = ("bad_index", "negative_index", "float_index", "nan", "inf", "overflow",
+                       "negative", "width", "sum", "nudge", "duplicate", "missing_column",
+                       "extra_column", "non_utf8", "crlf", "none")
+
+#: posterior fixture -> the unit map that fits it to ``align_three.tsv``.
+POSTERIOR_FIXTURES = {"post_fine.tsv": "identity", "post_mid.tsv": str(DATA / "map_mid.tsv"),
+                      "post_one.tsv": str(DATA / "map_one.tsv")}
+
+
+def mutate_posterior(line, mutation, position):
+    """One posterior line as text, changed by ``mutation`` at the value at
+    ``position``, modulo the width."""
+    utt, index, values = line.split("\t")
+    probs = values.split()
+    at = position % len(probs)
+    if mutation in ("bad_index", "negative_index", "float_index"):
+        index = {"bad_index": "x", "negative_index": "-1", "float_index": "1.0"}[mutation]
+    elif mutation in ("nan", "inf", "overflow", "negative"):
+        probs[at] = {"nan": "nan", "inf": "inf", "overflow": "1e400", "negative": "-0.25"}[mutation]
+    elif mutation == "width":
+        probs = probs[:-1] if position % 2 else probs + ["0"]
+    elif mutation in ("sum", "nudge"):
+        probs[at] = repr(float(probs[at]) + (2e-6 if mutation == "sum" else 5e-7))
+    elif mutation == "duplicate":
+        return f"{line}\n{line}"
+    elif mutation in ("missing_column", "extra_column"):
+        return f"{utt}\t{index}" if mutation == "missing_column" else f"{line}\textra"
+    return "\t".join((utt, index, " ".join(probs)))
+
+
+@st.composite
+def posterior_file(draw):
+    fixture = draw(st.sampled_from(sorted(POSTERIOR_FIXTURES)))
+    lines = (DATA / fixture).read_text().splitlines()
+    bad = draw(st.integers(0, len(lines) - 1))
+    mutation = draw(st.sampled_from(POSTERIOR_MUTATIONS))
+    lines[bad] = mutate_posterior(lines[bad], mutation, draw(st.integers(0, 7)))
+    end = "\r\n" if mutation == "crlf" else "\n"
+    data = (end.join(lines) + end).encode()
+    if mutation == "non_utf8":
+        cut = sum(len(line) + 1 for line in lines[:bad]) + draw(st.integers(0, len(lines[bad])))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return fixture, data
+
+
+class TestPosteriorMutations:
+    @settings(max_examples=100, deadline=None)
+    @given(posterior_file())
+    def test_targets_exit_0_or_2_and_clean_output(self, tmp_path_factory, case):
+        fixture, data = case
+        work = tmp_path_factory.mktemp("post")
+        path = work / fixture
+        path.write_bytes(data)
+        outcome = reader_outcome(ref_read_posterior_file, path)
+        assert reader_outcome(read_posterior_file, path) == outcome
+        out = work / "targets.tsv"
+        argv = ["targets", "--align", str(DATA / "align_three.tsv"),
+                "--map", POSTERIOR_FIXTURES[fixture], "--posteriors", str(path), "--out", str(out)]
+        code, stdout, stderr = run_quiet(argv)
+        assert "Traceback" not in stderr
+        if isinstance(outcome, tuple):  # the reader's error, naming a line
+            assert outcome[1] >= 1
+            assert (code, stdout, stderr) == (2, "", f"error: {outcome[2]}\n")
+            assert not out.exists()
+            return
+        assert code == 0, stderr
+        written = out.read_bytes()
+        assert run_quiet(argv) == (0, stdout, stderr)
+        assert out.read_bytes() == written
 
 
 def write_posteriors(path, table):
@@ -839,7 +915,7 @@ BAD_SWEEP_VALUES = [
     ("lst_temperature", "inf"), ("multitask_temperature", "0"),
     ("noise_sigma", "-0.5"), ("noise_sigma", "nan"), ("noise_sigma", "inf"),
     ("mean_scale", "inf"), ("mean_scale", "nan"), ("task_seed", "-1"),
-    ("num_classes", "0"), ("num_classes", "1"), ("input_dim", "0"),
+    ("num_classes", "0"), ("num_classes", "1"), ("num_classes", "2"), ("input_dim", "0"),
     ("coarse_classes", "1"), ("coarse_classes", "5"),
 ]
 
@@ -865,7 +941,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key,value", [("eval_bins", "0"), ("n_train", "0"),
                                            ("noise_sigma", "nan"), ("mean_scale", "inf"),
                                            ("task_seed", "-1"), ("seed", "-1"),
-                                           ("num_classes", "0"), ("input_dim", "0")])
+                                           ("num_classes", "0"), ("num_classes", "2"),
+                                           ("input_dim", "0")])
     def test_train_rejects_bad_value_naming_key(self, tmp_path, key, value):
         cfg = tmp_path / "train.cfg"
         write_config(cfg, method="baseline", out=tmp_path / "m.json",

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from distilcal import FileFormatError
 from distilcal import fileio
 from distilcal.fileio import read_hypothesis_file, read_posterior_file, read_prediction_file
 
-from oracles import ref_read_hypothesis_file, ref_read_prediction_file
+from oracles import ref_read_hypothesis_file, ref_read_posterior_file, ref_read_prediction_file
 
 # One malformed posterior file per error, with the line and message reported
 # by the line-at-a-time reader that the vectorised one replaced.
@@ -77,6 +78,17 @@ def test_posterior_error_catalogue(name, tmp_path):
     assert type(info.value) is FileFormatError
     assert info.value.line_no == line_no
     assert str(info.value) == f"{path}:{line_no}: {message}"
+
+
+def test_row_sum_past_float_range_rejected_without_warning(tmp_path):
+    path = tmp_path / "post.tsv"
+    path.write_text("u\t0\t0.5 0.5\nu\t1\t1e308 1e308\n")
+    for read in (read_posterior_file, ref_read_posterior_file):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FileFormatError) as info:
+                read(path)
+        assert str(info.value) == f"{path}:2: probabilities sum to inf, not 1"
 
 
 def test_posteriors_grouped_by_utterance_in_token_order(tmp_path):
@@ -245,3 +257,69 @@ def test_hypothesis_groups_bit_identical_to_reference(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("hyps") / "h.jsonl"
     path.write_text(text)
     assert_same_hypotheses(path)
+
+
+#: A full first chunk of lines, then part of a second.
+LONG = fileio._CHUNK + 904
+
+#: name -> (reader, its reference, line i of a long valid file, bad line number,
+#: that line, the reported message). Each bad line is past the first chunk;
+#: the width and duplicate cases depend on what the first chunk held.
+CHUNK_ERRORS = {
+    "prediction_width": (
+        read_prediction_file, ref_read_prediction_file,
+        lambda i: f'{{"logits": [0.5, -{i}], "label": {i % 2}}}', 4500,
+        '{"logits": [0.5, -1, 2], "label": 1}', "expected 2 logits, got 3"),
+    "prediction_label": (
+        read_prediction_file, ref_read_prediction_file,
+        lambda i: f'{{"logits": [0.5, -{i}], "label": {i % 2}}}', LONG,
+        '{"logits": [0.5, -1], "label": 2}', "label 2 out of range for 2 classes"),
+    "hypothesis_id": (
+        read_hypothesis_file, ref_read_hypothesis_file,
+        lambda i: f'{{"utt": "u{i % 7}", "id": "h{i}", "am_logp": -{i}, "lm_logp": -2.5}}',
+        fileio._CHUNK + 1, '{"utt": "u1", "id": "a\\tb", "am_logp": -1, "lm_logp": -2}',
+        "'id' must be a non-empty string without tabs or newlines"),
+    "posterior_duplicate": (
+        read_posterior_file, ref_read_posterior_file,
+        lambda i: f"u{i % 3}\t{i // 3}\t0.25 0.75", 4400, "u2\t7\t0.5 0.5",
+        "duplicate token index 7"),
+    "posterior_width": (
+        read_posterior_file, ref_read_posterior_file,
+        lambda i: f"u\t{i}\t0.25 0.75", 4200, "u\t4199\t0.2 0.3 0.5",
+        "expected 2 probabilities, got 3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHUNK_ERRORS))
+def test_bad_line_past_first_chunk_named_as_reference_names_it(name, tmp_path):
+    reader, reference, line, bad_no, bad, message = CHUNK_ERRORS[name]
+    lines = [line(i) for i in range(LONG)]
+    lines[bad_no - 1] = bad
+    path = tmp_path / "input"
+    path.write_text("\n".join(lines) + "\n")
+    for read in (reader, reference):
+        with pytest.raises(FileFormatError) as info:
+            read(path)
+        assert str(info.value) == f"{path}:{bad_no}: {message}"
+
+
+def test_long_files_bit_identical_to_reference(tmp_path):
+    rng = np.random.default_rng(5)
+    rows = rng.dirichlet(np.ones(3), size=LONG) * (1.0 + rng.uniform(-9e-7, 9e-7, size=(LONG, 1)))
+    post = tmp_path / "post.tsv"
+    post.write_text("".join(
+        f"u{i % 5}\t{i // 5}\t{' '.join(map(repr, row.tolist()))}\n" for i, row in enumerate(rows)
+    ))
+    got, want = read_posterior_file(post), ref_read_posterior_file(post)
+    assert list(got) == list(want)
+    assert all(got[utt].tobytes() == want[utt].tobytes() for utt in want)
+    preds = tmp_path / "p.jsonl"
+    preds.write_text("".join(
+        f'{{"logits": {json.dumps(row.tolist())}, "label": {i % 3}}}\n' for i, row in enumerate(rows)
+    ))
+    assert_same_predictions(preds)
+    hyps = tmp_path / "h.jsonl"
+    hyps.write_text("".join(json.dumps(
+        {"utt": f"u{i % 11}", "id": f"h{i}", "am_logp": row[0], "lm_logp": -row[1]}
+    ) + "\n" for i, row in enumerate(rows.tolist())))
+    assert_same_hypotheses(hyps)

@@ -48,6 +48,16 @@ class TestNllAtTemperature:
             with pytest.raises(InvalidParameterError, match="positive and finite"):
                 nll_at_temperature(logits, labels, t)
 
+    @pytest.mark.parametrize("logits,labels", [
+        ([[0.0, 5.0]], [-1]),  # would score the last class
+        ([[0.0, 5.0]], [2]),
+        ([[0.0, 5.0]], [1.0]),
+        ([[0.0, 5.0], [1.0, 0.0]], [1]),  # would score the first row only
+    ], ids=["negative", "past_last_class", "float", "two_rows_one_label"])
+    def test_bad_labels_rejected(self, logits, labels):
+        with pytest.raises(InvalidInputError, match="labels|one row of logits per label"):
+            nll_at_temperature(np.array(logits), np.array(labels), 1.0)
+
 
 class TestFitTemperature:
     def test_never_worse_than_unit(self):
