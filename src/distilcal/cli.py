@@ -33,17 +33,15 @@ from .tempscale import DEFAULT_BOUNDS, combine_scores, fit_temperature
 # ---------------------------------------------------------------- ece
 
 def _parse_group(spec: str) -> Optional[int]:
-    """'pooled' -> None, 'batch:SIZE' -> SIZE."""
+    """'pooled' -> None, 'batch:SIZE' -> SIZE, in ASCII digits (``ece`` rejects 0)."""
     if spec == "pooled":
         return None
-    if spec.startswith("batch:"):
+    size = spec.removeprefix("batch:")
+    if size != spec and size.isascii() and size.isdigit():
         try:
-            size = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise InvalidParameterError(f"bad --group value {spec!r}") from None
-        if size < 1:
-            raise InvalidParameterError("batch size must be >= 1")
-        return size
+            return int(size)
+        except ValueError:  # more digits than ``int`` converts
+            pass
     raise InvalidParameterError(f"--group must be 'pooled' or 'batch:SIZE', got {spec!r}")
 
 
@@ -134,16 +132,25 @@ _PARSERS = {
 _TRAIN_FLOATS = {"lambda": "lam", "epsilon": "epsilon", "temperature": "temperature"}
 _TRAIN_ONLY_KEYS = {"method", "seed", "out", *_TRAIN_FLOATS}
 _SWEEP_ONLY_KEYS = {"lambdas", "methods", "seeds", "out"}
+#: ``_cast``'s default: the key must be given.
+_REQUIRED = object()
 
 
-def _cast(cfg: dict[str, str], key: str, cast, default=None):
-    """``cast(cfg[key])``, or ``default`` when the key is absent."""
+def _cast(cfg: dict[str, str], key: str, cast=str, default=_REQUIRED):
+    """The one reader of a config value: ``cast(cfg[key])``, or ``default`` if absent."""
     if key not in cfg:
+        if default is _REQUIRED:
+            raise InvalidInputError(f"config key {key!r} is required")
         return default
     try:
         return cast(cfg[key])
     except (KeyError, ValueError):
         raise InvalidInputError(f"bad value for config key {key!r}: {cfg[key]!r}") from None
+
+
+def _list(cast):
+    """Parser of a comma-separated list of ``cast`` values; empty parts are skipped."""
+    return lambda text: [cast(part.strip()) for part in text.split(",") if part.strip()]
 
 
 def _build_sweep_config(cfg: dict[str, str], extra_keys: set[str]):
@@ -160,19 +167,13 @@ def _build_sweep_config(cfg: dict[str, str], extra_keys: set[str]):
     )
 
 
-def _require(cfg: dict[str, str], key: str) -> str:
-    if key not in cfg:
-        raise InvalidInputError(f"config key {key!r} is required")
-    return cfg[key]
-
-
 def _cmd_train(args) -> int:
     from .toy import train_cell
 
     cfg = read_config_file(args.config)
     scfg = _build_sweep_config(cfg, _TRAIN_ONLY_KEYS)
-    method = _require(cfg, "method")
-    out_path = _require(cfg, "out")
+    method = _cast(cfg, "method")
+    out_path = _cast(cfg, "out")
     seed = _cast(cfg, "seed", int, 0)
     overrides = {f: _cast(cfg, key, float) for key, f in _TRAIN_FLOATS.items() if key in cfg}
     student, curve, ev = train_cell(scfg, method, seed, **overrides)
@@ -194,22 +195,15 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _parse_list(text: str, cast, key: str) -> list:
-    try:
-        return [cast(part.strip()) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise InvalidInputError(f"bad value for config key {key!r}: {text!r}") from None
-
-
 def _cmd_sweep(args) -> int:
     from .toy import sweep_csv, sweep_lambda
 
     cfg = read_config_file(args.config)
     scfg = _build_sweep_config(cfg, _SWEEP_ONLY_KEYS)
-    out_path = _require(cfg, "out")
-    lambdas = _parse_list(_require(cfg, "lambdas"), float, "lambdas")
-    methods = _parse_list(_require(cfg, "methods"), str, "methods")
-    seeds = _parse_list(_require(cfg, "seeds"), int, "seeds")
+    out_path = _cast(cfg, "out")
+    lambdas = _cast(cfg, "lambdas", _list(float))
+    methods = _cast(cfg, "methods", _list(str))
+    seeds = _cast(cfg, "seeds", _list(int))
     rows = sweep_lambda(scfg, lambdas, methods, seeds)
     write_text_atomic(out_path, sweep_csv(rows))
     print(f"rows={len(rows)} out={out_path}")

@@ -8,7 +8,8 @@ Formats (one record per line throughout):
   ``utt`` and ``id`` are non-empty and hold no TAB, CR or LF;
 * alignment file: ``utt-id<TAB>tok tok tok ...``, the id without whitespace;
 * unit-map file: TSV lines ``fine<TAB>coarse``;
-* posterior file: ``utt-id<TAB>token-index<TAB>p0 p1 ... pK-1``.
+* posterior file: ``utt-id<TAB>token-index<TAB>p0 p1 ... pK-1``, the index in
+  ASCII digits and the values in ASCII without ``_``.
 
 Only LF ends a line (a CR before it is dropped), and blank lines are
 skipped but counted. Parse errors raise :class:`FileFormatError` carrying
@@ -44,6 +45,7 @@ _NUMBER_TYPES = frozenset({int, float})
 _FIELD_BREAK = re.compile("[\t\r\n]")  # would split an id or utt across output fields
 #: Lines checked at a time, so that the parsed lines of a whole file never live at once.
 _CHUNK = 4096
+_INDEX_CHARS = frozenset("-0123456789")  # ``int`` alone also reads +1, " 1", 1_0, other digits
 
 
 def _lines(path) -> list[tuple[int, str]]:
@@ -242,13 +244,18 @@ def read_posterior_file(path) -> dict[str, np.ndarray]:
             raise _Rejected("expected 'utt<TAB>token-index<TAB>p0 p1 ...'")
         utts, index_texts, value_texts = zip(*split)
         try:
+            if not _INDEX_CHARS.issuperset("".join(index_texts)):
+                raise ValueError
             indices = list(map(int, index_texts))
         except ValueError:
             raise _Rejected(f"bad token index {index_texts[0]!r}") from None
         if min(indices) < 0:
             raise _Rejected(f"negative token index {min(indices)}")
         fields = [text.split() for text in value_texts]
+        values = "".join(value_texts)  # ``float`` alone also reads 0.2_5 and other digits
         try:
+            if not values.isascii() or "_" in values:
+                raise ValueError
             flat = np.array(list(map(float, chain.from_iterable(fields))))
         except ValueError:
             raise _Rejected("probabilities must be numbers") from None

@@ -265,21 +265,6 @@ class TrainConfig:
         _check_temperature(self.temperature)
 
 
-def _check_teachers(
-    cfg: TrainConfig,
-    teacher_logits: Optional[Mapping[str, np.ndarray]],
-) -> dict[str, np.ndarray]:
-    if cfg.method in ("baseline", "label_smooth"):
-        return {}
-    if not teacher_logits:
-        raise ConfigurationError(f"method {cfg.method!r} requires teacher logits")
-    if cfg.method == "lst" and "fine" not in teacher_logits:
-        raise ConfigurationError("lst requires a 'fine' teacher stream")
-    if cfg.method == "lst":
-        return {"fine": np.asarray(teacher_logits["fine"], dtype=np.float64)}
-    return {k: np.asarray(v, dtype=np.float64) for k, v in sorted(teacher_logits.items())}
-
-
 def head_targets(
     net: ToyNetwork,
     labels: np.ndarray,
@@ -294,7 +279,10 @@ def head_targets(
     here, so :func:`network_loss_and_grad` can take row subsets of the result
     without checking them again.
     """
-    teachers = _check_teachers(cfg, teacher_logits)
+    if cfg.method in ("lst", "multitask") and not teacher_logits:
+        raise ConfigurationError(f"method {cfg.method!r} requires teacher logits")
+    if cfg.method == "lst" and "fine" not in teacher_logits:
+        raise ConfigurationError("lst requires a 'fine' teacher stream")
     k = net.head_dims["sl"]
     if cfg.method == "label_smooth":
         sl = smooth_label(labels, k, cfg.epsilon)
@@ -305,7 +293,7 @@ def head_targets(
     def soften(tid: str, head: str) -> np.ndarray:
         if head not in net.head_dims:
             raise ConfigurationError(f"network has no head {head!r} for teacher {tid!r}")
-        soft = soft_label(teachers[tid], cfg.temperature)
+        soft = soft_label(teacher_logits[tid], cfg.temperature)
         if soft.ndim != 2:
             raise InvalidInputError(f"teacher {tid!r} logits must be an (n, K) matrix")
         if soft.shape[0] != n:
@@ -323,7 +311,7 @@ def head_targets(
         sl = interpolate_target(labels, soften("fine", "sl"), cfg.lam)
     targets = {"sl": sl}
     if cfg.method == "multitask":
-        for tid in teachers:
+        for tid in sorted(teacher_logits):  # fixes the order of the heads' losses
             targets[f"kd_{tid}"] = soften(tid, f"kd_{tid}")
     return targets
 
@@ -609,13 +597,6 @@ def _sweep_task(cfg: SweepConfig) -> SyntheticTask:
     )
 
 
-def _seed_data(task: SyntheticTask, cfg: SweepConfig, seed: int) -> tuple:
-    """``(x_train, y_train, x_test, y_test)``, drawn from the seed's own streams."""
-    x_train, y_train = generate_data(task, cfg.n_train, _derive_seed(seed, "train"))
-    x_test, y_test = generate_data(task, cfg.n_test, _derive_seed(seed, "test"))
-    return x_train, y_train, x_test, y_test
-
-
 def _cell_config(cfg: SweepConfig, method: str, seed: int, **overrides) -> TrainConfig:
     """A cell's schedule from ``cfg``, shuffle seed from ``seed`` and, unless
     ``overrides`` sets it, temperature from ``cfg.<method>_temperature``."""
@@ -649,20 +630,34 @@ def _run_cells(task, cfg: SweepConfig, tcfgs: Sequence[TrainConfig], seed: int, 
     ]
 
 
+def _stack_jobs(cfg: SweepConfig, stacks: Sequence[tuple[Sequence[TrainConfig], int]]) -> list:
+    """:func:`_run_cells`' arguments per ``(cell configs, seed)`` stack: the task
+    built once, each distinct seed's data drawn once, and the teachers that
+    :func:`_unit_levels` names trained for all seeds in one worker phase."""
+    task = _sweep_task(cfg)
+    levels = _unit_levels(task, cfg, [tcfg.method for tcfgs, _ in stacks for tcfg in tcfgs])
+    data, streams, jobs = {}, {}, []
+    for seed in dict.fromkeys(seed for _, seed in stacks):
+        x_train, y_train = generate_data(task, cfg.n_train, _derive_seed(seed, "train"))
+        x_test, y_test = generate_data(task, cfg.n_test, _derive_seed(seed, "test"))
+        data[seed], streams[seed] = (x_train, y_train, x_test, y_test), {}
+        jobs += [(task, cfg, seed, x_train, unit) for unit in levels]
+    for (_, _, seed, _, unit), logits in zip(jobs, _parallel_map(_teacher_logits, jobs)):
+        streams[seed][unit] = logits
+    return [(task, cfg, tcfgs, seed, data[seed], streams[seed]) for tcfgs, seed in stacks]
+
+
 def train_cell(
     cfg: SweepConfig, method: str, seed: int, **overrides
 ) -> tuple[ToyNetwork, list[float], EvalResult]:
     """Train and evaluate one student exactly as the sweep cell of ``seed`` does.
 
     ``overrides`` sets :class:`TrainConfig` fields such as ``lam``,
-    ``epsilon`` or ``temperature``. The configuration is checked before any
-    teacher trains, and the teachers are those of :func:`_unit_levels`.
+    ``epsilon`` or ``temperature``. The configuration is checked before
+    :func:`_stack_jobs` draws the data and trains the teachers, as the sweep's.
     """
     tcfg = _cell_config(cfg, method, seed, **overrides)
-    task = _sweep_task(cfg)
-    data = _seed_data(task, cfg, seed)
-    streams = teacher_streams(task, cfg, seed, data[0], _unit_levels(task, cfg, [method]))
-    return _run_cells(task, cfg, [tcfg], seed, data, streams)[0]
+    return _run_cells(*_stack_jobs(cfg, [([tcfg], seed)])[0])[0]
 
 
 def _sweep_cells(job) -> list[SweepRow]:
@@ -682,39 +677,21 @@ def sweep_lambda(
 ) -> list[SweepRow]:
     """Train and evaluate every (method, lambda, seed) cell of the grid.
 
-    Within one seed, data and teachers are generated once and shared across
-    all cells; the student always restarts from the same seed-determined
-    initialization, so cells are independent and the output is deterministic.
-    All teachers train first, then the cells, each phase spread over worker
-    processes; the lambda cells of one (method, seed) train in lockstep as
-    one stack. Rows are ordered by method, lambda, then seed.
+    Every cell's configuration is checked before :func:`_stack_jobs` draws
+    the data and trains the teachers, each seed's shared by its cells. The
+    lambda cells of one (method, seed) train in lockstep as one stack from
+    the seed's student, the stacks spread over worker processes, so the
+    output is deterministic. Rows are ordered by method, lambda, then seed.
     """
     if not lambdas or not methods or not seeds:
         raise InvalidInputError("lambdas, methods, and seeds must be non-empty")
     for m in methods:
         if m not in ("lst", "multitask"):
             raise InvalidParameterError(f"sweep methods are 'lst'/'multitask', got {m!r}")
-    if min(seeds) < 0:
-        raise InvalidParameterError(f"seed must be >= 0, got {min(seeds)}")
-
-    task = _sweep_task(cfg)
-    levels = _unit_levels(task, cfg, methods)
     seeds = [int(s) for s in seeds]
-    data, jobs = {}, []
-    for seed in dict.fromkeys(seeds):
-        data[seed] = _seed_data(task, cfg, seed)
-        jobs += [(task, cfg, seed, data[seed][0], unit) for unit in levels]
-    streams: dict[int, dict[str, np.ndarray]] = {seed: {} for seed in data}
-    # Every cell's TrainConfig is checked before any teacher trains; the
-    # stacks hold each seed's streams dict, filled in below.
-    stacks = [
-        (task, cfg, [_cell_config(cfg, m, s, lam=float(lam)) for lam in lambdas], s, data[s], streams[s])
-        for m in methods
-        for s in seeds
-    ]
-    for (_, _, seed, _, unit), logits in zip(jobs, _parallel_map(_teacher_logits, jobs)):
-        streams[seed][unit] = logits
-    rows = _parallel_map(_sweep_cells, stacks)
+    stacks = [([_cell_config(cfg, m, s, lam=float(lam)) for lam in lambdas], s)
+              for m in methods for s in seeds]
+    rows = _parallel_map(_sweep_cells, _stack_jobs(cfg, stacks))
     return [
         rows[i * len(seeds) + j][k]
         for i in range(len(methods))

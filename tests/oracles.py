@@ -186,12 +186,16 @@ def ref_read_posterior_file(path) -> dict[str, np.ndarray]:
         if len(parts) != 3:
             raise FileFormatError(path, line_no, "expected 'utt<TAB>token-index<TAB>p0 p1 ...'")
         try:
+            if set(parts[1]) - set("-0123456789"):  # no "+0", " 0", "1_0" or Arabic-Indic digits
+                raise ValueError
             index = int(parts[1])
         except ValueError:
             raise FileFormatError(path, line_no, f"bad token index {parts[1]!r}") from None
         if index < 0:
             raise FileFormatError(path, line_no, f"negative token index {index}")
         try:
+            if not parts[2].isascii() or "_" in parts[2]:  # no "0.2_5" or Arabic-Indic digits
+                raise ValueError
             values = [float(text) for text in parts[2].split()]
         except ValueError:
             raise FileFormatError(path, line_no, "probabilities must be numbers") from None

@@ -111,6 +111,17 @@ class TestEceCommand:
         assert stdout == "rank=2 bins=2 ece=0.526760 n=7\n"
         assert out.read_bytes() == (DATA / "expected_ece_group7.csv").read_bytes()
 
+    @pytest.mark.parametrize("spec", ["batch:0", "batch:-3", "batch:x", "batch:", "batch:1_0",
+                                      "batch:\u0663", "batch: 3", "batch:3 ", "foo",
+                                      "batch:" + "9" * 5000])
+    def test_bad_group_exits_2(self, tmp_path, spec):
+        out = tmp_path / "rel.csv"
+        code, stdout, stderr = run_quiet(["ece", "--input", str(DATA / "predictions_hand4.jsonl"),
+                                          "--group", spec, "--out", str(out)])
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: ") and "Traceback" not in stderr
+        assert not out.exists()
+
     def test_malformed_line_reports_number(self, capsys, tmp_path):
         fix = tmp_path / "bad.jsonl"
         fix.write_text('{"logits": [0.0, 1.0], "label": 0}\n{"oops": 1}\n')
@@ -485,9 +496,14 @@ class TestPredictionMutations:
 
 #: Ways to break one posterior line; "nudge" (a sum off by less than the
 #: tolerance), "crlf" (the whole file) and "none" leave the file valid.
+#: "underscore", "plus_index" and "unicode_digit" are spellings that ``int``
+#: or ``float`` reads but the format does not allow.
 POSTERIOR_MUTATIONS = ("bad_index", "negative_index", "float_index", "nan", "inf", "overflow",
                        "negative", "width", "sum", "nudge", "duplicate", "missing_column",
-                       "extra_column", "non_utf8", "crlf", "none")
+                       "extra_column", "non_utf8", "crlf", "none", "underscore", "plus_index",
+                       "unicode_digit")
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                           "\u0665\u0666\u0667\u0668\u0669")
 
 #: posterior fixture -> the unit map that fits it to ``align_three.tsv``.
 POSTERIOR_FIXTURES = {"post_fine.tsv": "identity", "post_mid.tsv": str(DATA / "map_mid.tsv"),
@@ -510,6 +526,15 @@ def mutate_posterior(line, mutation, position):
         probs[at] = repr(float(probs[at]) + (2e-6 if mutation == "sum" else 5e-7))
     elif mutation == "duplicate":
         return f"{line}\n{line}"
+    elif mutation == "underscore":
+        probs[at] += "_0"  # float reads 0.8_0 as 0.8
+    elif mutation == "plus_index":
+        index = f"+{index}"
+    elif mutation == "unicode_digit":  # the index or one value, same number in other digits
+        if position % 2:
+            index = index.translate(ARABIC_INDIC)
+        else:
+            probs[at] = probs[at].translate(ARABIC_INDIC)
     elif mutation in ("missing_column", "extra_column"):
         return f"{utt}\t{index}" if mutation == "missing_column" else f"{line}\textra"
     return "\t".join((utt, index, " ".join(probs)))

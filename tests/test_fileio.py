@@ -80,6 +80,33 @@ def test_posterior_error_catalogue(name, tmp_path):
     assert str(info.value) == f"{path}:{line_no}: {message}"
 
 
+#: Number spellings that ``int`` or ``float`` reads but the posterior format
+#: does not allow: an index holds only ASCII digits and '-', and the values
+#: are ASCII without '_'. Each is the second line of its file.
+POSTERIOR_SPELLINGS = {
+    "underscore_values": ("u\t1\t0.2_5 0.7_5", "probabilities must be numbers"),
+    "underscore_index": ("u\t1_0\t0.5 0.5", "bad token index '1_0'"),
+    "plus_index": ("u\t+1\t0.5 0.5", "bad token index '+1'"),
+    "space_before_index": ("u\t 1\t0.5 0.5", "bad token index ' 1'"),
+    "space_after_index": ("u\t1 \t0.5 0.5", "bad token index '1 '"),
+    "arabic_indic_index": ("u\t\u0661\t0.5 0.5", "bad token index '\u0661'"),
+    "arabic_indic_values": ("u\t1\t\u0660.\u0662\u0665 0.75", "probabilities must be numbers"),
+    "fullwidth_values": ("u\t1\t0.25 \uff10.75", "probabilities must be numbers"),
+    "index_before_values": ("u\t+1\t0.2_5 0.7_5", "bad token index '+1'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POSTERIOR_SPELLINGS))
+def test_posterior_number_spellings_rejected(name, tmp_path):
+    line, message = POSTERIOR_SPELLINGS[name]
+    path = tmp_path / "post.tsv"
+    path.write_text(f"u\t0\t0.5 0.5\n{line}\n", encoding="utf-8")
+    for read in (read_posterior_file, ref_read_posterior_file):
+        with pytest.raises(FileFormatError) as info:
+            read(path)
+        assert str(info.value) == f"{path}:2: {message}"
+
+
 def test_row_sum_past_float_range_rejected_without_warning(tmp_path):
     path = tmp_path / "post.tsv"
     path.write_text("u\t0\t0.5 0.5\nu\t1\t1e308 1e308\n")
@@ -287,6 +314,10 @@ CHUNK_ERRORS = {
         read_posterior_file, ref_read_posterior_file,
         lambda i: f"u\t{i}\t0.25 0.75", 4200, "u\t4199\t0.2 0.3 0.5",
         "expected 2 probabilities, got 3"),
+    "posterior_spelling": (
+        read_posterior_file, ref_read_posterior_file,
+        lambda i: f"u\t{i}\t0.25 0.75", 4300, "u\t4299\t0.2_5 0.75",
+        "probabilities must be numbers"),
 }
 
 

@@ -414,6 +414,17 @@ class TestSweep:
             sweep_lambda(FAST_SWEEP, [0.5, 1.5], ["lst"], [0])
         assert mapped == []
 
+    def test_negative_seed_rejected_before_any_teacher_trains(self, monkeypatch):
+        mapped = []
+        monkeypatch.setattr(toy, "_parallel_map",
+                            lambda fn, jobs: mapped.append(fn) or [fn(job) for job in jobs])
+        with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -1"):
+            sweep_lambda(FAST_SWEEP, [0.5], ["lst"], [0, -1])
+        # Cells are checked in grid order, so the first seed's bad lambda is named first.
+        with pytest.raises(InvalidParameterError, match="lam must be in"):
+            sweep_lambda(FAST_SWEEP, [1.5], ["lst"], [0, -1])
+        assert mapped == []
+
     def test_lst_only_hierarchical_sweep_trains_only_fine_teachers(self, monkeypatch):
         units = []
 
@@ -431,6 +442,27 @@ class TestSweep:
 
 
 HIER_SWEEP = dataclasses.replace(FAST_SWEEP, hierarchical=True)
+
+
+class TestTrainCellTeachers:
+    @pytest.mark.parametrize("method,cfg,units", [
+        ("baseline", HIER_SWEEP, []),
+        ("label_smooth", HIER_SWEEP, []),
+        ("lst", HIER_SWEEP, ["fine"]),
+        ("multitask", FAST_SWEEP, ["fine"]),
+        ("multitask", HIER_SWEEP, ["fine", "coarse"]),
+    ])
+    def test_trains_the_teachers_of_its_method(self, monkeypatch, method, cfg, units):
+        trained = []
+
+        def spy(fn, jobs):
+            if fn is toy._teacher_logits:
+                trained.extend(job[-1] for job in jobs)
+            return [fn(job) for job in jobs]
+
+        monkeypatch.setattr(toy, "_parallel_map", spy)
+        train_cell(cfg, method, 0)
+        assert trained == units
 
 
 class TestLockstep:
