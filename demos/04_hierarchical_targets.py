@@ -6,8 +6,8 @@ teacher's vocabulary, collapse repeated neighbours while remembering run
 lengths, fetch one posterior per collapsed token, then repeat each posterior
 by its run length so every frame carries a soft label again. With several
 teachers of different vocabularies this yields one hard label plus one soft
-label per teacher on every frame: ``teacher_posteriors`` gives each teacher's
-token posteriors and run lengths, and ``np.repeat`` brings them to frame rate.
+label per teacher on every frame: ``target_lines`` writes that table, one
+line per frame, formatting each token posterior once.
 
 A whole alignment file is one int code array into one vocabulary, with
 utterance offsets, so every step runs once over all utterances.
@@ -55,11 +55,5 @@ teachers = [
     ("phone-lm", to_phone, {"utt1": phone_posteriors}),
     ("word-lm", {"s1": "w", "s2": "w", "s3": "w"}, {"utt1": np.full((1, 4), 0.25)}),
 ]
-# Each teacher: its (tokens, K) posteriors and run lengths, repeated to frame rate.
-streams = [
-    (tid, np.repeat(posteriors, runs, axis=0))
-    for (tid, _, _), (posteriors, runs) in zip(teachers, dc.teacher_posteriors(alignment, teachers))
-]
-for i, hard in enumerate(frames):
-    soft = "  ".join(f"{tid}:{stream[i]}" for tid, stream in streams)
-    print(f"frame {i}: hard={hard}  {soft}")
+# One line per frame: utterance, frame, hard label, then one soft label per teacher.
+print("".join(dc.target_lines(alignment, teachers)), end="")

@@ -11,7 +11,8 @@ The package is organized by pipeline stage:
 * :mod:`distilcal.tempscale` - post-hoc temperature fitting and two-stream
   score combination;
 * :mod:`distilcal.alignment` - a whole alignment file as one code array, unit
-  maps, per-utterance deduplication and each teacher's token posteriors;
+  maps, per-utterance deduplication, each teacher's token posteriors and the
+  frame-wise target table;
 * :mod:`distilcal.toy` - a tiny multi-head classifier with hand-written
   backprop for end-to-end experiments, imported on first use of one of its
   names;
@@ -25,12 +26,12 @@ from .alignment import (
     Runs,
     deduplicate,
     map_units,
+    target_lines,
     teacher_posteriors,
 )
 from .calibration import (
     BinStats,
     ReliabilityReport,
-    bin_by_confidence,
     ece,
     rank_confidence_correct,
     reliability_csv,
@@ -59,8 +60,7 @@ from .tempscale import (
 _TOY_NAMES = frozenset({
     "EvalResult", "SweepConfig", "SweepRow", "SyntheticTask", "ToyNetwork", "TrainConfig",
     "evaluate", "generate_data", "head_targets", "make_student", "make_task", "make_teacher",
-    "network_loss_and_grad", "sweep_csv", "sweep_lambda", "teacher_streams", "train",
-    "train_cell",
+    "network_loss_and_grad", "sweep_csv", "sweep_lambda", "train", "train_cell",
 })
 
 __all__ = sorted([name for name in dir() if not name.startswith("_")] + ["toy", *_TOY_NAMES])

@@ -6,16 +6,21 @@ The bridge is: map the alignment into the teacher's unit vocabulary, collapse
 repeated neighbours within each utterance (deduplication, keeping run
 lengths) and take one teacher posterior per collapsed token. Repeating each
 posterior by its run length makes the teacher stream frame-synchronous again.
+:func:`target_lines` writes those streams out as one frame-wise table.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .calibration import _fmt6_rows
 from .errors import InvalidInputError, UnmappedTokenError
 from .probs import as_probs
+
+#: Frames per text chunk of :func:`target_lines`, so that the whole table never lives at once.
+_CHUNK_FRAMES = 4096
 
 
 class Alignments(NamedTuple):
@@ -108,3 +113,31 @@ def teacher_posteriors(
         raise min(errors, key=lambda e: e[0])[1]
     spoken_utts = [u for u, n in zip(a.utts, np.diff(a.offsets)) if n]  # with frames
     return [(_posterior_matrix([table[u] for u in spoken_utts]), runs) for table, runs in streams]
+
+
+def target_lines(
+    a: Alignments,
+    teachers: Sequence[tuple[str, Optional[Mapping[str, str]], Mapping[str, Sequence]]],
+    unit: str = "fine",
+) -> Iterator[str]:
+    """The frame-wise target table of ``teachers`` on ``a``, in text chunks of
+    ``_CHUNK_FRAMES`` lines: per frame, ``utt<TAB>frame<TAB>hard`` and then a
+    ``<TAB>tid:p0,p1,...`` cell per teacher, at six decimals. The errors of
+    :func:`teacher_posteriors` are raised by this call, before any chunk."""
+    streams = teacher_posteriors(a, teachers, unit)
+    utt = np.repeat(np.arange(len(a.utts)), np.diff(a.offsets))
+    frame = np.arange(len(a.codes)) - a.offsets[utt]
+    columns = [  # per column, each distinct cell formatted once, and the cell of each frame
+        (a.utts, utt),
+        (list(map(str, range(frame.max(initial=-1) + 1))), frame),
+        (a.vocab, a.codes),
+        *(([f"{tid}:{row}" for row in _fmt6_rows(p)], np.repeat(np.arange(len(runs)), runs))
+          for (tid, _, _), (p, runs) in zip(teachers, streams)),
+    ]
+    tables = [(np.array(cells, dtype=object), index) for cells, index in columns]
+
+    def chunk(lo: int) -> str:
+        cells = [table[index[lo : lo + _CHUNK_FRAMES]].tolist() for table, index in tables]
+        return "\n".join(map("\t".join, zip(*cells))) + "\n"
+
+    return map(chunk, range(0, len(a.codes), _CHUNK_FRAMES))

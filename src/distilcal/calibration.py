@@ -50,6 +50,9 @@ def rank_confidence_correct(probs, labels, rank: int) -> tuple[np.ndarray, np.nd
 
 
 def _bins(conf: np.ndarray, num_bins: int) -> list[np.ndarray]:
+    """Row indices, stably sorted by ascending ``conf``, cut into ``num_bins``
+    equal-count bins, the first ``n % num_bins`` one row larger; a bin that
+    would be empty (``num_bins > n``) is left out."""
     if not isinstance(num_bins, (int, np.integer)) or num_bins < 1:
         raise InvalidParameterError(f"num_bins must be >= 1, got {num_bins!r}")
     order = np.argsort(conf, kind="stable")
@@ -58,29 +61,13 @@ def _bins(conf: np.ndarray, num_bins: int) -> list[np.ndarray]:
     return np.split(order, np.cumsum(sizes)[:-1])
 
 
-def bin_by_confidence(probs, rank: int, num_bins: int) -> list[list[int]]:
-    """Split row indices into equal-count bins of ascending confidence.
-
-    Rows are stably sorted by rank-N confidence (ascending) and cut into
-    ``num_bins`` contiguous groups of size ``n // num_bins``, with the first
-    ``n % num_bins`` groups one element larger. Groups that would be empty
-    (``num_bins > n``) are omitted.
-
-    Returns:
-        A list of index lists into the rows of ``probs``; every row appears
-        in exactly one bin.
-    """
-    _, conf = top_n(probs, rank)
-    return [group.tolist() for group in _bins(conf, num_bins)]
-
-
 def ece(probs, labels, rank: int, num_bins: int, group=None) -> ReliabilityReport:
     """Rank-N expected calibration error over confidence-sorted bins.
 
-    ``ece = sum_i (|B_i| / n) * |acc(B_i) - conf(B_i)|`` where the bins come
-    from :func:`bin_by_confidence`. With ``group``, each run of ``group``
-    consecutive rows (the last may be shorter) is binned on its own, and the
-    report holds every run's bins in row order, pooled over all ``n`` rows.
+    ``ece = sum_i (|B_i| / n) * |acc(B_i) - conf(B_i)|`` over the bins of
+    :func:`_bins`. With ``group``, each run of ``group`` consecutive rows (the
+    last may be shorter) is binned on its own, and the report holds every
+    run's bins in row order, pooled over all ``n`` rows.
     """
     conf, correct = rank_confidence_correct(probs, labels, rank)
     n = len(conf)

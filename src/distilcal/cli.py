@@ -14,10 +14,12 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .alignment import teacher_posteriors
-from .calibration import _fmt6, _fmt6_rows, ece, reliability_csv
+from .alignment import target_lines
+from .calibration import _fmt6, ece, reliability_csv
 from .errors import DistilcalError, InvalidInputError, InvalidParameterError
 from .fileio import (
+    _float,
+    _int,
     read_alignment_file,
     read_config_file,
     read_hypothesis_file,
@@ -37,10 +39,10 @@ def _parse_group(spec: str) -> Optional[int]:
     if spec == "pooled":
         return None
     size = spec.removeprefix("batch:")
-    if size != spec and size.isascii() and size.isdigit():
+    if size != spec and not size.startswith("-"):
         try:
-            return int(size)
-        except ValueError:  # more digits than ``int`` converts
+            return _int(size)
+        except ValueError:  # not ASCII digits, or more than ``int`` converts
             pass
     raise InvalidParameterError(f"--group must be 'pooled' or 'batch:SIZE', got {spec!r}")
 
@@ -48,7 +50,7 @@ def _parse_group(spec: str) -> Optional[int]:
 def _cmd_ece(args) -> int:
     logits, labels = read_prediction_file(args.input)
     report = ece(softmax_t(logits), labels, args.rank, args.bins, _parse_group(args.group))
-    write_text_atomic(args.out, reliability_csv(report))
+    write_text_atomic(args.out, (reliability_csv(report),))
     print(f"rank={args.rank} bins={args.bins} ece={_fmt6(report.ece)} n={report.n_total}")
     return 0
 
@@ -96,22 +98,13 @@ def _cmd_targets(args) -> int:
         raise InvalidInputError(
             f"got {len(maps)} --map but {len(posts)} --posteriors"
         )
-    streams = teacher_posteriors(alignments, [
+    lines = target_lines(alignments, [
         (f"t{i}", None if map_path == "identity" else read_unit_map_file(map_path),
          read_posterior_file(post_path))
         for i, (map_path, post_path) in enumerate(zip(maps, posts))
     ], args.unit)
-
-    utts, offsets, vocab, codes = alignments
-    columns = [
-        [f"{utt}\t{i}" for utt, lo, hi in zip(utts, offsets, offsets[1:]) for i in range(hi - lo)],
-        [vocab[c] for c in codes.tolist()],  # the hard label of every frame
-    ]
-    for t, (posteriors, runs) in enumerate(streams):
-        cells = [f"t{t}:{row}" for row in _fmt6_rows(posteriors)]
-        columns.append([cell for cell, run in zip(cells, runs) for _ in range(run)])
-    write_text_atomic(args.out, "\n".join(map("\t".join, zip(*columns))) + "\n")
-    print(f"utterances={len(utts)} frames={len(codes)} teachers={len(posts)}")
+    write_text_atomic(args.out, lines)
+    print(f"utterances={len(alignments.utts)} frames={len(alignments.codes)} teachers={len(posts)}")
     return 0
 
 
@@ -122,10 +115,10 @@ _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no"
 #: Value parser per SweepConfig annotation, as written (``toy`` postpones
 #: annotations); a bad value raises KeyError or ValueError.
 _PARSERS = {
-    "int": int,
-    "float": float,
+    "int": _int,
+    "float": _float,
     "bool": lambda v: _BOOLS[v.lower()],
-    "Optional[int]": lambda v: None if v.lower() == "none" else int(v),
+    "Optional[int]": lambda v: None if v.lower() == "none" else _int(v),
 }
 
 #: Train config keys that set a TrainConfig field, and the field they set.
@@ -174,8 +167,8 @@ def _cmd_train(args) -> int:
     scfg = _build_sweep_config(cfg, _TRAIN_ONLY_KEYS)
     method = _cast(cfg, "method")
     out_path = _cast(cfg, "out")
-    seed = _cast(cfg, "seed", int, 0)
-    overrides = {f: _cast(cfg, key, float) for key, f in _TRAIN_FLOATS.items() if key in cfg}
+    seed = _cast(cfg, "seed", _int, 0)
+    overrides = {f: _cast(cfg, key, _float) for key, f in _TRAIN_FLOATS.items() if key in cfg}
     student, curve, ev = train_cell(scfg, method, seed, **overrides)
     metrics = {"acc": ev.accuracy, **{f"ece{r}": ev.reports[r].ece for r in (1, 2, 3)}}
     model = {
@@ -190,7 +183,7 @@ def _cmd_train(args) -> int:
         "loss_curve": curve,
         "metrics": metrics,
     }
-    write_text_atomic(out_path, json.dumps(model, sort_keys=True, indent=1) + "\n")
+    write_text_atomic(out_path, (json.dumps(model, sort_keys=True, indent=1) + "\n",))
     print(f"method={method} " + " ".join(f"{key}={_fmt6(v)}" for key, v in metrics.items()))
     return 0
 
@@ -201,11 +194,11 @@ def _cmd_sweep(args) -> int:
     cfg = read_config_file(args.config)
     scfg = _build_sweep_config(cfg, _SWEEP_ONLY_KEYS)
     out_path = _cast(cfg, "out")
-    lambdas = _cast(cfg, "lambdas", _list(float))
+    lambdas = _cast(cfg, "lambdas", _list(_float))
     methods = _cast(cfg, "methods", _list(str))
-    seeds = _cast(cfg, "seeds", _list(int))
+    seeds = _cast(cfg, "seeds", _list(_int))
     rows = sweep_lambda(scfg, lambdas, methods, seeds)
-    write_text_atomic(out_path, sweep_csv(rows))
+    write_text_atomic(out_path, (sweep_csv(rows),))
     print(f"rows={len(rows)} out={out_path}")
     return 0
 
@@ -222,6 +215,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text, description=help_text)
+        # ``type=int``/``float`` parse by the one number rule, named int/float in errors
+        p.register("type", int, _int)
+        p.register("type", float, _float)
         p.add_argument("--version", action="version", version=f"distilcal {__version__}")
         p.set_defaults(func=func)
         return p

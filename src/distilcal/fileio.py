@@ -30,7 +30,7 @@ import tempfile
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -45,7 +45,27 @@ _NUMBER_TYPES = frozenset({int, float})
 _FIELD_BREAK = re.compile("[\t\r\n]")  # would split an id or utt across output fields
 #: Lines checked at a time, so that the parsed lines of a whole file never live at once.
 _CHUNK = 4096
-_INDEX_CHARS = frozenset("-0123456789")  # ``int`` alone also reads +1, " 1", 1_0, other digits
+#: The spelling of numbers in every text input, narrower than ``int`` and
+#: ``float`` (which also read +1, " 1", 1_0 and other scripts' digits): an
+#: integer is an optional ``-`` and then ASCII digits, and a float is ASCII
+#: text without ``_`` or whitespace that ``float`` reads.
+_INT_CHARS = frozenset("-0123456789")
+
+
+def _float_chars(text: str) -> bool:
+    return text.isascii() and "_" not in text
+
+
+def _int(text: str) -> int:
+    if not _INT_CHARS.issuperset(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def _float(text: str) -> float:
+    if not _float_chars(text) or text.split() != [text]:
+        raise ValueError(f"not a number: {text!r}")
+    return float(text)
 
 
 def _lines(path) -> list[tuple[int, str]]:
@@ -244,7 +264,7 @@ def read_posterior_file(path) -> dict[str, np.ndarray]:
             raise _Rejected("expected 'utt<TAB>token-index<TAB>p0 p1 ...'")
         utts, index_texts, value_texts = zip(*split)
         try:
-            if not _INDEX_CHARS.issuperset("".join(index_texts)):
+            if not _INT_CHARS.issuperset("".join(index_texts)):
                 raise ValueError
             indices = list(map(int, index_texts))
         except ValueError:
@@ -252,9 +272,8 @@ def read_posterior_file(path) -> dict[str, np.ndarray]:
         if min(indices) < 0:
             raise _Rejected(f"negative token index {min(indices)}")
         fields = [text.split() for text in value_texts]
-        values = "".join(value_texts)  # ``float`` alone also reads 0.2_5 and other digits
         try:
-            if not values.isascii() or "_" in values:
+            if not _float_chars("".join(value_texts)):  # whitespace only between fields
                 raise ValueError
             flat = np.array(list(map(float, chain.from_iterable(fields))))
         except ValueError:
@@ -314,13 +333,14 @@ def read_config_file(path) -> dict[str, str]:
     return out
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+def write_text_atomic(path, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` in turn to a temp file in the same directory,
+    then rename it into place; if a chunk raises, ``path`` is left as it was."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -578,17 +578,6 @@ def _teacher_logits(job) -> np.ndarray:
     return logits["sl"]
 
 
-def teacher_streams(
-    task: SyntheticTask, cfg: SweepConfig, seed: int, x_train: np.ndarray, units: Sequence[str]
-) -> dict[str, np.ndarray]:
-    """Teacher logits on ``x_train`` per unit level, as :func:`train` takes them.
-
-    The teachers are independent and train in worker processes.
-    """
-    jobs = [(task, cfg, seed, x_train, unit) for unit in units]
-    return dict(zip(units, _parallel_map(_teacher_logits, jobs)))
-
-
 def _sweep_task(cfg: SweepConfig) -> SyntheticTask:
     """The synthetic task that ``cfg`` describes."""
     return make_task(

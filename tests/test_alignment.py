@@ -10,8 +10,10 @@ from distilcal import (
     UnmappedTokenError,
     deduplicate,
     map_units,
+    target_lines,
     teacher_posteriors,
 )
+from distilcal import alignment
 
 from oracles import alignments_of
 
@@ -177,6 +179,40 @@ class TestBuildFramewiseTargets:
         a = one_utt(("a", "b"))
         with pytest.raises(InvalidInputError, match="1.*2"):
             framewise(a, [("t0", None, {"u": [P1]})])
+
+
+class TestTargetLines:
+    TEACHERS = [("fine", None, {"u1": [P1, P2], "u3": [P3]}),
+                ("one", {"a": "z", "b": "z"}, {"u1": [P1], "u3": [P2]})]
+
+    def table(self):
+        return "".join(target_lines(alignments_of({"u1": "aab", "u2": "", "u3": "a"}),
+                                    self.TEACHERS))
+
+    def test_one_line_per_frame(self):
+        assert self.table() == (
+            "u1\t0\ta\tfine:1.000000,0.000000\tone:1.000000,0.000000\n"
+            "u1\t1\ta\tfine:1.000000,0.000000\tone:1.000000,0.000000\n"
+            "u1\t2\tb\tfine:0.000000,1.000000\tone:1.000000,0.000000\n"
+            "u3\t0\ta\tfine:0.500000,0.500000\tone:0.000000,1.000000\n"
+        )
+
+    @pytest.mark.parametrize("frames", [1, 2, 3, 5])
+    def test_chunks_of_fixed_frames_join_to_the_same_table(self, monkeypatch, frames):
+        whole = self.table()
+        monkeypatch.setattr(alignment, "_CHUNK_FRAMES", frames)
+        chunks = list(target_lines(alignments_of({"u1": "aab", "u2": "", "u3": "a"}),
+                                   self.TEACHERS))
+        sizes = [min(frames, 4 - lo) for lo in range(0, 4, frames)]
+        assert [chunk.count("\n") for chunk in chunks] == sizes
+        assert "".join(chunks) == whole
+
+    def test_errors_raised_by_the_call_not_the_first_chunk(self):
+        with pytest.raises(InvalidInputError, match="got 1 posteriors for 2"):
+            target_lines(one_utt(("a", "b")), [("t0", None, {"u": [P1]})])
+
+    def test_no_frames_no_lines(self):
+        assert list(target_lines(one_utt(()), [("t0", None, {})])) == []
 
 
 tokens_st = st.sampled_from([f"w{i}" for i in range(50)])

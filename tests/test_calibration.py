@@ -4,11 +4,12 @@ import pytest
 from distilcal import (
     InvalidInputError,
     InvalidParameterError,
-    bin_by_confidence,
     ece,
     rank_confidence_correct,
     reliability_csv,
 )
+from distilcal.calibration import _bins
+from distilcal.probs import top_n
 
 from oracles import brute_force_bin_sizes, brute_force_ece
 
@@ -27,6 +28,11 @@ def arrays(records):
     return np.array([p for p, _ in records]), np.array([y for _, y in records])
 
 
+def bins_of(probs, rank, num_bins):
+    """The row indices of each of ``ece``'s bins at ``rank``, as lists."""
+    return [group.tolist() for group in _bins(top_n(probs, rank)[1], num_bins)]
+
+
 HAND_FOUR = arrays([
     two_class(0.9, True),
     two_class(1.0, False),
@@ -37,17 +43,17 @@ HAND_FOUR = arrays([
 
 class TestBinning:
     def test_even_split(self):
-        bins = bin_by_confidence(HAND_FOUR[0], 1, 2)
+        bins = bins_of(HAND_FOUR[0], 1, 2)
         assert [len(b) for b in bins] == [2, 2]
 
     def test_remainder_goes_first(self):
         probs, _ = arrays([two_class(c, True) for c in (0.5, 0.6, 0.7, 0.8, 0.9)])
-        bins = bin_by_confidence(probs, 1, 2)
+        bins = bins_of(probs, 1, 2)
         assert [len(b) for b in bins] == [3, 2]
 
     def test_more_bins_than_records(self):
         probs, _ = arrays([two_class(c, True) for c in (0.5, 0.6, 0.7)])
-        bins = bin_by_confidence(probs, 1, 5)
+        bins = bins_of(probs, 1, 5)
         assert [len(b) for b in bins] == [1, 1, 1]
         assert brute_force_bin_sizes(3, 5) == [1, 1, 1]
 
@@ -57,26 +63,26 @@ class TestBinning:
             n = int(rng.integers(1, 40))
             b = int(rng.integers(1, 20))
             probs, _ = arrays([two_class(float(c), True) for c in rng.uniform(0.5, 1.0, n)])
-            bins = bin_by_confidence(probs, 1, b)
+            bins = bins_of(probs, 1, b)
             assert [len(g) for g in bins] == brute_force_bin_sizes(n, b)
             flat = sorted(i for g in bins for i in g)
             assert flat == list(range(n))
 
     def test_sorted_ascending_by_confidence(self):
-        bins = bin_by_confidence(HAND_FOUR[0], 1, 4)
+        bins = bins_of(HAND_FOUR[0], 1, 4)
         assert [b[0] for b in bins] == [2, 3, 0, 1]
 
     def test_empty_records_rejected(self):
         with pytest.raises(InvalidInputError):
-            bin_by_confidence(np.empty((0, 2)), 1, 2)
+            bins_of(np.empty((0, 2)), 1, 2)
 
     def test_bad_bin_count_rejected(self):
         with pytest.raises(InvalidParameterError):
-            bin_by_confidence(HAND_FOUR[0], 1, 0)
+            bins_of(HAND_FOUR[0], 1, 0)
 
     def test_rank_beyond_classes_rejected(self):
         with pytest.raises(InvalidParameterError):
-            bin_by_confidence(HAND_FOUR[0], 3, 2)
+            bins_of(HAND_FOUR[0], 3, 2)
 
 
 class TestEce:
@@ -230,7 +236,7 @@ class TestArrayCore:
             assert report.n_total == 1 and [b.count for b in report.bins] == [1]
             assert report.bins[0].mean_conf == conf
             assert report.bins[0].mean_acc == (1.0 if rank == 2 else 0.0)
-            assert bin_by_confidence(probs, rank, 15) == [[0]]
+            assert bins_of(probs, rank, 15) == [[0]]
             ref = brute_force_ece(probs.tolist(), labels.tolist(), rank, 15)
             assert report.ece == pytest.approx(ref, abs=1e-12)
 
@@ -261,4 +267,4 @@ class TestArrayCore:
             with pytest.raises(InvalidParameterError):
                 ece(*HAND_FOUR, rank, 2)
             with pytest.raises(InvalidParameterError):
-                bin_by_confidence(HAND_FOUR[0], rank, 2)
+                bins_of(HAND_FOUR[0], rank, 2)

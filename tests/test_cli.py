@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 import distilcal
 from distilcal.calibration import _fmt6
 from distilcal import FileFormatError, SweepConfig, combine_scores
-from distilcal.cli import _build_sweep_config, main
+from distilcal import cli
+from distilcal.cli import _PARSERS, _build_parser, _build_sweep_config, _cast, _list, main
 from distilcal.fileio import read_config_file, read_posterior_file, read_prediction_file
 
 from oracles import ref_read_hypothesis_file, ref_read_posterior_file, ref_read_prediction_file
@@ -758,6 +760,55 @@ class TestTargetsCommand:
         assert stdout == "utterances=1 frames=3 teachers=0\n"
 
 
+class TestTargetsStreamedWrite:
+    ARGV = ["--map", "identity", "--map", DATA / "map_mid.tsv", "--map", DATA / "map_one.tsv",
+            "--posteriors", DATA / "post_fine.tsv", "--posteriors", DATA / "post_mid.tsv",
+            "--posteriors", DATA / "post_one.tsv"]
+
+    @pytest.mark.parametrize("frames", [1, 2, 7])
+    def test_small_chunks_write_the_golden_bytes(self, capsys, tmp_path, monkeypatch, frames):
+        monkeypatch.setattr(distilcal.alignment, "_CHUNK_FRAMES", frames)
+        out = tmp_path / "targets.tsv"
+        code, _, err = run(capsys, "targets", "--align", DATA / "align_three.tsv",
+                           *self.ARGV, "--out", out)
+        assert code == 0, err
+        assert out.read_bytes() == (DATA / "expected_targets_three.tsv").read_bytes()
+
+    def test_chunk_raising_partway_keeps_the_old_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(distilcal.alignment, "_CHUNK_FRAMES", 2)
+        target_lines = cli.target_lines
+
+        def failing_lines(*args):
+            lines = target_lines(*args)
+            yield next(lines)  # one chunk is written, then the disk fills
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(cli, "target_lines", failing_lines)
+        out = tmp_path / "targets.tsv"
+        out.write_bytes(b"old bytes\n")
+        code, stdout, err = run(capsys, "targets", "--align", DATA / "align_three.tsv",
+                                *self.ARGV, "--out", out)
+        assert (code, stdout, err) == (2, "", "error: No space left on device\n")
+        assert out.read_bytes() == b"old bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["targets.tsv"]
+
+    def test_input_error_reported_before_the_output_is_opened(self, capsys, tmp_path):
+        (tmp_path / "align.tsv").write_text("u1\ta a b\n")
+        (tmp_path / "post.tsv").write_text(posterior_rows("u1", 3))
+        code, stdout, err = run(capsys, "targets", "--align", tmp_path / "align.tsv",
+                                "--posteriors", tmp_path / "post.tsv",
+                                "--out", tmp_path / "missing" / "t.tsv")
+        assert (code, stdout) == (2, "")
+        assert err == "error: got 3 posteriors for 2 deduplicated labels\n"
+
+    def test_no_frames_writes_an_empty_file(self, capsys, tmp_path):
+        (tmp_path / "align.tsv").write_text("u1\nu2\n")
+        out = tmp_path / "t.tsv"
+        code, stdout, _ = run(capsys, "targets", "--align", tmp_path / "align.tsv", "--out", out)
+        assert (code, stdout) == (0, "utterances=2 frames=0 teachers=0\n")
+        assert out.read_bytes() == b""
+
+
 def posterior_rows(utt, n):
     return "".join(f"{utt}\t{i}\t0.5 0.5\n" for i in range(n))
 
@@ -993,6 +1044,41 @@ class TestConfigValidation:
             write_config(cfg, hierarchical=value)
             assert _build_sweep_config(read_config_file(cfg), set()).hierarchical is want
 
+    @pytest.mark.parametrize("text", ["\u0663", "+4", "1_0", " 3"])
+    def test_int_values_take_sign_and_ascii_digits_only(self, text):
+        for parse in (_PARSERS["int"], _PARSERS["Optional[int]"]):
+            with pytest.raises(distilcal.InvalidInputError, match="bad value for config key 'k'"):
+                _cast({"k": text}, "k", parse)
+        if text != " 3":  # ``_list`` strips each part, as "1, 2" needs
+            with pytest.raises(distilcal.InvalidInputError, match="bad value for config key 'k'"):
+                _cast({"k": f"1, {text}"}, "k", _list(_PARSERS["int"]))
+
+    @pytest.mark.parametrize("text", ["\u0663", "0.0_5", "1_0", " 3", "\uff11.5"])
+    def test_float_values_take_ascii_without_underscores(self, text):
+        with pytest.raises(distilcal.InvalidInputError, match="bad value for config key 'k'"):
+            _cast({"k": text}, "k", _PARSERS["float"])
+        if text != " 3":
+            with pytest.raises(distilcal.InvalidInputError, match="bad value for config key 'k'"):
+                _cast({"k": f"0.5, {text}"}, "k", _list(_PARSERS["float"]))
+
+    def test_lists_keep_spaces_after_commas(self):
+        assert _cast({"k": "1, 2,-3"}, "k", _list(_PARSERS["int"])) == [1, 2, -3]
+        assert _cast({"k": "0.5, 1e-1"}, "k", _list(_PARSERS["float"])) == [0.5, 0.1]
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("sweep", "seeds", "0, \u0663"), ("sweep", "lambdas", "0.5, 1_0"),
+        ("sweep", "epochs", "+4"), ("sweep", "coarse_classes", "\u0662"),
+        ("train", "seed", "1_0"), ("train", "lambda", "0.0_5"),
+    ])
+    def test_commands_reject_number_spellings_naming_key(self, tmp_path, command, key, value):
+        cfg = tmp_path / "run.cfg"
+        base = {"sweep": dict(lambdas="0.5", methods="lst", seeds="0"),
+                "train": dict(method="lst")}[command]
+        write_config(cfg, **{**FAST_TOY, **base, key: value, "out": tmp_path / "o"})
+        _, err = run_rejected(tmp_path, command, "--config", cfg)
+        assert f"bad value for config key {key!r}" in err
+        assert not (tmp_path / "o").exists()
+
     def test_every_field_round_trips_through_a_config_file(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         default = SweepConfig()
@@ -1018,6 +1104,52 @@ class TestSweepCommand:
         assert {line.split(",")[1] for line in body[1:]} == {"0.200000", "0.800000"}
 
 
+NUMERIC_FLAGS = [
+    ("ece", ["--input", DATA / "predictions_hand4.jsonl", "--out", "o.csv"], "--rank"),
+    ("ece", ["--input", DATA / "predictions_hand4.jsonl", "--out", "o.csv"], "--bins"),
+    ("fit-temp", ["--val", DATA / "predictions_hand4.jsonl"], "--t-min"),
+    ("fit-temp", ["--val", DATA / "predictions_hand4.jsonl"], "--t-max"),
+    ("fit-temp", ["--val", DATA / "predictions_hand4.jsonl"], "--bins"),
+    ("combine", ["--hyps", DATA / "hyps_flip.jsonl"], "--t1"),
+    ("combine", ["--hyps", DATA / "hyps_flip.jsonl"], "--t2"),
+]
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("value", ["1_5", "\u0662", "1_0"])
+    @pytest.mark.parametrize("command,argv,flag", NUMERIC_FLAGS)
+    def test_flag_rejects_other_spellings(self, capsys, tmp_path, monkeypatch, command, argv,
+                                          flag, value):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, *map(str, argv), flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_every_typed_argument_takes_the_number_rule(self, capsys):
+        """Walk the parser: every argument with a ``type`` reads "1" and
+        rejects "1_0" and "٣", so no flag added later escapes the rule."""
+        [subparsers] = [a for a in _build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)]
+        typed = 0
+        for command, parser in subparsers.choices.items():
+            required = [arg for a in parser._actions if a.required
+                        for arg in (a.option_strings[0], "x")]
+            for action in parser._actions:
+                if action.type is None:
+                    continue
+                typed += 1
+                flag = action.option_strings[0]
+                parser.parse_args([*required, flag, "1"])
+                for value in ("1_0", "\u0663"):
+                    with pytest.raises(SystemExit) as exc:
+                        parser.parse_args([*required, flag, value])
+                    assert exc.value.code == 2, (command, flag, value)
+                    assert f"argument {flag}: invalid" in capsys.readouterr().err
+        assert typed == len(NUMERIC_FLAGS)
+
+
 class TestPlumbing:
     def test_version_flag(self, capsys):
         for argv in (["--version"], ["ece", "--version"], ["sweep", "--version"]):
@@ -1041,14 +1173,14 @@ class TestPlumbing:
             "EvalResult", "FileFormatError", "InvalidInputError", "InvalidParameterError",
             "ReliabilityReport", "Runs", "SweepConfig", "SweepRow", "SyntheticTask",
             "TemperatureFit", "ToyNetwork", "TrainConfig", "UnmappedTokenError", "alignment",
-            "as_logits", "as_probs", "bin_by_confidence", "calibration", "combine_scores",
+            "as_logits", "as_probs", "calibration", "combine_scores",
             "cross_entropy", "deduplicate", "ece", "entropy", "errors", "evaluate",
             "fit_temperature", "generate_data", "grad_check", "head_targets",
             "interpolate_target", "kd_loss", "log_softmax_t", "losses", "make_student",
             "make_task", "make_teacher", "map_units", "multitask_loss", "network_loss_and_grad",
             "nll_at_temperature", "one_hot", "probs", "rank_confidence_correct",
             "reliability_csv", "smooth_label", "soft_label", "softmax_t", "sweep_csv",
-            "sweep_lambda", "targets", "teacher_posteriors", "teacher_streams", "tempscale",
+            "sweep_lambda", "target_lines", "targets", "teacher_posteriors", "tempscale",
             "top_n", "toy", "train", "train_cell",
         ]
         assert all(hasattr(distilcal, name) for name in distilcal.__all__)

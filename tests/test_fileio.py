@@ -354,3 +354,47 @@ def test_long_files_bit_identical_to_reference(tmp_path):
         {"utt": f"u{i % 11}", "id": f"h{i}", "am_logp": row[0], "lm_logp": -row[1]}
     ) + "\n" for i, row in enumerate(rows.tolist())))
     assert_same_hypotheses(hyps)
+
+
+class TestWriteTextAtomic:
+    def test_chunks_written_in_order(self, tmp_path):
+        path = tmp_path / "out.txt"
+        fileio.write_text_atomic(path, iter(["a\tb\n", "", "cé\r\n"]))
+        assert path.read_bytes() == "a\tb\ncé\r\n".encode()
+
+    def test_chunk_raising_partway_leaves_old_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old bytes\n")
+
+        def chunks():
+            yield "first chunk\n"
+            raise OSError("No space left on device")
+
+        with pytest.raises(OSError, match="No space left"):
+            fileio.write_text_atomic(path, chunks())
+        assert path.read_bytes() == b"old bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+class TestNumberSpellings:
+    @pytest.mark.parametrize("text,value", [("0", 0), ("17", 17), ("-3", -3), ("007", 7)])
+    def test_int_reads_sign_and_ascii_digits(self, text, value):
+        assert fileio._int(text) == value
+
+    @pytest.mark.parametrize("text", ["+4", " 3", "3 ", "1_0", "٣", "１", "1.0", "",
+                                      "-", "--1", "1-",
+                                      pytest.param("9" * 5000, id="5000-digits")])
+    def test_int_rejects_other_spellings(self, text):
+        with pytest.raises(ValueError):
+            fileio._int(text)
+
+    @pytest.mark.parametrize("text,value", [("0.05", 0.05), ("-2", -2.0), ("+1e3", 1000.0),
+                                            ("inf", float("inf"))])
+    def test_float_reads_what_float_reads_in_ascii(self, text, value):
+        assert fileio._float(text) == value
+
+    @pytest.mark.parametrize("text", ["0.0_5", "1_0", "٢", "٠.5", " 1.5", "1.5\t",
+                                      "1 5", "", "abc"])
+    def test_float_rejects_other_spellings(self, text):
+        with pytest.raises(ValueError):
+            fileio._float(text)

@@ -22,7 +22,6 @@ from distilcal import (
     network_loss_and_grad,
     sweep_csv,
     sweep_lambda,
-    teacher_streams,
     train,
     train_cell,
 )
@@ -556,10 +555,10 @@ class TestWorkerProcesses:
 
     def test_teacher_streams_match_serial(self, monkeypatch):
         task = make_task(seed=HIER_SWEEP.task_seed)
-        x, _ = generate_data(task, HIER_SWEEP.n_train, seed=4)
-        forked = teacher_streams(task, HIER_SWEEP, 4, x, ["fine", "coarse"])
+        stacks = [([toy._cell_config(HIER_SWEEP, "multitask", 4)], 4)]
+        [(*_, forked)] = toy._stack_jobs(HIER_SWEEP, stacks)
         _one_cpu(monkeypatch)
-        serial = teacher_streams(task, HIER_SWEEP, 4, x, ["fine", "coarse"])
+        [(*_, serial)] = toy._stack_jobs(HIER_SWEEP, stacks)
         assert list(forked) == list(serial) == ["fine", "coarse"]
         assert serial["coarse"].shape == (HIER_SWEEP.n_train, int(task.coarse_map.max()) + 1)
         for kind in serial:
