@@ -93,10 +93,45 @@ def _fmt6(x: float) -> str:
     return _FMT6 % (float(x) + 0.0)  # + 0.0 turns -0.0 into 0.0: no "-0.000000"
 
 
+#: Row i holds the three ASCII digits of i, as ``"%03d" % i`` spells them.
+_DIGITS3 = (np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+
+
 def _fmt6_rows(mat: np.ndarray) -> list[str]:
-    """Each row of a 2-D matrix as comma-joined :func:`_fmt6` entries."""
+    """Each row of a 2-D matrix as comma-joined :func:`_fmt6` entries.
+
+    When every entry lies in ``[0, 10)``, the entries are printed from the
+    integers ``q = rint(x * 1e6)`` through a digit table into one byte
+    buffer. ``%.6f`` prints the exact ``x * 1e6`` rounded to an integer, and
+    the float product is within 1e-9 of it, so ``q`` is that integer unless
+    the product lies within 1e-6 of a half-integer. A row holding such an
+    entry (exact ties too) or one that rounds up to 10.000000 is printed with
+    ``%`` instead, as is any other matrix.
+    """
     row_fmt = ",".join([_FMT6] * mat.shape[1])
-    return [row_fmt % tuple(row) for row in (mat + 0.0).tolist()]
+    with np.errstate(invalid="ignore"):
+        fast = mat.size and ((mat >= 0.0) & (mat < 10.0)).all()
+    if not fast:
+        return [row_fmt % tuple(row) for row in (mat + 0.0).tolist()]  # + 0.0: no "-0.000000"
+    scaled = mat * 1e6
+    q = np.rint(scaled)
+    scaled -= q  # in place, and freed early: each array here is as large as the text
+    slow = ((np.abs(scaled, out=scaled) > 0.5 - 1e-6) | (q >= 1e7)).any(axis=1)
+    del scaled
+    q = q.astype(np.int64)
+    cells = np.empty(mat.shape + (9,), dtype=np.uint8)  # "d.dddddd" and "," or "\n"
+    cells[..., 0] = q // 1_000_000 + ord("0")
+    cells[..., 1] = ord(".")
+    cells[..., 2:5] = _DIGITS3[q // 1000 % 1000]
+    cells[..., 5:8] = _DIGITS3[q % 1000]
+    cells[..., 8] = ord(",")
+    cells[:, -1, 8] = ord("\n")
+    text = str(cells, "ascii")
+    del cells, q
+    rows = text.split("\n")[:-1]
+    for i in np.flatnonzero(slow).tolist():
+        rows[i] = row_fmt % tuple((mat[i] + 0.0).tolist())
+    return rows
 
 
 def reliability_csv(report: ReliabilityReport) -> str:

@@ -11,8 +11,8 @@ Formats (one record per line throughout):
 * posterior file: ``utt-id<TAB>token-index<TAB>p0 p1 ... pK-1``, the index in
   ASCII digits and the values in ASCII without ``_``.
 
-Only LF ends a line (a CR before it is dropped), and blank lines are
-skipped but counted. Parse errors raise :class:`FileFormatError` carrying
+Only LF ends a line (a CR before it is dropped), blank lines are skipped but
+counted, and a UTF-8 byte-order mark at the start of a file is dropped. Parse errors raise :class:`FileFormatError` carrying
 the offending line number. The prediction, hypothesis and posterior formats
 each have one check, which runs on the file a chunk of lines at a time; a
 chunk it rejects is checked again line by line, and the first line rejected
@@ -23,6 +23,7 @@ load, anything worse is rejected.
 
 from __future__ import annotations
 
+import codecs
 import json
 import os
 import re
@@ -30,7 +31,7 @@ import tempfile
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -50,6 +51,8 @@ _CHUNK = 4096
 #: integer is an optional ``-`` and then ASCII digits, and a float is ASCII
 #: text without ``_`` or whitespace that ``float`` reads.
 _INT_CHARS = frozenset("-0123456789")
+#: Digits of a fixed-width decimal read by integer arithmetic; 10**15 < 2**53.
+_MAX_DIGITS = 15
 
 
 def _float_chars(text: str) -> bool:
@@ -70,8 +73,9 @@ def _float(text: str) -> float:
 
 def _lines(path) -> list[tuple[int, str]]:
     """``(line_no, line)`` per non-blank line. Only LF ends a line, and one CR
-    at a line's end is dropped; a form feed or U+2028 stays inside its line."""
-    data = Path(path).read_bytes()
+    at a line's end is dropped; a form feed or U+2028 stays inside its line.
+    A byte-order mark that starts the file is dropped."""
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -247,6 +251,46 @@ def read_unit_map_file(path) -> dict[str, str]:
     return mapping
 
 
+def _float_values(value_texts) -> tuple[np.ndarray, list[int]]:
+    """The values of ``value_texts`` in line order, as ``float`` reads them,
+    and each line's count."""
+    fields = [text.split() for text in value_texts]
+    try:
+        if not _float_chars("".join(value_texts)):  # whitespace only between fields
+            raise ValueError
+        return np.array(list(map(float, chain.from_iterable(fields)))), list(map(len, fields))
+    except ValueError:
+        raise _Rejected("probabilities must be numbers") from None
+
+
+def _fixed_decimals(value_texts) -> Optional[tuple[np.ndarray, list[int]]]:
+    """:func:`_float_values`, bit for bit, when every value is spelt at the
+    first one's width, with its ``.`` in the same column, ASCII digits in
+    every other and one space between values; else None. The at most 15
+    digits of a value read as an integer ``q`` and ``10**k`` (``k`` of them
+    after the point) are exact doubles, so the correctly rounded
+    ``q / 10**k`` is what ``float`` reads."""
+    head = value_texts[0].partition(" ")[0]
+    width, point = len(head), head.find(".")
+    if point < 0 or not 2 <= width <= _MAX_DIGITS + 1:
+        return None
+    cells = np.frombuffer((" ".join(value_texts) + " ").encode(), dtype=np.uint8)
+    if cells.size % (width + 1):
+        return None
+    cells = cells.reshape(-1, width + 1)
+    if not ((cells[:, point] == ord(".")).all() and (cells[:, width] == ord(" ")).all()):
+        return None
+    q = np.zeros(len(cells))  # sums of digits times powers of ten: exact below 2**53
+    for column in [*range(point), *range(point + 1, width)]:
+        digit = cells[:, column] - np.uint8(ord("0"))  # any other byte wraps past 9
+        if (digit > 9).any():
+            return None
+        q *= 10.0
+        q += digit
+    counts = [(len(text) + 1) // (width + 1) for text in value_texts]
+    return q / float(10 ** (width - 1 - point)), counts
+
+
 def read_posterior_file(path) -> dict[str, np.ndarray]:
     """Per-utterance ``(T, K)`` posterior matrices, rows ordered by token index.
 
@@ -271,20 +315,13 @@ def read_posterior_file(path) -> dict[str, np.ndarray]:
             raise _Rejected(f"bad token index {index_texts[0]!r}") from None
         if min(indices) < 0:
             raise _Rejected(f"negative token index {min(indices)}")
-        fields = [text.split() for text in value_texts]
-        try:
-            if not _float_chars("".join(value_texts)):  # whitespace only between fields
-                raise ValueError
-            flat = np.array(list(map(float, chain.from_iterable(fields))))
-        except ValueError:
-            raise _Rejected("probabilities must be numbers") from None
-        counts = set(map(len, fields))
+        flat, counts = _fixed_decimals(value_texts) or _float_values(value_texts)
         if min(counts) < 2 or not (np.isfinite(flat) & (flat >= 0.0)).all():
             raise _Rejected("need >= 2 finite non-negative probabilities")
-        first = len(fields[0]) if width is None else width
-        if counts != {first}:
-            raise _Rejected(f"expected {first} probabilities, got {max(counts - {first})}")
-        mat = flat.reshape(len(fields), first)
+        first = counts[0] if width is None else width
+        if set(counts) != {first}:
+            raise _Rejected(f"expected {first} probabilities, got {max(set(counts) - {first})}")
+        mat = flat.reshape(len(value_texts), first)
         with np.errstate(over="ignore"):  # a sum past the float range is inf, rejected below
             totals = mat.sum(axis=1)
         off = np.abs(totals - 1.0) > POSTERIOR_SUM_TOL
@@ -335,11 +372,20 @@ def read_config_file(path) -> dict[str, str]:
 
 def write_text_atomic(path, chunks: Iterable[str]) -> None:
     """Write the text ``chunks`` in turn to a temp file in the same directory,
-    then rename it into place; if a chunk raises, ``path`` is left as it was."""
+    then rename it into place; if a chunk raises, ``path`` is left as it was.
+    The file gets the mode ``open(path, "w")`` would leave: an existing file's
+    own, else 0666 less the umask."""
     path = Path(path)
+    try:
+        mode = path.stat().st_mode & 0o777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            os.fchmod(fd, mode)
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:

@@ -8,7 +8,7 @@ from distilcal import (
     rank_confidence_correct,
     reliability_csv,
 )
-from distilcal.calibration import _bins
+from distilcal.calibration import _FMT6, _bins, _fmt6_rows
 from distilcal.probs import top_n
 
 from oracles import brute_force_bin_sizes, brute_force_ece
@@ -202,6 +202,49 @@ class TestReliabilityCsv:
         records = arrays([two_class(c, True) for c in (0.5, 0.6, 0.7)])
         text = reliability_csv(ece(*records, 1, 10))
         assert len(text.splitlines()) == 4  # header + 3 singleton bins
+
+
+def fmt6_reference(mat):
+    """``_fmt6_rows`` as one ``%`` per value; + 0.0 prints -0.0 as 0.000000."""
+    return [",".join(_FMT6 % (v + 0.0) for v in row) for row in np.asarray(mat).tolist()]
+
+
+def hard_values():
+    """Values whose six-decimal rounding is easy to get wrong from a scaled
+    product: exact binary ties k/128, the doubles nearest the decimal ties
+    (n + 0.5) / 1e6, their neighbours on both sides, and a few ends, two of
+    them rounding up to 10.000000."""
+    rng = np.random.default_rng(11)
+    n = np.concatenate(([0, 1, 2, 499_999, 999_999, 1_000_000, 9_999_998, 9_999_999],
+                        rng.integers(0, 10**7, size=1500)))
+    base = np.concatenate((np.arange(1280) / 128, (n + 0.5) / 1e6))
+    return np.concatenate((base, np.nextafter(base, 0.0), np.nextafter(base, np.inf),
+                           [5e-324, -0.0, 1.0, 9.9999999, np.nextafter(10.0, 0.0)]))
+
+
+class TestFmt6Rows:
+    @pytest.mark.parametrize("width", [2, 40, 200])
+    def test_every_entry_equals_percent_format(self, width):
+        values = hard_values()
+        values = np.concatenate((values, values[: -len(values) % width]))
+        mat = values.reshape(-1, width)
+        assert (mat >= 0.0).all() and (mat < 10.0).all()  # the digit path
+        assert _fmt6_rows(mat) == fmt6_reference(mat)
+
+    @pytest.mark.parametrize("shuffle", [0, 1, 2])
+    def test_shuffled_rows_equal_percent_format(self, shuffle):
+        values = np.random.default_rng(shuffle).permutation(hard_values())
+        mat = values[: len(values) // 40 * 40].reshape(-1, 40)
+        assert _fmt6_rows(mat) == fmt6_reference(mat)
+
+    @pytest.mark.parametrize("odd", [10.0, 9.9999995, -1e-300, 1e300, np.inf, np.nan, -0.0])
+    def test_any_matrix_equals_percent_format(self, odd):
+        mat = np.array([[0.25, 0.75], [odd, 0.5]])
+        assert _fmt6_rows(mat) == fmt6_reference(mat)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0), (0, 0)])
+    def test_empty_matrices(self, shape):
+        assert _fmt6_rows(np.zeros(shape)) == fmt6_reference(np.zeros(shape))
 
 
 class TestArrayCore:

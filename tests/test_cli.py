@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from itertools import groupby
@@ -499,17 +500,22 @@ class TestPredictionMutations:
 #: Ways to break one posterior line; "nudge" (a sum off by less than the
 #: tolerance), "crlf" (the whole file) and "none" leave the file valid.
 #: "underscore", "plus_index" and "unicode_digit" are spellings that ``int``
-#: or ``float`` reads but the format does not allow.
+#: or ``float`` reads but the format does not allow. "letter", "moved_point",
+#: "seventh_decimal", "sign" and "double_space" break the one width and
+#: point column that let a file of fixed-width decimals be read by integer
+#: arithmetic; all but "letter" and some "moved_point" and "sign" cases leave
+#: it valid.
 POSTERIOR_MUTATIONS = ("bad_index", "negative_index", "float_index", "nan", "inf", "overflow",
                        "negative", "width", "sum", "nudge", "duplicate", "missing_column",
                        "extra_column", "non_utf8", "crlf", "none", "underscore", "plus_index",
-                       "unicode_digit")
+                       "unicode_digit", "letter", "moved_point", "seventh_decimal", "sign",
+                       "double_space")
 ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
                                            "\u0665\u0666\u0667\u0668\u0669")
 
 #: posterior fixture -> the unit map that fits it to ``align_three.tsv``.
 POSTERIOR_FIXTURES = {"post_fine.tsv": "identity", "post_mid.tsv": str(DATA / "map_mid.tsv"),
-                      "post_one.tsv": str(DATA / "map_one.tsv")}
+                      "post_one.tsv": str(DATA / "map_one.tsv"), "post_six.tsv": "identity"}
 
 
 def mutate_posterior(line, mutation, position):
@@ -537,6 +543,18 @@ def mutate_posterior(line, mutation, position):
             index = index.translate(ARABIC_INDIC)
         else:
             probs[at] = probs[at].translate(ARABIC_INDIC)
+    elif mutation == "letter":  # the last digit of one value
+        probs[at] = probs[at][:-1] + "x"
+    elif mutation == "moved_point":  # one place to the right: 0.25 -> 02.5
+        point = probs[at].find(".")
+        digits = probs[at].replace(".", "")
+        probs[at] = f"{digits[:point + 1]}.{digits[point + 1:]}"
+    elif mutation == "seventh_decimal":
+        probs[at] += "1" if position % 2 else "0"
+    elif mutation == "sign":
+        probs[at] = ("-" if position % 2 else "+") + probs[at]
+    elif mutation == "double_space":
+        probs[at] = " " + probs[at]
     elif mutation in ("missing_column", "extra_column"):
         return f"{utt}\t{index}" if mutation == "missing_column" else f"{line}\textra"
     return "\t".join((utt, index, " ".join(probs)))
@@ -581,6 +599,98 @@ class TestPosteriorMutations:
         written = out.read_bytes()
         assert run_quiet(argv) == (0, stdout, stderr)
         assert out.read_bytes() == written
+
+
+#: An alignment, a unit map into a coarser unit and one six-decimal posterior
+#: file per teacher (fine through "identity", coarse through the map) that
+#: fit each other, for ``targets`` to read.
+ALIGN_LINES = ["u1\ta a b", "u2\tb b a a c", "u3\tc a b b", "u4\tb"]
+MAP_LINES = ["a\tx", "b\ty", "c\tx"]
+FINE_POSTERIORS = {"u1": 2, "u2": 3, "u3": 3, "u4": 1}  # deduplicated tokens
+COARSE_POSTERIORS = {"u1": 2, "u2": 2, "u3": 2, "u4": 1}
+#: Ways to break an alignment or unit-map file at one line ("empty" and
+#: "crlf" act on the whole file). "crlf" leaves it valid, and so do a "bom"
+#: on the first line and a "duplicate" map line; "id_whitespace" applies to
+#: the alignment only and "conflicting_image" and "missing_image" to the map
+#: only.
+TABLE_MUTATIONS = ("missing_tab", "id_whitespace", "duplicate", "empty", "crlf", "bom",
+                   "non_utf8", "conflicting_image", "missing_image")
+
+
+def posterior_text(tokens: dict, width: int) -> str:
+    row = " ".join(["%.6f" % (1 / width)] * width)  # width 2 or 4: exact
+    return "".join(f"{utt}\t{i}\t{row}\n" for utt, n in tokens.items() for i in range(n))
+
+
+@st.composite
+def table_file(draw):
+    """``(which, bytes)``: the alignment or the map, broken by one mutation."""
+    which = draw(st.sampled_from(["align", "map"]))
+    lines = list(ALIGN_LINES if which == "align" else MAP_LINES)
+    mutation = draw(st.sampled_from(TABLE_MUTATIONS))
+    at = draw(st.integers(0, len(lines) - 1))
+    if mutation == "missing_tab":
+        lines[at] = lines[at].replace("\t", draw(st.sampled_from(["", " "])), 1)
+    elif mutation == "id_whitespace" and which == "align":
+        lines[at] = f"{lines[at][:1]}{draw(st.sampled_from([' ', chr(0xa0), chr(0x1c)]))}{lines[at][1:]}"
+    elif mutation == "duplicate":
+        lines.insert(at, lines[at])
+    elif mutation == "empty":
+        lines = []
+    elif mutation == "bom":
+        lines[at] = "\ufeff" + lines[at]
+    elif mutation == "conflicting_image" and which == "map":
+        lines.insert(at + 1, lines[at].split("\t")[0] + "\tz")
+    elif mutation == "missing_image" and which == "map":
+        del lines[at]
+    end = "\r\n" if mutation == "crlf" else "\n"
+    data = "".join(line + end for line in lines).encode()
+    if mutation == "non_utf8":
+        cut = sum(len(line.encode()) + 1 for line in lines[:at])
+        cut += draw(st.integers(0, len(lines[at])))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return which, data
+
+
+def tables_argv(work, which=None, data=b""):
+    """``targets`` on the fitting tables in ``work``, ``which`` of them
+    replaced by ``data``."""
+    (work / "align.tsv").write_text("".join(line + "\n" for line in ALIGN_LINES))
+    (work / "map.tsv").write_text("".join(line + "\n" for line in MAP_LINES))
+    if which is not None:
+        (work / f"{which}.tsv").write_bytes(data)
+    (work / "fine.tsv").write_text(posterior_text(FINE_POSTERIORS, 4))
+    (work / "coarse.tsv").write_text(posterior_text(COARSE_POSTERIORS, 2))
+    return ["targets", "--align", str(work / "align.tsv"),
+            "--map", "identity", "--posteriors", str(work / "fine.tsv"),
+            "--map", str(work / "map.tsv"), "--posteriors", str(work / "coarse.tsv"),
+            "--out", str(work / "targets.tsv")]
+
+
+class TestAlignmentAndMapMutations:
+    def test_unbroken_tables_write_every_frame(self, tmp_path):
+        assert run_quiet(tables_argv(tmp_path)) == (0, "utterances=4 frames=13 teachers=2\n", "")
+        lines = (tmp_path / "targets.tsv").read_text().splitlines()
+        assert len(lines) == 13
+        assert lines[3] == "u2\t0\tb\tt0:0.250000,0.250000,0.250000,0.250000\tt1:0.500000,0.500000"
+
+    @settings(max_examples=100, deadline=None)
+    @given(table_file())
+    def test_targets_exit_0_or_2_naming_a_line_or_token(self, tmp_path_factory, case):
+        work = tmp_path_factory.mktemp("tables")
+        argv = tables_argv(work, *case)
+        out = work / "targets.tsv"
+        code, stdout, stderr = run_quiet(argv)
+        assert code in (0, 2), stderr
+        assert "Traceback" not in stderr
+        written = out.read_bytes() if out.exists() else None
+        if code == 2:
+            assert stdout == "" and written is None
+            assert re.match(r"error: .*(:\d+: |'[^']+')", stderr), stderr
+        else:
+            assert stderr == ""
+        assert run_quiet(argv) == (code, stdout, stderr)
+        assert (out.read_bytes() if out.exists() else None) == written
 
 
 def write_posteriors(path, table):

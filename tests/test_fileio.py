@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -150,6 +152,84 @@ def test_renormalised_rows_match_per_row_division(tmp_path_factory, seed, width,
     assert got.tobytes() == want.tobytes()
 
 
+#: Fixed-width decimal values: the integer reading must give ``float``'s bits.
+FIXED_VALUES = ["0.000000", "1.000000", "9.999999", "0.000001", "0.500000", "5.000000",
+                "0.1", ".5", "1.", "00.50", "0.30000000000000", "9999999999.99999",
+                "0.00000000000001", "99999999999999.9"]
+
+
+@pytest.mark.parametrize("text", FIXED_VALUES)
+def test_fixed_width_value_is_read_as_float_reads_it(text):
+    flat, counts = fileio._fixed_decimals([f"{text} {text}", text])
+    assert counts == [2, 1]
+    assert flat.tobytes() == np.array([float(text)] * 3).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 15), st.data())
+def test_fixed_width_values_bit_identical_to_float(digits, data):
+    point = data.draw(st.integers(0, digits))
+    q = data.draw(st.lists(st.integers(0, 10**digits - 1), min_size=1, max_size=30))
+    texts = [str(v).zfill(digits) for v in q]
+    texts = [f"{t[:point]}.{t[point:]}" for t in texts]
+    flat, counts = fileio._fixed_decimals([" ".join(texts)])
+    assert counts == [len(texts)]
+    assert flat.tobytes() == np.array(list(map(float, texts))).tobytes()
+
+
+#: Value texts that leave the fixed shape; each is read by ``float`` instead.
+NOT_FIXED = {
+    "letter": ["0.25 0.7x"],
+    "moved_point": ["0.25 07.5"],
+    "comma": ["0.25 0,75"],
+    "no_point_in_column": ["0.25 0075"],
+    "no_space_in_column": ["0.25 0.75x0.50"],
+    "seventh_decimal": ["0.250000 0.7500000"],
+    "minus": ["0.25 -0.75"],
+    "plus": ["+0.25 0.75"],
+    "double_space": ["0.25  0.75"],
+    "leading_space": [" 0.25 0.75"],
+    "no_point": ["1 0"],
+    "point_only": [". ."],
+    "sixteen_digits": ["0.000000000000001 0.999999999999999"],
+    "line_width": ["0.25 0.75", "0.500 0.500"],
+    "empty_line": ["0.25 0.75", ""],
+    "non_ascii": ["0.25 \uff10.75"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_FIXED))
+def test_other_spellings_left_to_float(name):
+    assert fileio._fixed_decimals(NOT_FIXED[name]) is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 8, 40, 200]), st.integers(1, 40))
+def test_six_decimal_files_bit_identical_to_reference(tmp_path_factory, seed, width, n):
+    """Rows at six decimals, as posterior dumps spell them, are each read on
+    the integer path and come out as the line-at-a-time reader makes them."""
+    rng = np.random.default_rng(seed)
+    q = np.rint(rng.dirichlet(np.full(width, 0.3), size=n) * 1e6).astype(np.int64)
+    q[:, 0] += 1_000_000 - q.sum(axis=1)  # may go negative: then the row is invalid
+    q[0] = 0
+    q[0, -1] = 1_000_000  # 0.000000 and 1.000000
+    texts = [" ".join(f"{v // 10**6}.{v % 10**6:06d}" for v in row) for row in q.tolist()]
+    path = tmp_path_factory.mktemp("six") / "post.tsv"
+    path.write_text("".join(f"u{i % 3}\t{i // 3}\t{t}\n" for i, t in enumerate(texts)))
+    if (q >= 0).all():
+        assert fileio._fixed_decimals(texts) is not None
+    try:
+        want = ref_read_posterior_file(path)
+    except FileFormatError as e:
+        with pytest.raises(FileFormatError) as info:
+            read_posterior_file(path)
+        assert str(info.value) == str(e)
+        return
+    got = read_posterior_file(path)
+    assert list(got) == list(want)
+    assert all(got[utt].tobytes() == want[utt].tobytes() for utt in want)
+
+
 #: reader -> one valid line of its format.
 GOOD_LINES = {
     "read_prediction_file": b'{"logits": [0.0, 1.0], "label": 0}',
@@ -180,6 +260,20 @@ def test_non_utf8_line_number_counts_line_feeds_only(reader, tmp_path):
     with pytest.raises(FileFormatError) as info:
         getattr(fileio, reader)(path)
     assert str(info.value) == f"{path}:3: not valid UTF-8 (byte 0xff)"
+
+
+@pytest.mark.parametrize("reader", sorted(GOOD_LINES))
+def test_byte_order_mark_dropped_only_at_the_start(reader, tmp_path):
+    good = GOOD_LINES[reader]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(good + b"\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + good + b"\n")
+    read = getattr(fileio, reader)
+    assert json.dumps(read(marked), default=np.ndarray.tolist) == json.dumps(
+        read(plain), default=np.ndarray.tolist)
+    assert fileio._lines(marked) == [(1, good.decode())]
+    marked.write_bytes(good + b"\n\xef\xbb\xbf" + good + b"\n")
+    assert fileio._lines(marked) == [(1, good.decode()), (2, "\ufeff" + good.decode())]
 
 
 def test_crlf_unit_map_keeps_no_carriage_return(tmp_path):
@@ -374,6 +468,21 @@ class TestWriteTextAtomic:
             fileio.write_text_atomic(path, chunks())
         assert path.read_bytes() == b"old bytes\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+    @pytest.mark.parametrize("existing", [None, 0o640, 0o600])
+    def test_mode_is_what_open_for_writing_leaves(self, tmp_path, existing):
+        path = tmp_path / "out.txt"
+        if existing is not None:
+            path.write_text("old\n")
+            path.chmod(existing)
+        old = os.umask(0o022)
+        try:
+            fileio.write_text_atomic(path, ("new\n",))
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == (0o644 if existing is None else existing)
+        assert path.read_text() == "new\n"
 
 
 class TestNumberSpellings:
