@@ -30,7 +30,6 @@ from .alignment import (
     teacher_posteriors,
 )
 from .calibration import (
-    BinStats,
     ReliabilityReport,
     ece,
     rank_confidence_correct,

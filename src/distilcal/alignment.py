@@ -118,13 +118,12 @@ def teacher_posteriors(
 def target_lines(
     a: Alignments,
     teachers: Sequence[tuple[str, Optional[Mapping[str, str]], Mapping[str, Sequence]]],
-    unit: str = "fine",
 ) -> Iterator[str]:
     """The frame-wise target table of ``teachers`` on ``a``, in text chunks of
     ``_CHUNK_FRAMES`` lines: per frame, ``utt<TAB>frame<TAB>hard`` and then a
     ``<TAB>tid:p0,p1,...`` cell per teacher, at six decimals. The errors of
     :func:`teacher_posteriors` are raised by this call, before any chunk."""
-    streams = teacher_posteriors(a, teachers, unit)
+    streams = teacher_posteriors(a, teachers)
     utt = np.repeat(np.arange(len(a.utts)), np.diff(a.offsets))
     frame = np.arange(len(a.codes)) - a.offsets[utt]
     columns = [  # per column, each distinct cell formatted once, and the cell of each frame

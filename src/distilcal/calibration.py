@@ -11,7 +11,7 @@ confidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,22 +20,15 @@ from .probs import top_n
 from .targets import _check_labels
 
 
-@dataclass(frozen=True)
-class BinStats:
-    """Count, mean confidence, mean accuracy, and gap (acc - conf) of one bin."""
-
-    count: int
-    mean_conf: float
-    mean_acc: float
-    gap: float
-
-
-@dataclass(frozen=True)
-class ReliabilityReport:
-    """Per-bin statistics and the resulting calibration error for one rank."""
+class ReliabilityReport(NamedTuple):
+    """One rank's bins as ``(B,)`` columns in bin order (row count, mean
+    confidence, mean accuracy; the gap is ``mean_acc - mean_conf``) and the
+    resulting calibration error."""
 
     rank: int
-    bins: list[BinStats]
+    counts: np.ndarray
+    mean_conf: np.ndarray
+    mean_acc: np.ndarray
     ece: float
     n_total: int
 
@@ -74,16 +67,17 @@ def ece(probs, labels, rank: int, num_bins: int, group=None) -> ReliabilityRepor
     if group is not None and (not isinstance(group, (int, np.integer)) or group < 1):
         raise InvalidParameterError(f"group must be None or >= 1, got {group!r}")
     size = n if group is None else group
-    stats: list[BinStats] = []
+    stats = []
     total = 0.0
     for start in range(0, n, size):
         for idxs in _bins(conf[start : start + size], num_bins):
             idxs += start
             c = float(conf[idxs].mean())
             a = float(correct[idxs].mean())
-            stats.append(BinStats(count=len(idxs), mean_conf=c, mean_acc=a, gap=a - c))
+            stats.append((len(idxs), c, a))
             total += (len(idxs) / n) * abs(a - c)
-    return ReliabilityReport(rank=rank, bins=stats, ece=total, n_total=n)
+    counts, confs, accs = map(np.array, zip(*stats))
+    return ReliabilityReport(rank, counts, confs, accs, total, n)
 
 
 _FMT6 = "%.6f"
@@ -136,10 +130,10 @@ def _fmt6_rows(mat: np.ndarray) -> list[str]:
 
 def reliability_csv(report: ReliabilityReport) -> str:
     """Render a report as CSV: header plus one 6-decimal row per bin."""
-    lines = ["rank,bin,count,mean_conf,mean_acc,gap"]
-    for i, b in enumerate(report.bins):
-        lines.append(
-            f"{report.rank},{i},{b.count},"
-            f"{_fmt6(b.mean_conf)},{_fmt6(b.mean_acc)},{_fmt6(b.gap)}"
-        )
-    return "\n".join(lines) + "\n"
+    conf, acc = report.mean_conf, report.mean_acc
+    values = _fmt6_rows(np.column_stack([conf, acc, acc - conf]))
+    rows = [
+        f"{report.rank},{i},{count},{v}"
+        for i, (count, v) in enumerate(zip(report.counts.tolist(), values))
+    ]
+    return "\n".join(["rank,bin,count,mean_conf,mean_acc,gap", *rows]) + "\n"

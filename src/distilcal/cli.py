@@ -102,7 +102,7 @@ def _cmd_targets(args) -> int:
         (f"t{i}", None if map_path == "identity" else read_unit_map_file(map_path),
          read_posterior_file(post_path))
         for i, (map_path, post_path) in enumerate(zip(maps, posts))
-    ], args.unit)
+    ])
     write_text_atomic(args.out, lines)
     print(f"utterances={len(alignments.utts)} frames={len(alignments.codes)} teachers={len(posts)}")
     return 0
@@ -242,7 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("targets", _cmd_targets, "Frame-wise targets from alignment + posteriors.")
     p.add_argument("--align", required=True, help="alignment file (utt<TAB>tokens)")
-    p.add_argument("--unit", default="fine", help="alignment unit for error messages (default 'fine')")
     p.add_argument(
         "--map",
         action="append",

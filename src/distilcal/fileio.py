@@ -12,13 +12,13 @@ Formats (one record per line throughout):
   ASCII digits and the values in ASCII without ``_``.
 
 Only LF ends a line (a CR before it is dropped), blank lines are skipped but
-counted, and a UTF-8 byte-order mark at the start of a file is dropped. Parse errors raise :class:`FileFormatError` carrying
-the offending line number. The prediction, hypothesis and posterior formats
-each have one check, which runs on the file a chunk of lines at a time; a
-chunk it rejects is checked again line by line, and the first line rejected
-is reported with that check's message. Posterior vectors may be off the
-simplex by up to 1e-6 (6-decimal files round); they are renormalized on
-load, anything worse is rejected.
+counted, and a UTF-8 byte-order mark at the start of a file is dropped. Parse
+errors raise :class:`FileFormatError` with the offending line number. The
+prediction, hypothesis and posterior formats each have one check, which runs
+on the file a chunk of lines at a time; a chunk it rejects is checked again
+line by line, and the first line rejected is reported with that check's
+message. Posterior vectors may be off the simplex by up to 1e-6 (6-decimal
+files round); they are renormalized on load, anything worse is rejected.
 """
 
 from __future__ import annotations

@@ -30,6 +30,8 @@ from .probs import _check_temperature, softmax_t
 from .targets import interpolate_target, one_hot, smooth_label, soft_label
 
 _METHODS = ("baseline", "label_smooth", "lst", "multitask")
+#: The settings that keep a network's logits and loss finite, for the errors that find them not.
+_FINITE_HINT = " (a smaller learning_rate, mean_scale or noise_sigma may help)"
 
 
 def _derive_seed(seed: int, tag: str) -> int:
@@ -92,10 +94,11 @@ def make_task(
     seed: int = 0,
 ) -> SyntheticTask:
     """Random cluster means plus a round-robin fine-to-coarse relabeling."""
-    if not math.isfinite(mean_scale):
-        raise InvalidParameterError(f"mean_scale must be finite, got {mean_scale}")
     rng = np.random.default_rng(seed)
-    means = mean_scale * rng.standard_normal((num_classes, input_dim))
+    with np.errstate(over="ignore"):  # an overflow fails the check below
+        means = mean_scale * rng.standard_normal((num_classes, input_dim))
+    if not np.isfinite(means).all():
+        raise InvalidParameterError(f"mean_scale must give finite cluster means, got {mean_scale}")
     coarse = None
     if coarse_classes is not None:
         if not 2 <= coarse_classes <= num_classes:
@@ -118,7 +121,10 @@ def generate_data(task: SyntheticTask, n: int, seed: int) -> tuple[np.ndarray, n
         raise InvalidParameterError(f"need n >= 1, got {n}")
     rng = np.random.default_rng(seed)
     y = np.arange(n) % task.num_classes
-    x = task.cluster_means[y] + task.noise_sigma * rng.standard_normal((n, task.input_dim))
+    with np.errstate(over="ignore"):  # an overflow fails the check below
+        x = task.cluster_means[y] + task.noise_sigma * rng.standard_normal((n, task.input_dim))
+    if not np.isfinite(x).all():
+        raise InvalidParameterError(f"noise_sigma must give finite data, got {task.noise_sigma}")
     return x, y
 
 
@@ -203,10 +209,6 @@ class ToyNetwork:
         b = self._views[f"{name}.b"]
         b[...] = rng.uniform(-s, s, size=b.shape)
 
-    def view(self, name: str) -> np.ndarray:
-        """Writable view into the flat parameter vector."""
-        return self._views[name]
-
     def _as_inputs(self, inputs) -> np.ndarray:
         """Coerce to a float64 (B, d) batch, validating its width."""
         x = np.asarray(inputs, dtype=np.float64)
@@ -217,9 +219,13 @@ class ToyNetwork:
         return x
 
     def forward_batch(self, inputs: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Hidden activations and per-head logits for a (B, d) batch."""
-        hidden = self._hidden(self._as_inputs(inputs))
-        return hidden, {name: self._logits(hidden, name) for name in self.head_dims}
+        """Hidden activations and per-head logits, which must be finite, for a (B, d) batch."""
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+            hidden = self._hidden(self._as_inputs(inputs))
+            logits = {name: self._logits(hidden, name) for name in self.head_dims}
+        if not all(np.isfinite(z).all() for z in logits.values()):
+            raise InvalidInputError("logits must be finite" + _FINITE_HINT)
+        return hidden, logits
 
     def _hidden(self, x: np.ndarray) -> np.ndarray:
         views = self._views
@@ -341,7 +347,7 @@ def network_loss_and_grad(
     for head, target in targets.items():  # multitask_loss's order: "sl" first
         z = net._logits(hidden, head)
         if not np.isfinite(z).all():
-            raise InvalidInputError("logits must be finite")
+            raise InvalidInputError("logits must be finite" + _FINITE_HINT)
         z -= z.max(axis=-1, keepdims=True)
         values, dl = _cross_entropy(z, target)
         mean = np.add.reduce(values, axis=-2, keepdims=True) / b
@@ -380,8 +386,8 @@ def train(
     Inputs, labels and teachers are checked, and every head's targets built
     (:func:`head_targets`), once per call; each step takes its rows by index
     and writes its gradient into one buffer. Floating-point warnings are off
-    in the loop: a step that diverges leaves non-finite logits, which the
-    next step rejects as an input error.
+    in the loop: a step that diverges leaves non-finite logits or loss, and
+    the next step or the epoch's end rejects them as an input error.
 
     A stack of C networks (``net.params`` of shape (C, P)) trains C cells in
     lockstep, each bit for bit as it would train alone: ``cfg`` then holds
@@ -423,6 +429,8 @@ def train(
                 net.params -= g
                 epoch_loss += value * len(idx)
             curve.append(epoch_loss / n)
+            if not np.isfinite(curve[-1]).all():
+                raise InvalidInputError("the training loss must be finite" + _FINITE_HINT)
     return net, (np.array(curve).T.tolist() if stacked else curve)
 
 

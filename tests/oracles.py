@@ -304,14 +304,14 @@ def ref_network_loss_and_grad(net, inputs, labels, cfg, teacher_logits=None):
 
     def gview(name: str) -> np.ndarray:
         # The one adapted line: the network records flat slots, not offsets.
-        return grad[net._slots[name]].reshape(net.view(name).shape)
+        return grad[net._slots[name]].reshape(net._views[name].shape)
 
     d_hidden = np.zeros_like(hidden)
     for head in sorted(dlogits):
         dl = dlogits[head]
         gview(f"{head}.W")[...] = dl.T @ hidden
         gview(f"{head}.b")[...] = dl.sum(axis=0)
-        d_hidden += dl @ net.view(f"{head}.W")
+        d_hidden += dl @ net._views[f"{head}.W"]
     d_pre = d_hidden * (1.0 - hidden**2)
     gview("trunk.W")[...] = d_pre.T @ x
     gview("trunk.b")[...] = d_pre.sum(axis=0)

@@ -8,7 +8,7 @@ from distilcal import (
     rank_confidence_correct,
     reliability_csv,
 )
-from distilcal.calibration import _FMT6, _bins, _fmt6_rows
+from distilcal.calibration import _FMT6, _bins, _fmt6, _fmt6_rows
 from distilcal.probs import top_n
 
 from oracles import brute_force_bin_sizes, brute_force_ece
@@ -101,8 +101,8 @@ class TestEce:
             two_class(0.6, True),
         ])
         report = ece(*records, 1, 1)
-        assert report.bins[0].mean_acc == pytest.approx(0.75)
-        assert report.bins[0].mean_conf == pytest.approx(0.75)
+        assert report.mean_acc[0] == pytest.approx(0.75)
+        assert report.mean_conf[0] == pytest.approx(0.75)
         assert report.ece == pytest.approx(0.0, abs=1e-12)
 
     def test_perfectly_confident_and_correct(self):
@@ -149,9 +149,9 @@ class TestEce:
         records = arrays([rec([0.6, 0.3, 0.1], 1) for _ in range(4)])
         r1 = ece(*records, 1, 1)
         r2 = ece(*records, 2, 1)
-        assert r1.bins[0].mean_acc == 0.0
-        assert r2.bins[0].mean_acc == 1.0
-        assert r2.bins[0].mean_conf == pytest.approx(0.3)
+        assert r1.mean_acc[0] == 0.0
+        assert r2.mean_acc[0] == 1.0
+        assert r2.mean_conf[0] == pytest.approx(0.3)
 
     def test_group_bins_each_run_and_pools(self):
         rng = np.random.default_rng(9)
@@ -159,10 +159,14 @@ class TestEce:
         labels = rng.integers(0, 4, size=23)
         report = ece(probs, labels, 2, 3, group=10)
         runs = [ece(probs[s : s + 10], labels[s : s + 10], 2, 3) for s in (0, 10, 20)]
-        assert report.bins == [b for run in runs for b in run.bins]
+        for column in ("counts", "mean_conf", "mean_acc"):
+            pooled = np.concatenate([getattr(run, column) for run in runs])
+            np.testing.assert_array_equal(getattr(report, column), pooled)
         assert report.n_total == 23
         assert report.ece == pytest.approx(sum(r.ece * r.n_total / 23 for r in runs), abs=1e-12)
-        assert ece(probs, labels, 2, 3, group=23) == ece(probs, labels, 2, 3)
+        one_group, pooled = ece(probs, labels, 2, 3, group=23), ece(probs, labels, 2, 3)
+        for a, b in zip(one_group, pooled):
+            np.testing.assert_array_equal(a, b)
 
     def test_bad_group_rejected(self):
         for bad in (0, -1, 2.5):
@@ -174,12 +178,14 @@ class TestEce:
         probs = rng.dirichlet(np.ones(8), size=90)
         labels = rng.integers(0, 8, size=90)
         report = ece(probs, labels, 1, 15)
-        assert sum(b.count for b in report.bins) == report.n_total == 90
-        confs = [b.mean_conf for b in report.bins]
+        assert sum(report.counts.tolist()) == report.n_total == 90
+        confs = report.mean_conf.tolist()
         assert all(a <= b + 1e-15 for a, b in zip(confs, confs[1:]))
-        for b in report.bins:
-            assert 0.0 <= b.mean_acc <= 1.0
-            assert b.gap == pytest.approx(b.mean_acc - b.mean_conf, abs=1e-12)
+        rows = [line.split(",") for line in reliability_csv(report).splitlines()[1:]]
+        assert len(rows) == len(confs)
+        for row, conf, acc in zip(rows, confs, report.mean_acc.tolist()):
+            assert 0.0 <= acc <= 1.0
+            assert row[5] == _fmt6(acc - conf)
         assert 0.0 <= report.ece <= 1.0
 
 
@@ -268,7 +274,7 @@ class TestArrayCore:
             labels = rng.integers(0, 5, size=n)
             for rank in (1, 2, 3):
                 report = ece(probs, labels, rank, n + 5)
-                assert [b.count for b in report.bins] == brute_force_bin_sizes(n, n + 5)
+                assert report.counts.tolist() == brute_force_bin_sizes(n, n + 5)
                 ref = brute_force_ece(probs.tolist(), labels.tolist(), rank, n + 5)
                 assert report.ece == pytest.approx(ref, abs=1e-12)
 
@@ -276,9 +282,9 @@ class TestArrayCore:
         probs, labels = np.array([[0.2, 0.5, 0.3]]), np.array([2])
         for rank, conf in ((1, 0.5), (2, 0.3), (3, 0.2)):
             report = ece(probs, labels, rank, 15)
-            assert report.n_total == 1 and [b.count for b in report.bins] == [1]
-            assert report.bins[0].mean_conf == conf
-            assert report.bins[0].mean_acc == (1.0 if rank == 2 else 0.0)
+            assert report.n_total == 1 and report.counts.tolist() == [1]
+            assert report.mean_conf[0] == conf
+            assert report.mean_acc[0] == (1.0 if rank == 2 else 0.0)
             assert bins_of(probs, rank, 15) == [[0]]
             ref = brute_force_ece(probs.tolist(), labels.tolist(), rank, 15)
             assert report.ece == pytest.approx(ref, abs=1e-12)

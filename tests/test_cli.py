@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import distilcal
@@ -1137,6 +1137,16 @@ class TestConfigValidation:
         assert key in err and "logits must be finite" not in err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("key,message", [
+        ("mean_scale", "mean_scale must give finite cluster means, got 1e+308"),
+        ("noise_sigma", "noise_sigma must give finite data, got 1e+308"),
+    ])
+    def test_overflowing_scale_exits_2_naming_key(self, capsys, tmp_path, key, message):
+        cfg, model = tmp_path / "train.cfg", tmp_path / "m.json"
+        write_config(cfg, method="baseline", epochs=1, n_train=8, n_test=8, out=model,
+                     **{key: "1e308"})
+        assert run(capsys, "train", "--config", cfg) == (2, "", f"error: {message}\n")
+        assert not model.exists()
 
     def test_malformed_hierarchical_rejected(self, tmp_path):
         cfg = tmp_path / "train.cfg"
@@ -1214,6 +1224,127 @@ class TestSweepCommand:
         assert {line.split(",")[1] for line in body[1:]} == {"0.200000", "0.800000"}
 
 
+#: A small run with every shared config key given; ``config_lines`` adds the
+#: command's own keys. At task_seed 2, mean_scale=1e308 overflows a cluster mean.
+CONFIG_BASE = dict(
+    num_classes=4, input_dim=3, coarse_classes=2, noise_sigma=1.0, mean_scale=1.0, task_seed=2,
+    n_train=8, n_test=8, hidden_dim=4, epochs=1, learning_rate=0.1, batch_size=4,
+    teacher_hidden_multiplier=1, teacher_data_multiplier=2, teacher_epochs=1,
+    lst_temperature=2.0, multitask_temperature=1.0, hierarchical="true", eval_bins=3,
+)
+COMMAND_KEYS = {
+    "train": lambda method: dict(method=method, seed=1, **{"lambda": 0.5}, epsilon=0.1,
+                                 temperature=1.5),
+    "sweep": lambda method: dict(lambdas="0, 0.5", methods=f"{method}, lst", seeds="0, 2"),
+}
+#: Ways to break a config file at one line ("empty" and "crlf" act on the
+#: whole file; "crlf", "tab" and a "bom" on the first line leave it valid).
+#: "bad", "negative" and "huge" replace the line's value, never the ``out`` path.
+CONFIG_MUTATIONS = ("missing", "extra", "duplicate", "bad", "negative", "huge", "empty", "crlf",
+                    "bom", "non_utf8", "tab", "key_space", "none")
+BAD_VALUES = ["x", "", "1.5x", "1_0", "+4", "\u0663", "0x10", "nan", "-inf", "1e3", "0.0_5",
+              "\uff11.5", "true"]
+HUGE_VALUES = ["1e308", "-1e308", "1.7976931348623157e308", "1e400"]
+#: Every config key, and the TrainConfig field that ``lambda`` sets.
+CONFIG_NAMES = sorted({f.name for f in dataclasses.fields(SweepConfig)} | cli._TRAIN_ONLY_KEYS
+                      | cli._SWEEP_ONLY_KEYS | set(cli._TRAIN_FLOATS.values()))
+
+
+def config_lines(command, method, **values):
+    """The lines of a ``command`` config for ``method``; ``out`` is ``@``."""
+    keys = {**CONFIG_BASE, **COMMAND_KEYS[command](method), "out": "@", **values}
+    return [f"{key}={value}" for key, value in keys.items()]
+
+
+def config_case(command, key, value):
+    """A ``config_file`` case: the ``lst`` config with ``key`` set to ``value``."""
+    lines = config_lines(command, "lst", **{key: value})
+    return command, "".join(f"{line}\n" for line in lines).encode(), key
+
+
+@st.composite
+def config_file(draw):
+    """``(command, bytes, key)``: a config broken by one mutation at the line
+    of ``key``, as written there."""
+    command = draw(st.sampled_from(sorted(COMMAND_KEYS)))
+    methods = ["lst", "multitask"] + (["baseline", "label_smooth"] if command == "train" else [])
+    lines = config_lines(command, draw(st.sampled_from(methods)))
+    at = draw(st.integers(0, len(lines) - 1))
+    key, value = lines[at].split("=", 1)
+    mutation = draw(st.sampled_from(CONFIG_MUTATIONS))
+    if mutation in ("bad", "negative", "huge") and key != "out":
+        if mutation == "negative":
+            value = f"-{value}"
+        else:
+            value = draw(st.sampled_from(BAD_VALUES if mutation == "bad" else HUGE_VALUES))
+        lines[at] = f"{key}={value}"
+    elif mutation == "missing":
+        del lines[at]
+    elif mutation in ("extra", "duplicate"):
+        lines.insert(at, "typo_key=1" if mutation == "extra" else lines[at])
+        key = "typo_key" if mutation == "extra" else key
+    elif mutation == "empty":
+        lines = []
+    elif mutation == "bom":
+        lines[at] = "\ufeff" + lines[at]
+        key = "\ufeff" + key
+    elif mutation == "tab":  # a space turned into a tab, or tabs around the "="
+        old, new = (" ", "\t") if " " in value else ("=", "\t=\t")
+        lines[at] = lines[at].replace(old, new)
+    elif mutation == "key_space":
+        cut = draw(st.integers(1, len(key) - 1))
+        key = key[:cut] + draw(st.sampled_from([" ", "\t", "\u00a0"])) + key[cut:]
+        lines[at] = f"{key}={value}"
+    end = "\r\n" if mutation == "crlf" else "\n"
+    data = "".join(line + end for line in lines).encode()
+    if mutation == "non_utf8":
+        cut = sum(len(line.encode()) + 1 for line in lines[:at])
+        cut += draw(st.integers(0, len(lines[at].encode())))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return command, data, key
+
+
+def numbers_in_output(command, stdout, out):
+    """Every number ``command`` printed and wrote to ``out``."""
+    values = [v for key, _, v in (kv.partition("=") for kv in stdout.split())
+              if key not in ("method", "out")]
+    if command == "sweep":
+        values += [v for row in out.read_text().splitlines()[1:] for v in row.split(",")[1:]]
+    else:  # each number of the model file as written, NaN and Infinity too
+        json.loads(out.read_text(), parse_float=values.append, parse_int=values.append,
+                   parse_constant=values.append)
+    return values
+
+
+class TestConfigMutations:
+    @settings(max_examples=60, deadline=None)
+    @given(config_file())
+    @example(config_case("train", "mean_scale", "1e308"))
+    @example(config_case("train", "noise_sigma", "1e308"))
+    @example(config_case("sweep", "learning_rate", "1e308"))
+    def test_exit_0_or_2_naming_a_line_or_key(self, tmp_path_factory, case):
+        command, data, key = case
+        work = tmp_path_factory.mktemp("config")
+        out = work / "out"
+        path = work / "run.cfg"
+        path.write_bytes(data.replace(b"@", bytes(out)))
+        argv = [command, "--config", str(path)]
+        code, stdout, stderr = run_quiet(argv)
+        assert code in (0, 2), stderr
+        assert "Traceback" not in stderr
+        written = out.read_bytes() if out.exists() else None
+        if code == 2:
+            assert stdout == "" and written is None
+            names = "|".join(map(re.escape, CONFIG_NAMES))
+            assert (re.match(r"error: .*:\d+: ", stderr) or repr(key) in stderr
+                    or re.search(rf"\b({names})\b", stderr)), stderr
+        else:
+            assert stderr == ""
+            assert all_finite(numbers_in_output(command, stdout, out))
+        assert run_quiet(argv) == (code, stdout, stderr)
+        assert (out.read_bytes() if out.exists() else None) == written
+
+
 NUMERIC_FLAGS = [
     ("ece", ["--input", DATA / "predictions_hand4.jsonl", "--out", "o.csv"], "--rank"),
     ("ece", ["--input", DATA / "predictions_hand4.jsonl", "--out", "o.csv"], "--bins"),
@@ -1279,7 +1410,7 @@ class TestPlumbing:
 
     def test_package_exports_are_pinned(self):
         assert distilcal.__all__ == [
-            "Alignments", "BinStats", "ConfigurationError", "DEFAULT_BOUNDS", "DistilcalError",
+            "Alignments", "ConfigurationError", "DEFAULT_BOUNDS", "DistilcalError",
             "EvalResult", "FileFormatError", "InvalidInputError", "InvalidParameterError",
             "ReliabilityReport", "Runs", "SweepConfig", "SweepRow", "SyntheticTask",
             "TemperatureFit", "ToyNetwork", "TrainConfig", "UnmappedTokenError", "alignment",

@@ -85,7 +85,7 @@ class TestForward:
         net = ToyNetwork(3, 5, {"sl": 4, "kd_fine": 4}, rng_seed=2)
         x = np.array([0.1, 0.2, 0.3])
         before = net.forward_batch(x[None])[1]["kd_fine"][0].copy()
-        net.view("sl.W")[0, 0] += 10.0
+        net._views["sl.W"][0, 0] += 10.0
         after = net.forward_batch(x[None])[1]["kd_fine"][0]
         np.testing.assert_array_equal(before, after)
 
@@ -102,8 +102,8 @@ class TestForward:
     def test_init_independent_of_other_heads(self):
         a = ToyNetwork(4, 6, {"sl": 3}, rng_seed=11)
         b = ToyNetwork(4, 6, {"sl": 3, "kd_fine": 3, "kd_coarse": 2}, rng_seed=11)
-        np.testing.assert_array_equal(a.view("sl.W"), b.view("sl.W"))
-        np.testing.assert_array_equal(a.view("trunk.W"), b.view("trunk.W"))
+        np.testing.assert_array_equal(a._views["sl.W"], b._views["sl.W"])
+        np.testing.assert_array_equal(a._views["trunk.W"], b._views["trunk.W"])
 
 
 class TestTrain:
@@ -126,14 +126,14 @@ class TestTrain:
             "coarse": np.random.default_rng(1).normal(size=(64, 2)),
         }
         net = make_student(task, 6, seed=7)
-        kd_w0 = net.view("kd_fine.W").copy()
-        kd_b0 = net.view("kd_fine.b").copy()
-        trunk0 = net.view("trunk.W").copy()
+        kd_w0 = net._views["kd_fine.W"].copy()
+        kd_b0 = net._views["kd_fine.b"].copy()
+        trunk0 = net._views["trunk.W"].copy()
         cfg = TrainConfig(method="multitask", lam=1.0, epochs=3, batch_size=16, seed=1)
         train(net, x, y, cfg, teachers)
-        np.testing.assert_array_equal(net.view("kd_fine.W"), kd_w0)
-        np.testing.assert_array_equal(net.view("kd_fine.b"), kd_b0)
-        assert np.abs(net.view("trunk.W") - trunk0).max() > 0  # trunk still learns
+        np.testing.assert_array_equal(net._views["kd_fine.W"], kd_w0)
+        np.testing.assert_array_equal(net._views["kd_fine.b"], kd_b0)
+        assert np.abs(net._views["trunk.W"] - trunk0).max() > 0  # trunk still learns
 
     def test_loss_non_increasing_on_separable_data(self):
         task = tiny_task(sigma=0.0)
@@ -269,7 +269,7 @@ class TestTrainFiniteness:
         teachers = {"fine": rng.normal(size=(32, 4)), "coarse": rng.normal(size=(32, 2))}
         net = make_student(task, 32, seed=2)
         for head in net.head_dims:
-            net.view(f"{head}.W")[...] = 1e308
+            net._views[f"{head}.W"][...] = 1e308
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError, match="logits must be finite"):
@@ -340,8 +340,8 @@ class TestEvaluate:
         ev = evaluate(net, x, y, ranks=(1, 2, 3), num_bins=15)
         rank_accs = []
         for rank, report in ev.reports.items():
-            assert len(report.bins) <= 15
-            acc = sum(b.count * b.mean_acc for b in report.bins) / report.n_total
+            assert len(report.counts) <= 15
+            acc = sum(report.counts * report.mean_acc) / report.n_total
             rank_accs.append(acc)
         assert sum(rank_accs) <= 1.0 + 1e-12  # ranks are disjoint per sample
 
