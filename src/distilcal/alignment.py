@@ -133,10 +133,14 @@ def target_lines(
         *(([f"{tid}:{row}" for row in _fmt6_rows(p)], np.repeat(np.arange(len(runs)), runs))
           for (tid, _, _), (p, runs) in zip(teachers, streams)),
     ]
-    tables = [(np.array(cells, dtype=object), index) for cells, index in columns]
+    ends = ["\t"] * (len(columns) - 1) + ["\n"]  # each cell ends with its separator
+    tables = [(np.array([cell + end for cell in cells], dtype=object), index)
+              for (cells, index), end in zip(columns, ends)]
 
     def chunk(lo: int) -> str:
-        cells = [table[index[lo : lo + _CHUNK_FRAMES]].tolist() for table, index in tables]
-        return "\n".join(map("\t".join, zip(*cells))) + "\n"
+        cells = np.empty((min(_CHUNK_FRAMES, len(a.codes) - lo), len(tables)), dtype=object)
+        for column, (table, index) in enumerate(tables):
+            cells[:, column] = table[index[lo : lo + _CHUNK_FRAMES]]
+        return "".join(cells.ravel().tolist())
 
     return map(chunk, range(0, len(a.codes), _CHUNK_FRAMES))

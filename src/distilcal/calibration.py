@@ -87,19 +87,29 @@ def _fmt6(x: float) -> str:
     return _FMT6 % (float(x) + 0.0)  # + 0.0 turns -0.0 into 0.0: no "-0.000000"
 
 
-#: Row i holds the three ASCII digits of i, as ``"%03d" % i`` spells them.
-_DIGITS3 = (np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
+#: Entry i packs the three ASCII digits of i, as ``"%03d" % i`` spells them,
+#: little-endian: the hundreds digit is the low byte.
+_DIGITS3 = (np.arange(1000)[:, None] // [100, 10, 1] % 10 + ord("0")) @ [1, 1 << 8, 1 << 16]
+#: A cell ``d.dddddd`` read as a little-endian int64 is ``d + ord("0")``
+#: plus ``_POINT``, plus ``_HIGH3`` of the first three decimals and ``_LOW3``
+#: of the last three; its ninth byte is the separator.
+_POINT = ord("0") + (ord(".") << 8)
+_HIGH3, _LOW3 = _DIGITS3 << 16, _DIGITS3 << 40
+_CELL = np.dtype([("digits", "<i8"), ("end", "u1")])
+#: Rows formatted at a time by :func:`_fmt6_rows`, so that its temporaries stay cache-sized.
+_FMT_ROWS = 1024
 
 
 def _fmt6_rows(mat: np.ndarray) -> list[str]:
     """Each row of a 2-D matrix as comma-joined :func:`_fmt6` entries.
 
     When every entry lies in ``[0, 10)``, the entries are printed from the
-    integers ``q = rint(x * 1e6)`` through a digit table into one byte
-    buffer. ``%.6f`` prints the exact ``x * 1e6`` rounded to an integer, and
-    the float product is within 1e-9 of it, so ``q`` is that integer unless
-    the product lies within 1e-6 of a half-integer. A row holding such an
-    entry (exact ties too) or one that rounds up to 10.000000 is printed with
+    integers ``q = rint(x * 1e6)``, ``_FMT_ROWS`` rows at a time: each cell
+    is one int64 of digit bytes from a packed table and a separator byte.
+    ``%.6f`` prints the exact ``x * 1e6`` rounded to an integer, and the
+    float product is within 1e-9 of it, so ``q`` is that integer unless the
+    product lies within 1e-6 of a half-integer. A row holding such an entry
+    (exact ties too) or one that rounds up to 10.000000 is printed with
     ``%`` instead, as is any other matrix.
     """
     row_fmt = ",".join([_FMT6] * mat.shape[1])
@@ -107,24 +117,25 @@ def _fmt6_rows(mat: np.ndarray) -> list[str]:
         fast = mat.size and ((mat >= 0.0) & (mat < 10.0)).all()
     if not fast:
         return [row_fmt % tuple(row) for row in (mat + 0.0).tolist()]  # + 0.0: no "-0.000000"
-    scaled = mat * 1e6
-    q = np.rint(scaled)
-    scaled -= q  # in place, and freed early: each array here is as large as the text
-    slow = ((np.abs(scaled, out=scaled) > 0.5 - 1e-6) | (q >= 1e7)).any(axis=1)
-    del scaled
-    q = q.astype(np.int64)
-    cells = np.empty(mat.shape + (9,), dtype=np.uint8)  # "d.dddddd" and "," or "\n"
-    cells[..., 0] = q // 1_000_000 + ord("0")
-    cells[..., 1] = ord(".")
-    cells[..., 2:5] = _DIGITS3[q // 1000 % 1000]
-    cells[..., 5:8] = _DIGITS3[q % 1000]
-    cells[..., 8] = ord(",")
-    cells[:, -1, 8] = ord("\n")
-    text = str(cells, "ascii")
-    del cells, q
-    rows = text.split("\n")[:-1]
-    for i in np.flatnonzero(slow).tolist():
-        rows[i] = row_fmt % tuple((mat[i] + 0.0).tolist())
+    cells = np.empty((min(len(mat), _FMT_ROWS), mat.shape[1]), dtype=_CELL)
+    cells["end"] = ord(",")
+    cells["end"][:, -1] = ord("\n")
+    rows = []
+    for lo in range(0, len(mat), _FMT_ROWS):
+        block = mat[lo : lo + _FMT_ROWS]
+        scaled = block * 1e6
+        q = np.rint(scaled)
+        scaled -= q
+        slow = ((np.abs(scaled, out=scaled) > 0.5 - 1e-6) | (q >= 1e7)).any(axis=1)
+        thousands, low = np.divmod(q.astype(np.int64), 1000)
+        units, high = np.divmod(thousands, 1000)
+        out = cells[: len(block)]
+        out["digits"] = units + _POINT | _HIGH3[high] | _LOW3[low]
+        block_rows = str(out, "ascii").split("\n")
+        block_rows.pop()
+        for i in np.flatnonzero(slow).tolist():
+            block_rows[i] = row_fmt % tuple((block[i] + 0.0).tolist())
+        rows += block_rows
     return rows
 
 

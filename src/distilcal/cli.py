@@ -146,6 +146,17 @@ def _list(cast):
     return lambda text: [cast(part.strip()) for part in text.split(",") if part.strip()]
 
 
+def _check_values(key: str, values, ok, rule: str) -> None:
+    """Reject the first of ``values`` that fails ``ok``, naming config key ``key``."""
+    for value in values:
+        if not ok(value):
+            raise InvalidParameterError(f"config key {key!r}: {rule}, got {value}")
+
+
+def _unit_interval(value: float) -> bool:
+    return 0.0 <= value <= 1.0
+
+
 def _build_sweep_config(cfg: dict[str, str], extra_keys: set[str]):
     # ``toy`` is imported here, and only by the commands that train, so that
     # the others start without compiling it.
@@ -169,6 +180,8 @@ def _cmd_train(args) -> int:
     out_path = _cast(cfg, "out")
     seed = _cast(cfg, "seed", _int, 0)
     overrides = {f: _cast(cfg, key, _float) for key, f in _TRAIN_FLOATS.items() if key in cfg}
+    if "lam" in overrides:
+        _check_values("lambda", [overrides["lam"]], _unit_interval, "lambda must be in [0, 1]")
     student, curve, ev = train_cell(scfg, method, seed, **overrides)
     metrics = {"acc": ev.accuracy, **{f"ece{r}": ev.reports[r].ece for r in (1, 2, 3)}}
     model = {
@@ -197,6 +210,8 @@ def _cmd_sweep(args) -> int:
     lambdas = _cast(cfg, "lambdas", _list(_float))
     methods = _cast(cfg, "methods", _list(str))
     seeds = _cast(cfg, "seeds", _list(_int))
+    _check_values("seeds", seeds, lambda seed: seed >= 0, "seed must be >= 0")
+    _check_values("lambdas", lambdas, _unit_interval, "lambda must be in [0, 1]")
     rows = sweep_lambda(scfg, lambdas, methods, seeds)
     write_text_atomic(out_path, (sweep_csv(rows),))
     print(f"rows={len(rows)} out={out_path}")

@@ -19,6 +19,15 @@ on the file a chunk of lines at a time; a chunk it rejects is checked again
 line by line, and the first line rejected is reported with that check's
 message. Posterior vectors may be off the simplex by up to 1e-6 (6-decimal
 files round); they are renormalized on load, anything worse is rejected.
+
+A posterior file spelt the common way is read whole, in one pass over its
+bytes, with the same result: an ASCII file of ``utt<TAB>index<TAB>values``
+lines, each ended by a lone LF, whose ids hold no byte <= 0x20, whose
+indices are ASCII digits without a leading zero that count 0, 1, ... over
+each utterance's contiguous lines, whose values are K >= 2 decimals of one
+width with the ``.`` in one column and single spaces between them, and whose
+rows sum to 1 within ``POSTERIOR_SUM_TOL``. Any other file, a bad one too,
+is read by the one check above, which names its first bad line.
 """
 
 from __future__ import annotations
@@ -53,6 +62,12 @@ _CHUNK = 4096
 _INT_CHARS = frozenset("-0123456789")
 #: Digits of a fixed-width decimal read by integer arithmetic; 10**15 < 2**53.
 _MAX_DIGITS = 15
+#: Lines of a posterior file whose values :func:`_posterior_kernel` reads at a time.
+_BLOCK_ROWS = 1024
+#: The bytes <= LF of a posterior line, in order: two tabs and the line feed.
+_LINE_BREAKS = np.array([9, 9, 10], dtype=np.uint8)
+#: A line's ``utt<TAB>index<TAB>`` and values, as a mask repeats them.
+_PREFIX_VALUES = np.array([False, True])
 
 
 def _float_chars(text: str) -> bool:
@@ -263,32 +278,125 @@ def _float_values(value_texts) -> tuple[np.ndarray, list[int]]:
         raise _Rejected("probabilities must be numbers") from None
 
 
+def _decimals(cells: np.ndarray, point: int) -> Optional[np.ndarray]:
+    """The fixed-width decimals that ``cells`` spell, one per vector along its
+    last axis: ASCII digits around a ``.`` in column ``point``, then a
+    separator byte that is not looked at; None if another byte stands where
+    a digit or the point should. The at most 15 digits of a value read as an integer
+    ``q`` and ``10**k`` (``k`` of them after the point) are exact doubles, so
+    the correctly rounded ``q / 10**k`` is what ``float`` reads."""
+    width = cells.shape[-1] - 1
+    if not (cells[..., point] == ord(".")).all():
+        return None
+    digits = cells[..., [*range(point), *range(point + 1, width)]]
+    digits -= np.uint8(ord("0"))  # any other byte wraps past 9
+    if (digits > 9).any():
+        return None
+    q = np.zeros(cells.shape[:-1])  # sums of digits times powers of ten: exact below 2**53
+    for column in range(width - 1):
+        q *= 10.0
+        q += digits[..., column]
+    return q / float(10 ** (width - 1 - point))
+
+
+def _decimal_shape(head: bytes) -> Optional[tuple[int, int]]:
+    """``(width, point column)`` of the fixed-width decimal spelt as ``head``,
+    when :func:`_decimals` reads decimals of that shape."""
+    width, point = len(head), head.find(b".")
+    return (width, point) if point >= 0 and 2 <= width <= _MAX_DIGITS + 1 else None
+
+
 def _fixed_decimals(value_texts) -> Optional[tuple[np.ndarray, list[int]]]:
     """:func:`_float_values`, bit for bit, when every value is spelt at the
     first one's width, with its ``.`` in the same column, ASCII digits in
-    every other and one space between values; else None. The at most 15
-    digits of a value read as an integer ``q`` and ``10**k`` (``k`` of them
-    after the point) are exact doubles, so the correctly rounded
-    ``q / 10**k`` is what ``float`` reads."""
-    head = value_texts[0].partition(" ")[0]
-    width, point = len(head), head.find(".")
-    if point < 0 or not 2 <= width <= _MAX_DIGITS + 1:
+    every other (:func:`_decimals`) and one space between values; else None."""
+    shape = _decimal_shape(value_texts[0].partition(" ")[0].encode())
+    if shape is None:
         return None
+    width, point = shape
     cells = np.frombuffer((" ".join(value_texts) + " ").encode(), dtype=np.uint8)
     if cells.size % (width + 1):
         return None
     cells = cells.reshape(-1, width + 1)
-    if not ((cells[:, point] == ord(".")).all() and (cells[:, width] == ord(" ")).all()):
+    flat = _decimals(cells, point) if (cells[:, width] == ord(" ")).all() else None
+    if flat is None:
         return None
-    q = np.zeros(len(cells))  # sums of digits times powers of ten: exact below 2**53
-    for column in [*range(point), *range(point + 1, width)]:
-        digit = cells[:, column] - np.uint8(ord("0"))  # any other byte wraps past 9
+    return flat, [(len(text) + 1) // (width + 1) for text in value_texts]
+
+
+def _utterance_starts(buf, starts, tab1, tab2) -> Optional[np.ndarray]:
+    """The first line of each utterance of a posterior file held in ``buf``,
+    from each line's start and first and second tab; None unless every id is
+    non-empty and holds no byte <= 0x20, every index is ASCII digits without
+    a leading zero, and each utterance's lines are contiguous with the
+    indices 0, 1, ... in order."""
+    id_len, index_len = tab1 - starts, tab2 - tab1 - 1
+    if id_len.min() < 1 or index_len.min() < 1 or index_len.max() > _MAX_DIGITS:
+        return None
+    index = np.zeros(len(starts), dtype=np.int64)
+    for j in range(index_len.max()):  # the digit of 10**j, where the index has one
+        has = index_len > j
+        digit = buf[tab2[has] - 1 - j] - np.uint8(ord("0"))  # any other byte wraps past 9
         if (digit > 9).any():
             return None
-        q *= 10.0
-        q += digit
-    counts = [(len(text) + 1) // (width + 1) for text in value_texts]
-    return q / float(10 ** (width - 1 - point)), counts
+        index[has] += digit.astype(np.int64) * 10**j
+    first = np.flatnonzero(index == 0)
+    if not len(first) or first[0] or (buf[tab1 + 1] == ord("0"))[index_len > 1].any():
+        return None
+    if (index != np.arange(len(index)) - first[np.cumsum(index == 0) - 1]).any():
+        return None
+    same = index > 0  # the line goes on with the utterance of the line before
+    if (id_len[1:] != id_len[:-1])[same[1:]].any():
+        return None
+    ids = buf[np.repeat(starts + id_len - np.cumsum(id_len), id_len) + np.arange(id_len.sum())]
+    before = ids[np.arange(len(ids)) - np.repeat(id_len, id_len)]  # that byte a line before
+    if (ids <= ord(" ")).any() or (ids != before)[np.repeat(same, id_len)].any():
+        return None
+    return first
+
+
+def _posterior_kernel(data: bytes) -> Optional[dict[str, np.ndarray]]:
+    """:func:`read_posterior_file`'s table of ``data`` when the file is spelt
+    the common way that the module docstring describes, else None. The
+    values are read ``_BLOCK_ROWS`` lines at a time, so that the temporaries
+    do not grow with the file."""
+    if not data.endswith(b"\n") or not data.isascii():
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    breaks = np.flatnonzero(buf <= ord("\n"))  # two tabs and a line feed per line, nothing else
+    if len(breaks) % 3 or not (buf[breaks].reshape(-1, 3) == _LINE_BREAKS).all():
+        return None
+    tab1, tab2, ends = breaks.reshape(-1, 3).T
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    shape = _decimal_shape(data[tab2[0] + 1 : ends[0]].partition(b" ")[0])
+    span = ends - tab2  # a line's values and its line feed
+    if (shape is None or span[0] % (shape[0] + 1) or span[0] == shape[0] + 1
+            or (span != span[0]).any()):
+        return None
+    first = _utterance_starts(buf, starts, tab1, tab2)
+    if first is None:
+        return None
+    width, point = shape
+    n, k = len(ends), span[0] // (width + 1)
+    runs = np.empty(2 * n, dtype=np.intp)  # per line, the lengths of its two parts
+    runs[0::2], runs[1::2] = tab2 + 1 - starts, span
+    mat = np.empty((n, k))
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        in_values = np.repeat(np.tile(_PREFIX_VALUES, hi - lo), runs[2 * lo : 2 * hi])
+        cells = buf[starts[lo] : ends[hi - 1] + 1][in_values].reshape(hi - lo, k, width + 1)
+        rows = _decimals(cells, point) if (cells[:, :-1, width] == ord(" ")).all() else None
+        if rows is None:
+            return None
+        totals = rows.sum(axis=1)
+        if (np.abs(totals - 1.0) > POSTERIOR_SUM_TOL).any():
+            return None
+        np.divide(rows, totals[:, None], out=mat[lo:hi])
+    utts = [data[i:j].decode() for i, j in zip(starts[first].tolist(), tab1[first].tolist())]
+    if len(set(utts)) < len(utts):
+        return None
+    bounds = first.tolist() + [n]
+    return {utt: mat[lo:hi] for utt, lo, hi in zip(utts, bounds, bounds[1:])}
 
 
 def read_posterior_file(path) -> dict[str, np.ndarray]:
@@ -297,7 +405,12 @@ def read_posterior_file(path) -> dict[str, np.ndarray]:
     Token indices must be contiguous from 0 within each utterance and all
     vectors in the file must share one width. Each line is checked for its
     columns, token index, numbers, range, width, sum, then duplicate index.
+    A file that :func:`_posterior_kernel` takes is read whole, and each of
+    its matrices is a view of one ``(rows, K)`` array.
     """
+    table = _posterior_kernel(Path(path).read_bytes())
+    if table is not None:
+        return table
     width = None  # of the first row
     rows: dict[tuple[str, int], int] = {}  # (utt, token index) -> its row, in file order
 

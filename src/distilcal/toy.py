@@ -32,6 +32,8 @@ from .targets import interpolate_target, one_hot, smooth_label, soft_label
 _METHODS = ("baseline", "label_smooth", "lst", "multitask")
 #: The settings that keep a network's logits and loss finite, for the errors that find them not.
 _FINITE_HINT = " (a smaller learning_rate, mean_scale or noise_sigma may help)"
+#: The largest size or count a SweepConfig takes, what a C ``int`` holds.
+MAX_COUNT = 2**31 - 1
 
 
 def _derive_seed(seed: int, tag: str) -> int:
@@ -526,6 +528,10 @@ class SweepConfig:
         for key in counts:
             if getattr(self, key) < 1:
                 raise InvalidParameterError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("num_classes", "input_dim", *counts):
+            value = getattr(self, key)
+            if value > MAX_COUNT:
+                raise InvalidParameterError(f"{key} must be <= {MAX_COUNT}, got {value}")
         if self.task_seed < 0:
             raise InvalidParameterError(f"task_seed must be >= 0, got {self.task_seed}")
         for key in ("learning_rate", "lst_temperature", "multitask_temperature"):

@@ -8,7 +8,7 @@ from distilcal import (
     rank_confidence_correct,
     reliability_csv,
 )
-from distilcal.calibration import _FMT6, _bins, _fmt6, _fmt6_rows
+from distilcal.calibration import _FMT6, _FMT_ROWS, _bins, _fmt6, _fmt6_rows
 from distilcal.probs import top_n
 
 from oracles import brute_force_bin_sizes, brute_force_ece
@@ -247,6 +247,19 @@ class TestFmt6Rows:
     def test_any_matrix_equals_percent_format(self, odd):
         mat = np.array([[0.25, 0.75], [odd, 0.5]])
         assert _fmt6_rows(mat) == fmt6_reference(mat)
+
+    @pytest.mark.parametrize("rows", [1023, 1024, 1025, 2049])
+    def test_block_edges_equal_per_entry_format(self, rows):
+        """Rows that the digit path prints with ``%`` (a product within 1e-6
+        of a half-integer, a value that rounds up to 10.000000) and a -0.0
+        stand on both sides of every edge of the ``_FMT_ROWS`` blocks."""
+        assert _FMT_ROWS == 1024
+        mat = np.random.default_rng(rows).uniform(0.0, 10.0, size=(rows, 7))
+        odd = [5e-7, 1.2345675, 9.9999996, -0.0]
+        edges = {0, rows - 1, *(i for b in range(_FMT_ROWS, rows, _FMT_ROWS) for i in (b - 1, b))}
+        for j, i in enumerate(sorted(edges)):
+            mat[i, j % 7] = odd[j % len(odd)]
+        assert _fmt6_rows(mat) == [",".join(map(_fmt6, row)) for row in mat]
 
     @pytest.mark.parametrize("shape", [(0, 3), (2, 0), (0, 0)])
     def test_empty_matrices(self, shape):

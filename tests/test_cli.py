@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import distilcal
 from distilcal.calibration import _fmt6
 from distilcal import FileFormatError, SweepConfig, combine_scores
-from distilcal import cli
+from distilcal import cli, toy
 from distilcal.cli import _PARSERS, _build_parser, _build_sweep_config, _cast, _list, main
 from distilcal.fileio import read_config_file, read_posterior_file, read_prediction_file
 
@@ -1148,6 +1148,38 @@ class TestConfigValidation:
         assert run(capsys, "train", "--config", cfg) == (2, "", f"error: {message}\n")
         assert not model.exists()
 
+    @pytest.mark.parametrize("command,key,value,message", [
+        ("sweep", "lambdas", "0.5,-0.5", "config key 'lambdas': lambda must be in [0, 1], got -0.5"),
+        ("train", "lambda", "1.5", "config key 'lambda': lambda must be in [0, 1], got 1.5"),
+        ("sweep", "seeds", "-3", "config key 'seeds': seed must be >= 0, got -3"),
+    ])
+    def test_grid_value_error_names_config_key(self, capsys, monkeypatch, tmp_path, command, key,
+                                               value, message):
+        drawn = []
+        monkeypatch.setattr(toy, "generate_data", lambda *a: drawn.append(a))
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        own = (dict(method="lst", **{"lambda": "0.5"}) if command == "train"
+               else dict(methods="lst", lambdas="0.5", seeds="0"))
+        write_config(cfg, out=out, **{**FAST_TOY, **own, key: value})
+        assert run(capsys, command, "--config", cfg) == (2, "", f"error: {message}\n")
+        assert drawn == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("key", ["hidden_dim", "teacher_hidden_multiplier",
+                                     "teacher_data_multiplier", "epochs", "n_train"])
+    def test_thirty_digit_count_exits_2_naming_key(self, capsys, monkeypatch, tmp_path,
+                                                   command, key):
+        drawn = []
+        monkeypatch.setattr(toy, "generate_data", lambda *a: drawn.append(a))
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        own = (dict(method="lst") if command == "train"
+               else dict(methods="lst", lambdas="0.5", seeds="0"))
+        huge = "1" + "0" * 29
+        write_config(cfg, out=out, **{**FAST_TOY, **own, key: huge})
+        message = f"error: {key} must be <= {toy.MAX_COUNT}, got {huge}\n"
+        assert run(capsys, command, "--config", cfg) == (2, "", message)
+        assert drawn == [] and not out.exists()
+
     def test_malformed_hierarchical_rejected(self, tmp_path):
         cfg = tmp_path / "train.cfg"
         for value in ("ture", "2", "on"):
@@ -1245,9 +1277,14 @@ CONFIG_MUTATIONS = ("missing", "extra", "duplicate", "bad", "negative", "huge", 
 BAD_VALUES = ["x", "", "1.5x", "1_0", "+4", "\u0663", "0x10", "nan", "-inf", "1e3", "0.0_5",
               "\uff11.5", "true"]
 HUGE_VALUES = ["1e308", "-1e308", "1.7976931348623157e308", "1e400"]
-#: Every config key, and the TrainConfig field that ``lambda`` sets.
+#: Keys whose 30-digit integer ``SweepConfig`` rejects before anything is
+#: allocated; another key's could allocate gigabytes or loop for ever.
+BOUNDED_KEYS = {"num_classes", "input_dim", "n_train", "n_test", "epochs", "batch_size",
+                "hidden_dim", "teacher_hidden_multiplier", "teacher_data_multiplier",
+                "teacher_epochs", "eval_bins"}
+#: Every config key.
 CONFIG_NAMES = sorted({f.name for f in dataclasses.fields(SweepConfig)} | cli._TRAIN_ONLY_KEYS
-                      | cli._SWEEP_ONLY_KEYS | set(cli._TRAIN_FLOATS.values()))
+                      | cli._SWEEP_ONLY_KEYS)
 
 
 def config_lines(command, method, **values):
@@ -1276,7 +1313,8 @@ def config_file(draw):
         if mutation == "negative":
             value = f"-{value}"
         else:
-            value = draw(st.sampled_from(BAD_VALUES if mutation == "bad" else HUGE_VALUES))
+            huge = HUGE_VALUES + ["1" + "0" * 29] * (key in BOUNDED_KEYS)
+            value = draw(st.sampled_from(BAD_VALUES if mutation == "bad" else huge))
         lines[at] = f"{key}={value}"
     elif mutation == "missing":
         del lines[at]

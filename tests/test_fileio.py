@@ -230,6 +230,115 @@ def test_six_decimal_files_bit_identical_to_reference(tmp_path_factory, seed, wi
     assert all(got[utt].tobytes() == want[utt].tobytes() for utt in want)
 
 
+def simplex_rows(rng, n: int, width: int, decimals: int = 6, units: int = 1,
+                 slack: int = 0) -> list[str]:
+    """``n`` random rows of ``width`` values at ``decimals`` places with
+    ``units`` integer digits, whose digits sum to 1 give or take up to
+    ``slack`` in the last place."""
+    one = 10**decimals
+    q = np.rint(rng.dirichlet(np.full(width, 0.3), size=n) * one).astype(np.int64)
+    q[np.arange(n), q.argmax(axis=1)] += one - q.sum(axis=1) + rng.integers(-slack, slack + 1, n)
+    return [" ".join(f"{v // one:0{units}d}.{v % one:0{decimals}d}" for v in row)
+            for row in q.tolist()]
+
+
+def assert_read_as_reference_reads(path):
+    """``read_posterior_file`` gives the reference's arrays, in its order, or
+    its exception type, line and message."""
+    try:
+        want = ref_read_posterior_file(path)
+    except FileFormatError as e:
+        with pytest.raises(FileFormatError) as info:
+            read_posterior_file(path)
+        assert (type(info.value), info.value.line_no, str(info.value)) == (type(e), e.line_no, str(e))
+        return
+    got = read_posterior_file(path)
+    assert list(got) == list(want)
+    for utt in want:
+        assert got[utt].shape == want[utt].shape and got[utt].tobytes() == want[utt].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 8, 40]),
+       st.lists(st.integers(1, 40), min_size=1, max_size=8),
+       st.sampled_from([(6, 1, 0), (1, 1, 0), (3, 2, 0), (12, 1, 99_999)]))
+def test_kernel_files_bit_identical_to_reference(tmp_path_factory, seed, width, lengths, spelling):
+    """Files spelt the common way, at several widths, point columns and id
+    lengths, rows off the simplex by up to 1e-7 too, take the whole-file path
+    and give the reference's arrays."""
+    rng = np.random.default_rng(seed)
+    rows = iter(simplex_rows(rng, sum(lengths), width, *spelling))
+    ids = [f"{'spk-' * (u % 3)}u{u}" for u in range(len(lengths))]
+    text = "".join(f"{utt}\t{i}\t{next(rows)}\n" for utt, t in zip(ids, lengths) for i in range(t))
+    path = tmp_path_factory.mktemp("kernel") / "post.tsv"
+    path.write_text(text)
+    assert fileio._posterior_kernel(path.read_bytes()) is not None
+    assert_read_as_reference_reads(path)
+
+
+#: A file the whole-file path takes: two utterances, the second of one line.
+KERNEL_BASE = ["a\t0\t0.250000 0.750000", "a\t1\t0.500000 0.500000", "b\t0\t1.000000 0.000000"]
+#: name -> a file that leaves the whole-file path for the line-at-a-time
+#: one: the base file spelt another way, or not valid at all.
+NOT_KERNEL = {
+    "crlf": "\r\n".join(KERNEL_BASE) + "\r\n",
+    "bom": "\ufeff" + "\n".join(KERNEL_BASE) + "\n",
+    "blank_line": "\n".join([KERNEL_BASE[0], "", *KERNEL_BASE[1:]]) + "\n",
+    "no_final_lf": "\n".join(KERNEL_BASE),
+    "non_ascii_id": "\n".join(line.replace("b", "\u00e9") for line in KERNEL_BASE) + "\n",
+    "space_padded_id": "\n".join([" a" + line[1:] for line in KERNEL_BASE[:2]]) + "\n",
+    "space_in_id": "\n".join(["a b" + line[1:] for line in KERNEL_BASE[:2]]) + "\n",
+    "form_feed_in_id": "\n".join(["a\x0c" + line[1:] for line in KERNEL_BASE]) + "\n",
+    "nul_in_id": "\n".join(["a\x00" + line[1:] for line in KERNEL_BASE]) + "\n",
+    "empty_id": "\n".join(line[1:] for line in KERNEL_BASE[:2]) + "\n",
+    "trailing_space": "\n".join([KERNEL_BASE[0] + " ", *KERNEL_BASE[1:]]) + "\n",
+    "double_space": "\n".join([KERNEL_BASE[0].replace(" ", "  "), *KERNEL_BASE[1:]]) + "\n",
+    "mixed_widths": "\n".join([KERNEL_BASE[0], "a\t1\t0.5 0.5", KERNEL_BASE[2]]) + "\n",
+    "point_column": "\n".join([KERNEL_BASE[0], "a\t1\t00.50000 0.500000", KERNEL_BASE[2]]) + "\n",
+    "comma_between": "\n".join([KERNEL_BASE[0], "a\t1\t0.500000,0.500000", KERNEL_BASE[2]]) + "\n",
+    "exponent": "\n".join([KERNEL_BASE[0], "a\t1\t1e-3 0.999", KERNEL_BASE[2]]) + "\n",
+    "leading_zero_index": "".join(f"a\t{i:03d}\t0.500000 0.500000\n" for i in range(9)),
+    "minus_zero_index": "\n".join(["a\t-0\t0.250000 0.750000", *KERNEL_BASE[1:]]) + "\n",
+    "split_utterance": "\n".join([KERNEL_BASE[0], KERNEL_BASE[2], KERNEL_BASE[1]]) + "\n",
+    "out_of_order": "\n".join([KERNEL_BASE[1], KERNEL_BASE[0], KERNEL_BASE[2]]) + "\n",
+    "duplicate_index": "\n".join([KERNEL_BASE[0], KERNEL_BASE[0], KERNEL_BASE[2]]) + "\n",
+    "gap": "\n".join([KERNEL_BASE[0], KERNEL_BASE[1].replace("\t1\t", "\t2\t")]) + "\n",
+    "one_column": "\n".join([*KERNEL_BASE, "c\t0\t1.000000"]) + "\n",
+    "one_column_only": "a\t0\t1.000000\nb\t0\t1.000000\n",
+    "four_columns": "\n".join([KERNEL_BASE[0] + "\tx", *KERNEL_BASE[1:]]) + "\n",
+    "sum_off": "\n".join([KERNEL_BASE[0], "a\t1\t0.500000 0.600000", KERNEL_BASE[2]]) + "\n",
+    "sum_off_in_a_later_block": "".join(
+        f"u\t{i}\t{'0.500000 0.600000' if i == 1500 else '0.500000 0.500000'}\n"
+        for i in range(2100)),
+    "id_repeated_after_other": "\n".join([*KERNEL_BASE, "a\t0\t0.500000 0.500000"]) + "\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_KERNEL))
+def test_other_spellings_read_line_by_line_as_reference_reads(name, tmp_path):
+    path = tmp_path / "post.tsv"
+    path.write_bytes(NOT_KERNEL[name].encode())
+    assert fileio._posterior_kernel(path.read_bytes()) is None
+    assert_read_as_reference_reads(path)
+
+
+def test_bench_shaped_file_takes_the_whole_file_path(tmp_path, monkeypatch):
+    """A six-decimal dump of 40 classes over 24 utterances and several blocks
+    is read without the line-at-a-time path, as the reference reads it."""
+    rng = np.random.default_rng(7)
+    lengths = rng.integers(1, 200, size=24)
+    rows = iter(simplex_rows(rng, lengths.sum(), 40))
+    path = tmp_path / "post.tsv"
+    path.write_text("".join(f"u{u:04d}\t{i}\t{next(rows)}\n"
+                            for u, t in enumerate(lengths.tolist()) for i in range(t)))
+    assert lengths.sum() > 2 * fileio._BLOCK_ROWS
+    want = ref_read_posterior_file(path)
+    monkeypatch.setattr(fileio, "_lines", lambda path: pytest.fail("read line by line"))
+    got = read_posterior_file(path)
+    assert list(got) == list(want)
+    assert all(got[utt].tobytes() == want[utt].tobytes() for utt in want)
+
+
 #: reader -> one valid line of its format.
 GOOD_LINES = {
     "read_prediction_file": b'{"logits": [0.0, 1.0], "label": 0}',
