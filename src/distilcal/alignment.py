@@ -77,7 +77,6 @@ def _posterior_matrix(rows: list) -> np.ndarray:
 def teacher_posteriors(
     a: Alignments,
     teachers: Sequence[tuple[str, Optional[Mapping[str, str]], Mapping[str, Sequence]]],
-    unit: str = "fine",
 ) -> list[tuple[np.ndarray, list[int]]]:
     """Per ``(tid, mapping, {utt: (T_u, K) posteriors})`` teacher, its ``(T, K)``
     token posteriors over all utterances plus their ``T`` run lengths.
@@ -87,8 +86,8 @@ def teacher_posteriors(
     row per token. Of the errors, the one raised is the first that checking
     utterance by utterance would meet: a missing utterance (any teacher),
     then each teacher in turn, its first unmapped token (named with the
-    source ``unit``) before its count check. Repeating row i ``runs[i]``
-    times gives the frame-synchronous stream.
+    source unit ``"fine"``) before its count check. Repeating row i
+    ``runs[i]`` times gives the frame-synchronous stream.
     """
     errors, streams = [], []  # errors keyed (utterance, -1 if missing else teacher, check)
     for t, (tid, mapping, table) in enumerate(teachers):
@@ -97,7 +96,7 @@ def teacher_posteriors(
         unmapped = np.flatnonzero(mapped.codes < 0)
         if unmapped.size:
             u = np.searchsorted(a.offsets, unmapped[0], side="right") - 1
-            errors.append(((u, t, 0), UnmappedTokenError(a.vocab[a.codes[unmapped[0]]], unit, tid)))
+            errors.append(((u, t, 0), UnmappedTokenError(a.vocab[a.codes[unmapped[0]]], "fine", tid)))
         rows = np.array([len(table[u]) if u in table else -1 for u in a.utts], dtype=np.intp)
         tokens = np.diff(runs.offsets)
         wrong = np.flatnonzero((tokens > 0) & (rows != tokens))  # missing: -1 rows

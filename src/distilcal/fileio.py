@@ -11,23 +11,24 @@ Formats (one record per line throughout):
 * posterior file: ``utt-id<TAB>token-index<TAB>p0 p1 ... pK-1``, the index in
   ASCII digits and the values in ASCII without ``_``.
 
-Only LF ends a line (a CR before it is dropped), blank lines are skipped but
-counted, and a UTF-8 byte-order mark at the start of a file is dropped. Parse
-errors raise :class:`FileFormatError` with the offending line number. The
-prediction, hypothesis and posterior formats each have one check, which runs
-on the file a chunk of lines at a time; a chunk it rejects is checked again
-line by line, and the first line rejected is reported with that check's
-message. Posterior vectors may be off the simplex by up to 1e-6 (6-decimal
-files round); they are renormalized on load, anything worse is rejected.
+Only LF ends a line, blank lines are skipped but counted, and one byte rule
+(:func:`_read`) drops a UTF-8 byte-order mark that starts a file, one CR
+before each LF and one CR that ends the file. Parse errors raise
+:class:`FileFormatError` with the offending line number. The prediction,
+hypothesis and posterior formats each have one check, which runs on the file
+a chunk of lines at a time; a chunk it rejects is checked again line by line,
+and the first line rejected is reported with that check's message. Posterior
+vectors may be off the simplex by up to 1e-6 (6-decimal files round); they
+are renormalized on load, anything worse is rejected.
 
-A posterior file spelt the common way is read whole, in one pass over its
-bytes, with the same result: an ASCII file of ``utt<TAB>index<TAB>values``
-lines, each ended by a lone LF, whose ids hold no byte <= 0x20, whose
-indices are ASCII digits without a leading zero that count 0, 1, ... over
-each utterance's contiguous lines, whose values are K >= 2 decimals of one
-width with the ``.`` in one column and single spaces between them, and whose
-rows sum to 1 within ``POSTERIOR_SUM_TOL``. Any other file, a bad one too,
-is read by the one check above, which names its first bad line.
+A posterior file spelt the common way, with CRLF or a byte-order mark too, is
+read whole, each value's digits as an integer, with the same result: an ASCII
+file of ``utt<TAB>index<TAB>values`` lines, each ended by an LF, whose ids
+hold no byte <= 0x20, whose indices are ASCII digits without a leading zero
+that count 0, 1, ... over each utterance's contiguous lines, whose values are
+K >= 2 decimals of one width with the ``.`` in one column and single spaces
+between them, and whose rows sum to 1 within ``POSTERIOR_SUM_TOL``. Any other
+file, a bad one too, goes to the one check above, which reads with ``float``.
 """
 
 from __future__ import annotations
@@ -86,21 +87,25 @@ def _float(text: str) -> float:
     return float(text)
 
 
-def _lines(path) -> list[tuple[int, str]]:
-    """``(line_no, line)`` per non-blank line. Only LF ends a line, and one CR
-    at a line's end is dropped; a form feed or U+2028 stays inside its line.
-    A byte-order mark that starts the file is dropped."""
+def _read(path) -> bytes:
+    """The file at ``path`` less a UTF-8 byte-order mark that starts it, one CR
+    before each LF and one CR that ends it; no LF goes, so no line number moves."""
     data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    if b"\r" in data:  # the replace takes a pass even when it finds nothing
+        data = data.replace(b"\r\n", b"\n").removesuffix(b"\r")
+    return data
+
+
+def _lines(path, data: Optional[bytes] = None) -> list[tuple[int, str]]:
+    """``(line_no, line)`` per non-blank line of ``data``, ``path`` as :func:`_read`
+    gives it. Only LF ends a line: a form feed, U+2028 or other CR stays in it."""
+    data = _read(path) if data is None else data
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         line_no = data.count(b"\n", 0, e.start) + 1
         raise FileFormatError(path, line_no, f"not valid UTF-8 (byte 0x{data[e.start]:02x})") from None
-    return [
-        (i, line.removesuffix("\r"))
-        for i, line in enumerate(text.split("\n"), start=1)
-        if line.strip()
-    ]
+    return [(i, line) for i, line in enumerate(text.split("\n"), start=1) if line.strip()]
 
 
 class _Rejected(Exception):
@@ -299,31 +304,6 @@ def _decimals(cells: np.ndarray, point: int) -> Optional[np.ndarray]:
     return q / float(10 ** (width - 1 - point))
 
 
-def _decimal_shape(head: bytes) -> Optional[tuple[int, int]]:
-    """``(width, point column)`` of the fixed-width decimal spelt as ``head``,
-    when :func:`_decimals` reads decimals of that shape."""
-    width, point = len(head), head.find(b".")
-    return (width, point) if point >= 0 and 2 <= width <= _MAX_DIGITS + 1 else None
-
-
-def _fixed_decimals(value_texts) -> Optional[tuple[np.ndarray, list[int]]]:
-    """:func:`_float_values`, bit for bit, when every value is spelt at the
-    first one's width, with its ``.`` in the same column, ASCII digits in
-    every other (:func:`_decimals`) and one space between values; else None."""
-    shape = _decimal_shape(value_texts[0].partition(" ")[0].encode())
-    if shape is None:
-        return None
-    width, point = shape
-    cells = np.frombuffer((" ".join(value_texts) + " ").encode(), dtype=np.uint8)
-    if cells.size % (width + 1):
-        return None
-    cells = cells.reshape(-1, width + 1)
-    flat = _decimals(cells, point) if (cells[:, width] == ord(" ")).all() else None
-    if flat is None:
-        return None
-    return flat, [(len(text) + 1) // (width + 1) for text in value_texts]
-
-
 def _utterance_starts(buf, starts, tab1, tab2) -> Optional[np.ndarray]:
     """The first line of each utterance of a posterior file held in ``buf``,
     from each line's start and first and second tab; None unless every id is
@@ -356,10 +336,10 @@ def _utterance_starts(buf, starts, tab1, tab2) -> Optional[np.ndarray]:
 
 
 def _posterior_kernel(data: bytes) -> Optional[dict[str, np.ndarray]]:
-    """:func:`read_posterior_file`'s table of ``data`` when the file is spelt
-    the common way that the module docstring describes, else None. The
-    values are read ``_BLOCK_ROWS`` lines at a time, so that the temporaries
-    do not grow with the file."""
+    """:func:`read_posterior_file`'s table of ``data`` (a file as :func:`_read`
+    gives it) when it is spelt the common way that the module docstring
+    describes, else None. The values are read ``_BLOCK_ROWS`` lines at a time,
+    so that the temporaries do not grow with the file."""
     if not data.endswith(b"\n") or not data.isascii():
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
@@ -368,15 +348,15 @@ def _posterior_kernel(data: bytes) -> Optional[dict[str, np.ndarray]]:
         return None
     tab1, tab2, ends = breaks.reshape(-1, 3).T
     starts = np.concatenate(([0], ends[:-1] + 1))
-    shape = _decimal_shape(data[tab2[0] + 1 : ends[0]].partition(b" ")[0])
+    head = data[tab2[0] + 1 : ends[0]].partition(b" ")[0]  # the first value
+    width, point = len(head), head.find(b".")
     span = ends - tab2  # a line's values and its line feed
-    if (shape is None or span[0] % (shape[0] + 1) or span[0] == shape[0] + 1
-            or (span != span[0]).any()):
+    if (point < 0 or not 2 <= width <= _MAX_DIGITS + 1 or span[0] % (width + 1)
+            or span[0] == width + 1 or (span != span[0]).any()):
         return None
     first = _utterance_starts(buf, starts, tab1, tab2)
     if first is None:
         return None
-    width, point = shape
     n, k = len(ends), span[0] // (width + 1)
     runs = np.empty(2 * n, dtype=np.intp)  # per line, the lengths of its two parts
     runs[0::2], runs[1::2] = tab2 + 1 - starts, span
@@ -405,10 +385,11 @@ def read_posterior_file(path) -> dict[str, np.ndarray]:
     Token indices must be contiguous from 0 within each utterance and all
     vectors in the file must share one width. Each line is checked for its
     columns, token index, numbers, range, width, sum, then duplicate index.
-    A file that :func:`_posterior_kernel` takes is read whole, and each of
-    its matrices is a view of one ``(rows, K)`` array.
+    The file is read once. If :func:`_posterior_kernel` takes it, each matrix
+    is a view of one ``(rows, K)`` array; else each value is read by ``float``.
     """
-    table = _posterior_kernel(Path(path).read_bytes())
+    data = _read(path)
+    table = _posterior_kernel(data)
     if table is not None:
         return table
     width = None  # of the first row
@@ -428,7 +409,7 @@ def read_posterior_file(path) -> dict[str, np.ndarray]:
             raise _Rejected(f"bad token index {index_texts[0]!r}") from None
         if min(indices) < 0:
             raise _Rejected(f"negative token index {min(indices)}")
-        flat, counts = _fixed_decimals(value_texts) or _float_values(value_texts)
+        flat, counts = _float_values(value_texts)
         if min(counts) < 2 or not (np.isfinite(flat) & (flat >= 0.0)).all():
             raise _Rejected("need >= 2 finite non-negative probabilities")
         first = counts[0] if width is None else width
@@ -447,7 +428,7 @@ def read_posterior_file(path) -> dict[str, np.ndarray]:
         rows.update(zip(keys, range(len(rows), len(rows) + len(keys))))
         return mat / totals[:, None]
 
-    parts = _checked(path, _lines(path), check)
+    parts = _checked(path, _lines(path, data), check)
     if not parts:
         raise FileFormatError(path, 0, "no posteriors found")
     mat = np.concatenate(parts)

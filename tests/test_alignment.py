@@ -61,8 +61,8 @@ class TestMapUnits:
         m = {"s1": "p1"}
         assert map_units(a, m).codes.tolist() == [0, -1]
         with pytest.raises(UnmappedTokenError, match="s9") as info:
-            teacher_posteriors(a, [("phone", m, {"u": [P1, P2]})], "senone")
-        assert (info.value.source, info.value.target) == ("senone", "phone")
+            teacher_posteriors(a, [("phone", m, {"u": [P1, P2]})])
+        assert (info.value.source, info.value.target) == ("fine", "phone")
 
 
 class TestDeduplicate:

@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 import stat
@@ -152,7 +153,8 @@ def test_renormalised_rows_match_per_row_division(tmp_path_factory, seed, width,
     assert got.tobytes() == want.tobytes()
 
 
-#: Fixed-width decimal values: the integer reading must give ``float``'s bits.
+#: Fixed-width decimal values: the whole-file path's integer reading
+#: (``fileio._decimals``) must give ``float``'s bits.
 FIXED_VALUES = ["0.000000", "1.000000", "9.999999", "0.000001", "0.500000", "5.000000",
                 "0.1", ".5", "1.", "00.50", "0.30000000000000", "9999999999.99999",
                 "0.00000000000001", "99999999999999.9"]
@@ -160,9 +162,13 @@ FIXED_VALUES = ["0.000000", "1.000000", "9.999999", "0.000001", "0.500000", "5.0
 
 @pytest.mark.parametrize("text", FIXED_VALUES)
 def test_fixed_width_value_is_read_as_float_reads_it(text):
-    flat, counts = fileio._fixed_decimals([f"{text} {text}", text])
-    assert counts == [2, 1]
-    assert flat.tobytes() == np.array([float(text)] * 3).tobytes()
+    """Two lines of two values, as ``(lines, values, width + 1)`` cells of
+    each value and the byte after it, which is how the whole-file path
+    shapes them."""
+    cells = np.frombuffer(f"{text} {text}\n{text} {text}\n".encode(), dtype=np.uint8)
+    rows = fileio._decimals(cells.reshape(2, 2, len(text) + 1), text.find("."))
+    assert rows.shape == (2, 2)
+    assert rows.tobytes() == np.full((2, 2), float(text)).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -172,42 +178,19 @@ def test_fixed_width_values_bit_identical_to_float(digits, data):
     q = data.draw(st.lists(st.integers(0, 10**digits - 1), min_size=1, max_size=30))
     texts = [str(v).zfill(digits) for v in q]
     texts = [f"{t[:point]}.{t[point:]}" for t in texts]
-    flat, counts = fileio._fixed_decimals([" ".join(texts)])
-    assert counts == [len(texts)]
-    assert flat.tobytes() == np.array(list(map(float, texts))).tobytes()
-
-
-#: Value texts that leave the fixed shape; each is read by ``float`` instead.
-NOT_FIXED = {
-    "letter": ["0.25 0.7x"],
-    "moved_point": ["0.25 07.5"],
-    "comma": ["0.25 0,75"],
-    "no_point_in_column": ["0.25 0075"],
-    "no_space_in_column": ["0.25 0.75x0.50"],
-    "seventh_decimal": ["0.250000 0.7500000"],
-    "minus": ["0.25 -0.75"],
-    "plus": ["+0.25 0.75"],
-    "double_space": ["0.25  0.75"],
-    "leading_space": [" 0.25 0.75"],
-    "no_point": ["1 0"],
-    "point_only": [". ."],
-    "sixteen_digits": ["0.000000000000001 0.999999999999999"],
-    "line_width": ["0.25 0.75", "0.500 0.500"],
-    "empty_line": ["0.25 0.75", ""],
-    "non_ascii": ["0.25 \uff10.75"],
-}
-
-
-@pytest.mark.parametrize("name", sorted(NOT_FIXED))
-def test_other_spellings_left_to_float(name):
-    assert fileio._fixed_decimals(NOT_FIXED[name]) is None
+    cells = np.frombuffer((" ".join(texts) + "\n").encode(), dtype=np.uint8)
+    rows = fileio._decimals(cells.reshape(1, len(texts), digits + 2), point)
+    assert rows.shape == (1, len(texts))
+    assert rows.tobytes() == np.array([list(map(float, texts))]).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 8, 40, 200]), st.integers(1, 40))
 def test_six_decimal_files_bit_identical_to_reference(tmp_path_factory, seed, width, n):
-    """Rows at six decimals, as posterior dumps spell them, are each read on
-    the integer path and come out as the line-at-a-time reader makes them."""
+    """Rows at six decimals, as posterior dumps spell them, come out as the
+    line-at-a-time reader makes them. Interleaved utterances are read by the
+    checked path; the same rows with each utterance's lines together take the
+    whole-file path, with the same arrays."""
     rng = np.random.default_rng(seed)
     q = np.rint(rng.dirichlet(np.full(width, 0.3), size=n) * 1e6).astype(np.int64)
     q[:, 0] += 1_000_000 - q.sum(axis=1)  # may go negative: then the row is invalid
@@ -216,8 +199,12 @@ def test_six_decimal_files_bit_identical_to_reference(tmp_path_factory, seed, wi
     texts = [" ".join(f"{v // 10**6}.{v % 10**6:06d}" for v in row) for row in q.tolist()]
     path = tmp_path_factory.mktemp("six") / "post.tsv"
     path.write_text("".join(f"u{i % 3}\t{i // 3}\t{t}\n" for i, t in enumerate(texts)))
+    table = None
     if (q >= 0).all():
-        assert fileio._fixed_decimals(texts) is not None
+        together = "".join(f"u{u}\t{i // 3}\t{texts[i]}\n"
+                           for u in range(3) for i in range(u, n, 3))
+        table = fileio._posterior_kernel(together.encode())
+        assert table is not None
     try:
         want = ref_read_posterior_file(path)
     except FileFormatError as e:
@@ -228,15 +215,20 @@ def test_six_decimal_files_bit_identical_to_reference(tmp_path_factory, seed, wi
     got = read_posterior_file(path)
     assert list(got) == list(want)
     assert all(got[utt].tobytes() == want[utt].tobytes() for utt in want)
+    if table is not None:
+        assert list(table) == list(want)
+        assert all(table[utt].tobytes() == want[utt].tobytes() for utt in want)
 
 
 def simplex_rows(rng, n: int, width: int, decimals: int = 6, units: int = 1,
                  slack: int = 0) -> list[str]:
     """``n`` random rows of ``width`` values at ``decimals`` places with
     ``units`` integer digits, whose digits sum to 1 give or take up to
-    ``slack`` in the last place."""
+    ``slack`` in the last place. Rounding down leaves each row short of 1,
+    never over it, so the shortfall added to its largest value keeps every
+    value non-negative."""
     one = 10**decimals
-    q = np.rint(rng.dirichlet(np.full(width, 0.3), size=n) * one).astype(np.int64)
+    q = np.floor(rng.dirichlet(np.full(width, 0.3), size=n) * one).astype(np.int64)
     q[np.arange(n), q.argmax(axis=1)] += one - q.sum(axis=1) + rng.integers(-slack, slack + 1, n)
     return [" ".join(f"{v // one:0{units}d}.{v % one:0{decimals}d}" for v in row)
             for row in q.tolist()]
@@ -281,8 +273,6 @@ KERNEL_BASE = ["a\t0\t0.250000 0.750000", "a\t1\t0.500000 0.500000", "b\t0\t1.00
 #: name -> a file that leaves the whole-file path for the line-at-a-time
 #: one: the base file spelt another way, or not valid at all.
 NOT_KERNEL = {
-    "crlf": "\r\n".join(KERNEL_BASE) + "\r\n",
-    "bom": "\ufeff" + "\n".join(KERNEL_BASE) + "\n",
     "blank_line": "\n".join([KERNEL_BASE[0], "", *KERNEL_BASE[1:]]) + "\n",
     "no_final_lf": "\n".join(KERNEL_BASE),
     "non_ascii_id": "\n".join(line.replace("b", "\u00e9") for line in KERNEL_BASE) + "\n",
@@ -314,26 +304,63 @@ NOT_KERNEL = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(NOT_KERNEL))
-def test_other_spellings_read_line_by_line_as_reference_reads(name, tmp_path):
-    path = tmp_path / "post.tsv"
-    path.write_bytes(NOT_KERNEL[name].encode())
+#: name -> the values of the base file's first line, spelt so that the file
+#: leaves the whole-file path and every value is read by ``float``.
+NOT_FIXED = {
+    "letter": "0.250000 0.75000x",
+    "moved_point": "0.250000 07.50000",
+    "comma": "0.250000 0,750000",
+    "no_point_in_column": "0.250000 00750000",
+    "no_space_in_column": "0.250000x0.750000",
+    "seventh_decimal": "0.250000 0.7500000",
+    "minus": "-.250000 1.250000",
+    "plus": "+.250000 0.750000",
+    "double_space": "0.250000  0.750000",
+    "leading_space": " 0.250000 0.750000",
+    "no_point": "1 0",
+    "point_only": ". .",
+    "sixteen_digits": "0.000000000000001 0.999999999999999",
+    "line_width": "0.25000 0.75000",
+    "empty_line": "",
+    "non_ascii": "0.250000 \uff10.750000",
+}
+
+
+def assert_leaves_kernel_and_reads_as_reference_reads(path, text: str):
+    path.write_bytes(text.encode())
     assert fileio._posterior_kernel(path.read_bytes()) is None
     assert_read_as_reference_reads(path)
 
 
-def test_bench_shaped_file_takes_the_whole_file_path(tmp_path, monkeypatch):
-    """A six-decimal dump of 40 classes over 24 utterances and several blocks
-    is read without the line-at-a-time path, as the reference reads it."""
+@pytest.mark.parametrize("name", sorted(NOT_KERNEL))
+def test_other_spellings_read_line_by_line_as_reference_reads(name, tmp_path):
+    assert_leaves_kernel_and_reads_as_reference_reads(tmp_path / "post.tsv", NOT_KERNEL[name])
+
+
+@pytest.mark.parametrize("name", sorted(NOT_FIXED))
+def test_other_spellings_left_to_float(name, tmp_path):
+    text = "\n".join([f"a\t0\t{NOT_FIXED[name]}", *KERNEL_BASE[1:]]) + "\n"
+    assert_leaves_kernel_and_reads_as_reference_reads(tmp_path / "post.tsv", text)
+
+
+@pytest.mark.parametrize("spelling", ["lf", "crlf", "bom"])
+def test_bench_shaped_file_takes_the_whole_file_path(spelling, tmp_path, monkeypatch):
+    """A six-decimal dump of 40 classes over 24 utterances and several blocks,
+    with LF or CRLF line ends or a byte-order mark, is read without the
+    line-at-a-time path, as the reference reads the LF file."""
     rng = np.random.default_rng(7)
     lengths = rng.integers(1, 200, size=24)
     rows = iter(simplex_rows(rng, lengths.sum(), 40))
-    path = tmp_path / "post.tsv"
-    path.write_text("".join(f"u{u:04d}\t{i}\t{next(rows)}\n"
-                            for u, t in enumerate(lengths.tolist()) for i in range(t)))
+    text = "".join(f"u{u:04d}\t{i}\t{next(rows)}\n"
+                   for u, t in enumerate(lengths.tolist()) for i in range(t))
+    lf, path = tmp_path / "lf.tsv", tmp_path / "post.tsv"
+    lf.write_text(text)
+    if spelling == "crlf":
+        text = text.replace("\n", "\r\n")
+    path.write_bytes((codecs.BOM_UTF8 if spelling == "bom" else b"") + text.encode())
     assert lengths.sum() > 2 * fileio._BLOCK_ROWS
-    want = ref_read_posterior_file(path)
-    monkeypatch.setattr(fileio, "_lines", lambda path: pytest.fail("read line by line"))
+    want = ref_read_posterior_file(lf)
+    monkeypatch.setattr(fileio, "_lines", lambda *args: pytest.fail("read line by line"))
     got = read_posterior_file(path)
     assert list(got) == list(want)
     assert all(got[utt].tobytes() == want[utt].tobytes() for utt in want)
@@ -389,6 +416,49 @@ def test_crlf_unit_map_keeps_no_carriage_return(tmp_path):
     path = tmp_path / "map.tsv"
     path.write_bytes(b"a\tA\r\nb\tB\r\n")
     assert fileio.read_unit_map_file(path) == {"a": "A", "b": "B"}
+
+
+def per_line_rule(data: bytes):
+    """``fileio._lines``' lines of ``data`` by the rule applied a line at a
+    time: drop a byte-order mark that starts the data, decode, split at each
+    LF, drop one CR at the end of each line and skip blank lines. A byte that
+    does not decode gives its line number and message instead."""
+    data = data.removeprefix(codecs.BOM_UTF8)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        return data.count(b"\n", 0, e.start) + 1, f"not valid UTF-8 (byte 0x{data[e.start]:02x})"
+    return [(i, line.removesuffix("\r")) for i, line in enumerate(text.split("\n"), start=1)
+            if line.strip()]
+
+
+#: name -> file bytes around the CR, LF and byte-order-mark rules.
+LINE_CASES = {
+    "cr_cr_lf": b"a\r\r\nb\r\r\n",
+    "final_cr": b"a\nb\r",
+    "final_cr_cr": b"a\nb\r\r",
+    "cr_only_line": b"a\n\r\nb\n",
+    "cr_only_file": b"\r",
+    "cr_inside_line": b"a\rb\r\nc\rd\n",
+    "u2028": "a\u2028b\r\nc\u2028\r\n".encode(),
+    "bom_and_crlf": b"\xef\xbb\xbfa\r\nb\r\n",
+    "bom_not_at_start": b"a\r\n\xef\xbb\xbfb\r\n",
+    "non_utf8_after_crlf": b"a\r\n\r\nb\r\nc\xffd\r\n",
+    "non_utf8_before_cr": b"a\r\nb\xc3\r\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINE_CASES))
+def test_lines_follow_the_per_line_rule(name, tmp_path):
+    path = tmp_path / "input"
+    path.write_bytes(LINE_CASES[name])
+    want = per_line_rule(LINE_CASES[name])
+    if isinstance(want, list):
+        assert fileio._lines(path) == want
+        return
+    with pytest.raises(FileFormatError) as info:
+        fileio._lines(path)
+    assert (info.value.line_no, info.value.detail) == want
 
 
 #: JSON number tokens whose float conversion is easy to get wrong.
