@@ -21,14 +21,18 @@ and the first line rejected is reported with that check's message. Posterior
 vectors may be off the simplex by up to 1e-6 (6-decimal files round); they
 are renormalized on load, anything worse is rejected.
 
-A posterior file spelt the common way, with CRLF or a byte-order mark too, is
-read whole, each value's digits as an integer, with the same result: an ASCII
-file of ``utt<TAB>index<TAB>values`` lines, each ended by an LF, whose ids
-hold no byte <= 0x20, whose indices are ASCII digits without a leading zero
-that count 0, 1, ... over each utterance's contiguous lines, whose values are
-K >= 2 decimals of one width with the ``.`` in one column and single spaces
-between them, and whose rows sum to 1 within ``POSTERIOR_SUM_TOL``. Any other
-file, a bad one too, goes to the one check above, which reads with ``float``.
+A file of these three formats spelt the common way, with CRLF, a byte-order
+mark or blank lines too, is read whole by a kernel, each number's digits as an
+integer (:func:`_decimals`), with the same arrays bit for bit. Any other file,
+a bad one too, goes to the one check above, which reads with ``json.loads``
+or ``float``. For predictions and hypotheses the common way is the spelling of
+``json.dumps``, which :mod:`distilcal._jsonl` describes. For posteriors it is
+an ASCII file of ``utt<TAB>index<TAB>values`` lines, each ended by an LF,
+whose ids hold no byte <= 0x20, whose indices are ASCII digits without a
+leading zero that count 0, 1, ... over each utterance's contiguous lines,
+whose values are K >= 2 decimals of one width with the ``.`` in one column and
+single spaces between them, and whose rows sum to 1 within
+``POSTERIOR_SUM_TOL``.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ _CHUNK = 4096
 _INT_CHARS = frozenset("-0123456789")
 #: Digits of a fixed-width decimal read by integer arithmetic; 10**15 < 2**53.
 _MAX_DIGITS = 15
-#: Lines of a posterior file whose values :func:`_posterior_kernel` reads at a time.
+#: Lines of a file whose values a whole-file kernel reads at a time.
 _BLOCK_ROWS = 1024
 #: The bytes <= LF of a posterior line, in order: two tabs and the line feed.
 _LINE_BREAKS = np.array([9, 9, 10], dtype=np.uint8)
@@ -94,6 +98,17 @@ def _read(path) -> bytes:
     if b"\r" in data:  # the replace takes a pass even when it finds nothing
         data = data.replace(b"\r\n", b"\n").removesuffix(b"\r")
     return data
+
+
+def _whole_file(kernel, data: bytes):
+    """``kernel(data)``, or when that is None and ``data`` has LF-only lines,
+    ``kernel`` of ``data`` without them: a kernel needs no line numbers, and
+    a file it refuses is read line by line from ``data`` as it is. Looking
+    for blank lines takes a pass, so only a refused file pays for it."""
+    got = kernel(data)
+    if got is None and (data.startswith(b"\n") or b"\n\n" in data):
+        got = kernel(re.sub(b"\n\n+", b"\n", data).lstrip(b"\n"))
+    return got
 
 
 def _lines(path, data: Optional[bytes] = None) -> list[tuple[int, str]]:
@@ -186,7 +201,10 @@ def read_prediction_file(path) -> tuple[np.ndarray, np.ndarray]:
         width = first
         return logits, np.array(labels)
 
-    parts = _checked(path, _lines(path), check)
+    from . import _jsonl  # imported here, so that only the commands reading JSON lines compile it
+
+    data = _read(path)
+    parts = _whole_file(_jsonl.prediction_kernel, data) or _checked(path, _lines(path, data), check)
     if not parts:
         raise FileFormatError(path, 0, "no prediction records found")
     logits, labels = zip(*parts)
@@ -219,24 +237,33 @@ def _check_hypotheses(chunk) -> tuple[list[str], list[str], np.ndarray]:
 
 def read_hypothesis_file(path) -> Hypotheses:
     """All hypotheses of a JSON-lines file, grouped by utterance."""
-    parts = _checked(path, _lines(path), _check_hypotheses)
+    from . import _jsonl  # imported here, so that only the commands reading JSON lines compile it
+
+    data = _read(path)
+    parts = (_whole_file(_jsonl.hypothesis_kernel, data)
+             or _checked(path, _lines(path, data), _check_hypotheses))
     if not parts:
         raise FileFormatError(path, 0, "no hypotheses found")
     utts, ids, scores = zip(*parts)
-    group: dict[str, int] = {}  # utterance id -> its rank in order of first appearance
-    codes = np.array([group.setdefault(utt, len(group)) for utt in chain.from_iterable(utts)])
+    group, codes = _first_use_codes(list(chain.from_iterable(utts)))
     order = np.argsort(codes, kind="stable")
     offsets = np.concatenate(([0], np.cumsum(np.bincount(codes))))
     ids = list(chain.from_iterable(ids))
-    return Hypotheses(list(group), offsets, [ids[i] for i in order.tolist()],
+    return Hypotheses(group, offsets, list(map(ids.__getitem__, order.tolist())),
                       np.concatenate(scores)[order])
+
+
+def _first_use_codes(items: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct ``items`` in order of first use, and each item's index in them."""
+    distinct = list(dict.fromkeys(items))
+    index = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(index.__getitem__, items), dtype=np.intp, count=len(items))
 
 
 def read_alignment_file(path) -> Alignments:
     """All utterances of an alignment file as one code array, in file order."""
     starts: dict[str, int] = {}  # utterance id -> offset of its first frame
-    vocab: dict[str, int] = {}  # token -> code, in order of first use
-    codes: list[int] = []
+    tokens: list[str] = []
     for line_no, line in _lines(path):
         utt, _, frames = line.partition("\t")
         utt = utt.strip()
@@ -246,12 +273,12 @@ def read_alignment_file(path) -> Alignments:
             raise FileFormatError(path, line_no, f"whitespace in utterance id {utt!r}")
         if utt in starts:
             raise FileFormatError(path, line_no, f"duplicate utterance {utt!r}")
-        starts[utt] = len(codes)
-        codes += [vocab.setdefault(t, len(vocab)) for t in frames.split()]
+        starts[utt] = len(tokens)
+        tokens += frames.split()
     if not starts:
         raise FileFormatError(path, 0, "no alignments found")
-    offsets = np.array([*starts.values(), len(codes)])
-    return Alignments(list(starts), offsets, list(vocab), np.array(codes, dtype=np.intp))
+    offsets = np.array([*starts.values(), len(tokens)])
+    return Alignments(list(starts), offsets, *_first_use_codes(tokens))
 
 
 def read_unit_map_file(path) -> dict[str, str]:
@@ -304,24 +331,36 @@ def _decimals(cells: np.ndarray, point: int) -> Optional[np.ndarray]:
     return q / float(10 ** (width - 1 - point))
 
 
+def _naturals(buf, starts, ends) -> Optional[np.ndarray]:
+    """The integers ``buf[starts[i]:ends[i]]`` as int64, when each is 1 to 15
+    ASCII digits without a leading zero, else None."""
+    length = ends - starts
+    if length.min() < 1 or length.max() > _MAX_DIGITS:
+        return None
+    value = np.zeros(len(starts), dtype=np.int64)
+    for j in range(length.max()):  # the digit of 10**j, where the number has one
+        has = length > j
+        digit = buf[ends[has] - 1 - j] - np.uint8(ord("0"))  # any other byte wraps past 9
+        if (digit > 9).any():
+            return None
+        value[has] += digit.astype(np.int64) * 10**j
+    if (buf[starts] == ord("0"))[length > 1].any():
+        return None
+    return value
+
+
 def _utterance_starts(buf, starts, tab1, tab2) -> Optional[np.ndarray]:
     """The first line of each utterance of a posterior file held in ``buf``,
     from each line's start and first and second tab; None unless every id is
     non-empty and holds no byte <= 0x20, every index is ASCII digits without
     a leading zero, and each utterance's lines are contiguous with the
     indices 0, 1, ... in order."""
-    id_len, index_len = tab1 - starts, tab2 - tab1 - 1
-    if id_len.min() < 1 or index_len.min() < 1 or index_len.max() > _MAX_DIGITS:
+    id_len = tab1 - starts
+    index = _naturals(buf, tab1 + 1, tab2)
+    if id_len.min() < 1 or index is None:
         return None
-    index = np.zeros(len(starts), dtype=np.int64)
-    for j in range(index_len.max()):  # the digit of 10**j, where the index has one
-        has = index_len > j
-        digit = buf[tab2[has] - 1 - j] - np.uint8(ord("0"))  # any other byte wraps past 9
-        if (digit > 9).any():
-            return None
-        index[has] += digit.astype(np.int64) * 10**j
     first = np.flatnonzero(index == 0)
-    if not len(first) or first[0] or (buf[tab1 + 1] == ord("0"))[index_len > 1].any():
+    if not len(first) or first[0]:
         return None
     if (index != np.arange(len(index)) - first[np.cumsum(index == 0) - 1]).any():
         return None
@@ -389,7 +428,7 @@ def read_posterior_file(path) -> dict[str, np.ndarray]:
     is a view of one ``(rows, K)`` array; else each value is read by ``float``.
     """
     data = _read(path)
-    table = _posterior_kernel(data)
+    table = _whole_file(_posterior_kernel, data)
     if table is not None:
         return table
     width = None  # of the first row

@@ -1,6 +1,7 @@
 import codecs
 import json
 import os
+import re
 import stat
 import warnings
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distilcal import FileFormatError
-from distilcal import fileio
+from distilcal import _jsonl, fileio
 from distilcal.fileio import read_hypothesis_file, read_posterior_file, read_prediction_file
 
 from oracles import ref_read_hypothesis_file, ref_read_posterior_file, ref_read_prediction_file
@@ -273,7 +274,6 @@ KERNEL_BASE = ["a\t0\t0.250000 0.750000", "a\t1\t0.500000 0.500000", "b\t0\t1.00
 #: name -> a file that leaves the whole-file path for the line-at-a-time
 #: one: the base file spelt another way, or not valid at all.
 NOT_KERNEL = {
-    "blank_line": "\n".join([KERNEL_BASE[0], "", *KERNEL_BASE[1:]]) + "\n",
     "no_final_lf": "\n".join(KERNEL_BASE),
     "non_ascii_id": "\n".join(line.replace("b", "\u00e9") for line in KERNEL_BASE) + "\n",
     "space_padded_id": "\n".join([" a" + line[1:] for line in KERNEL_BASE[:2]]) + "\n",
@@ -627,6 +627,295 @@ def test_long_files_bit_identical_to_reference(tmp_path):
         {"utt": f"u{i % 11}", "id": f"h{i}", "am_logp": row[0], "lm_logp": -row[1]}
     ) + "\n" for i, row in enumerate(rows.tolist())))
     assert_same_hypotheses(hyps)
+
+
+#: format -> (its reader, the reference reader, its whole-file kernel, a file
+#: the kernel takes).
+KERNEL_FORMATS = {
+    "prediction": (read_prediction_file, ref_read_prediction_file, _jsonl.prediction_kernel,
+                   '{"logits": [0.25, -1.5, 3], "label": 2}\n'
+                   '{"logits": [-0.0000, 10.0, 0.125], "label": 0}\n'),
+    "hypothesis": (read_hypothesis_file, ref_read_hypothesis_file, _jsonl.hypothesis_kernel,
+                   '{"utt": "u1", "id": "a", "am_logp": -10.25, "lm_logp": -2}\n'
+                   '{"utt": "u2", "id": "b", "am_logp": -0.0, "lm_logp": 0}\n'
+                   '{"utt": "u1", "id": "c", "am_logp": -7.5, "lm_logp": -1.75}\n'),
+    "posterior": (read_posterior_file, ref_read_posterior_file, fileio._posterior_kernel,
+                  "\n".join(KERNEL_BASE) + "\n"),
+}
+
+
+def comparable(result):
+    """A reader's result as plain values, arrays as dtype, shape and bytes and
+    a ``Hypotheses`` as the reference's dict of groups."""
+    if isinstance(result, fileio.Hypotheses):
+        result = hypothesis_groups(result)
+    if isinstance(result, dict):
+        return [(key, comparable(value)) for key, value in result.items()]
+    if isinstance(result, tuple):
+        return [comparable(value) for value in result]
+    if isinstance(result, np.ndarray):
+        return result.dtype, result.shape, result.tobytes()
+    return result
+
+
+def read_as_reference_reads(reader, reference, path):
+    """Assert that ``reader`` gives ``reference``'s arrays, in its order, or its
+    exception type, line and message."""
+    try:
+        want = reference(path)
+    except FileFormatError as e:
+        with pytest.raises(FileFormatError) as info:
+            reader(path)
+        assert (type(info.value), info.value.line_no, str(info.value)) == (type(e), e.line_no, str(e))
+        return
+    assert comparable(reader(path)) == comparable(want)
+
+
+def kernel_takes(kernel, path) -> bool:
+    return fileio._whole_file(kernel, fileio._read(path)) is not None
+
+
+#: ``json.dumps``' spelling of a JSON number that a kernel reads: sign, integer
+#: digits and fraction digits.
+KERNEL_NUMBER = re.compile(r"(-?)(0|[1-9][0-9]*)(?:\.([0-9]+))?")
+
+
+def kernel_reads_numbers(tokens) -> bool:
+    """Whether the kernels read these number tokens: each in the narrowed JSON
+    grammar, none the integer ``-0``, and the longest integer part and the
+    longest fraction together at most 15 digits."""
+    parts = [KERNEL_NUMBER.fullmatch(t) for t in tokens]
+    if not all(parts) or any(m[1] and m[2] == "0" and m[3] is None for m in parts):
+        return False
+    return max(len(m[2]) for m in parts) + max(len(m[3] or "") for m in parts) <= 15
+
+
+#: Numbers as ``json.dumps`` spells a float or an int, or as ``%.Nf`` does.
+json_number = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False).map(json.dumps),
+    st.integers(-10**16, 10**16).map(json.dumps),
+    st.tuples(st.floats(-1e4, 1e4, allow_nan=False), st.integers(0, 8)).map(
+        lambda v: f"{v[0]:.{v[1]}f}"),
+    st.sampled_from(["-0.0", "-0.0000", "0", "-0", "0.5", "100", "123456789012345"]),
+)
+
+
+def dumps_with(record, tokens) -> str:
+    """``json.dumps(record)`` with its ``"@"`` values replaced by ``tokens`` in turn."""
+    text = json.dumps(record)
+    for token in tokens:
+        text = text.replace('"@"', token, 1)
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_json_kernel_files_bit_identical_to_reference(tmp_path_factory, data):
+    """Prediction and hypothesis files in ``json.dumps``' spelling read as the
+    reference reads them, and the kernel takes exactly those whose numbers
+    it reads."""
+    fmt = data.draw(st.sampled_from(["prediction", "hypothesis"]))
+    reader, reference, kernel, _ = KERNEL_FORMATS[fmt]
+    n = data.draw(st.integers(1, 12))
+    if fmt == "prediction":
+        k = data.draw(st.integers(2, 5))
+        rows = [[data.draw(json_number) for _ in range(k)] for _ in range(n)]
+        labels = [data.draw(st.integers(0, k - 1)) for _ in range(n)]
+        lines = [dumps_with({"logits": ["@"] * k, "label": y}, row) for row, y in zip(rows, labels)]
+    else:
+        printable = st.characters(min_codepoint=0x21, max_codepoint=0x7e, exclude_characters='"\\@')
+        ids = st.text(printable, min_size=1, max_size=6)
+        rows = [[data.draw(json_number), data.draw(json_number)] for _ in range(n)]
+        lines = [dumps_with({"utt": data.draw(ids), "id": data.draw(ids), "am_logp": "@",
+                             "lm_logp": "@"}, row) for row in rows]
+    path = tmp_path_factory.mktemp("json") / "input.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    read_as_reference_reads(reader, reference, path)
+    assert kernel_takes(kernel, path) == kernel_reads_numbers(
+        [t for row in rows for t in row])
+
+
+def fail_if_read_line_by_line(monkeypatch):
+    monkeypatch.setattr(fileio, "_lines", lambda *args: pytest.fail("read line by line"))
+
+
+@pytest.mark.parametrize("spelling", ["lf", "crlf", "bom"])
+def test_bench_shaped_json_files_take_the_whole_file_path(spelling, tmp_path, monkeypatch):
+    """Predictions of 10 classes at four decimals, ``-0.0000`` among them, and
+    hypotheses at two decimals, over several blocks and chunks, with LF or
+    CRLF line ends or a byte-order mark, are read without the line-at-a-time
+    path, as the reference reads the LF files."""
+    rng = np.random.default_rng(7)
+    logits = rng.normal(0.0, 1.5, (3 * fileio._BLOCK_ROWS + 5, 10))
+    logits[5, 3] = -1e-5
+    labels = rng.integers(0, 10, len(logits))
+    scores = -rng.uniform(0.0, 50.0, (2 * fileio._CHUNK + 7, 2))
+    rows = zip(logits.tolist(), labels.tolist())
+    texts = {
+        "prediction": "".join('{"logits": [' + ", ".join(f"{v:.4f}" for v in row)
+                              + f'], "label": {y}}}\n' for row, y in rows),
+        "hypothesis": "".join(f'{{"utt": "u{i // 9:05d}", "id": "h{i % 9:02d}", '
+                              f'"am_logp": {am:.2f}, "lm_logp": {lm:.2f}}}\n'
+                              for i, (am, lm) in enumerate(scores.tolist())),
+    }
+    assert " -0.0000," in texts["prediction"].splitlines()[5]
+    paths, wants = {}, {}
+    for fmt, text in texts.items():
+        lf, paths[fmt] = tmp_path / f"{fmt}_lf", tmp_path / fmt
+        lf.write_text(text)
+        wants[fmt] = comparable(KERNEL_FORMATS[fmt][1](lf))
+        if spelling == "crlf":
+            text = text.replace("\n", "\r\n")
+        paths[fmt].write_bytes((codecs.BOM_UTF8 if spelling == "bom" else b"") + text.encode())
+    fail_if_read_line_by_line(monkeypatch)
+    for fmt, path in paths.items():
+        assert comparable(KERNEL_FORMATS[fmt][0](path)) == wants[fmt]
+    assert np.signbit(read_prediction_file(paths["prediction"])[0][5, 3])
+
+
+@pytest.mark.parametrize("n", [fileio._BLOCK_ROWS - 1, fileio._BLOCK_ROWS, fileio._BLOCK_ROWS + 1,
+                               fileio._CHUNK, fileio._CHUNK + 1])
+def test_json_kernels_at_block_edges(n, tmp_path, monkeypatch):
+    """Files of one line less, as many and one more than a kernel's block of
+    lines read as the reference reads them, without the line-at-a-time path."""
+    texts = {
+        "prediction": "".join(f'{{"logits": [-{i % 9}.5, {i % 7}, 0.{i}], "label": {i % 3}}}\n'
+                              for i in range(n)),
+        "hypothesis": "".join(f'{{"utt": "u{i % 13}", "id": "h{i}", "am_logp": -{i}.25, '
+                              f'"lm_logp": -{i % 7 + 1}}}\n' for i in range(n)),
+    }
+    wants = {}
+    for fmt, text in texts.items():
+        (tmp_path / fmt).write_text(text)
+        wants[fmt] = comparable(KERNEL_FORMATS[fmt][1](tmp_path / fmt))
+    fail_if_read_line_by_line(monkeypatch)
+    for fmt, want in wants.items():
+        assert comparable(KERNEL_FORMATS[fmt][0](tmp_path / fmt)) == want
+
+
+#: Blank lines placed around a kernel file's lines: before, between, after.
+BLANK_LAYOUTS = {"leading": (2, 0, 0), "between": (0, 1, 0), "many_between": (0, 3, 0),
+                 "trailing": (0, 0, 2), "everywhere": (1, 2, 1)}
+
+
+@pytest.mark.parametrize("layout", sorted(BLANK_LAYOUTS))
+@pytest.mark.parametrize("fmt", sorted(KERNEL_FORMATS))
+def test_blank_lines_take_the_whole_file_path(fmt, layout, tmp_path, monkeypatch):
+    """LF-only lines do not send a file to the line-at-a-time path, and the
+    file reads as the reference reads it."""
+    reader, reference, _, text = KERNEL_FORMATS[fmt]
+    before, between, after = BLANK_LAYOUTS[layout]
+    path = tmp_path / "input"
+    lines = ("\n" * (between + 1)).join(text.splitlines())
+    path.write_text("\n" * before + lines + "\n" * (after + 1))
+    want = comparable(reference(path))
+    fail_if_read_line_by_line(monkeypatch)
+    assert comparable(reader(path)) == want
+
+
+#: name -> (format, a file that leaves the whole-file kernel for the
+#: line-at-a-time path: the base file spelt another way, or not valid).
+NOT_JSON_KERNEL = {
+    "prediction_minus_zero": ("prediction", '{"logits": [-0, 1.5], "label": 0}\n'),
+    "prediction_exponent": ("prediction", '{"logits": [1e-3, 1.5], "label": 0}\n'),
+    "prediction_sixteen_digits": ("prediction",
+                                  '{"logits": [0.123456789012345, 1.5], "label": 1}\n'),
+    "prediction_padded_sixteen": ("prediction",
+                                  '{"logits": [12345678901.5, 0.12345], "label": 1}\n'),
+    "prediction_true": ("prediction", '{"logits": [true, 1.5], "label": 0}\n'),
+    "prediction_true_label": ("prediction", '{"logits": [0.5, 1.5], "label": true}\n'),
+    "prediction_swapped_keys": ("prediction", '{"label": 0, "logits": [0.5, 1.5]}\n'),
+    "prediction_no_space": ("prediction", '{"logits":[0.5, 1.5], "label": 0}\n'),
+    "prediction_no_space_after_comma": ("prediction", '{"logits": [0.5,1.5], "label": 0}\n'),
+    "prediction_extra_key": ("prediction", '{"logits": [0.5, 1.5], "label": 0, "w": 1}\n'),
+    "prediction_duplicate_key": ("prediction",
+                                 '{"logits": [0.5, 1.5], "label": 0, "label": 1}\n'),
+    "prediction_garbage_prefix": ("prediction", 'xx{"logits": [0.5, 1.5], "label": 0}\n'),
+    "prediction_huge_integer": ("prediction", '{"logits": [0.5, 1.5], "label": 0}\n'
+                                              '{"logits": [' + "9" * 4301 + ', 1.5], "label": 0}\n'),
+    "prediction_leading_zero": ("prediction", '{"logits": [01.5, 1.5], "label": 0}\n'),
+    "prediction_label_leading_zero": ("prediction", '{"logits": [0.5, 1.5], "label": 01}\n'),
+    "prediction_label_range": ("prediction", '{"logits": [0.5, 1.5], "label": 2}\n'),
+    "prediction_label_float": ("prediction", '{"logits": [0.5, 1.5], "label": 1.0}\n'),
+    "prediction_label_twenty_digits": ("prediction",
+                                       '{"logits": [0.5, 1.5], "label": 12345678901234567890}\n'),
+    "prediction_one_logit": ("prediction", '{"logits": [0.5], "label": 0}\n'),
+    "prediction_widths": ("prediction", '{"logits": [0.5, 1.5], "label": 0}\n'
+                                        '{"logits": [0.5, 1.5, 2], "label": 0}\n'),
+    "prediction_point_only": ("prediction", '{"logits": [1., 1.5], "label": 0}\n'),
+    "prediction_nested": ("prediction", '{"logits": [[0.5], 1.5], "label": 0}\n'),
+    "prediction_no_final_lf": ("prediction", '{"logits": [0.5, 1.5], "label": 0}'),
+    "prediction_no_closing_brace": ("prediction", '{"logits": [0.5, 1.5], "label": 0]\n'),
+    "prediction_commas_of_a_short_line": ("prediction", '{"logits": [0.5, 1.5], "label": 0}\n'
+                                                        '{"logits": [0.5, 1.5, 2, 3], "label": 0}\nx\n'),
+    "prediction_non_ascii": ("prediction",
+                             '{"logits": [0.5, 1.5], "label": 0, "n": "\u00e9"}\n'),
+    "hypothesis_minus_zero": ("hypothesis",
+                              '{"utt": "u", "id": "a", "am_logp": -0, "lm_logp": -1}\n'),
+    "hypothesis_exponent": ("hypothesis",
+                            '{"utt": "u", "id": "a", "am_logp": -1E2, "lm_logp": -1}\n'),
+    "hypothesis_sixteen_digits": ("hypothesis", '{"utt": "u", "id": "a", '
+                                                '"am_logp": -1234567890123456, "lm_logp": -1}\n'),
+    "hypothesis_true": ("hypothesis",
+                        '{"utt": "u", "id": "a", "am_logp": true, "lm_logp": -1}\n'),
+    "hypothesis_escaped_id": ("hypothesis",
+                              '{"utt": "u", "id": "a\\u0062", "am_logp": -1, "lm_logp": -1}\n'),
+    "hypothesis_escaped_tab": ("hypothesis",
+                               '{"utt": "u", "id": "a\\tb", "am_logp": -1, "lm_logp": -1}\n'),
+    "hypothesis_space_in_id": ("hypothesis",
+                               '{"utt": "u", "id": "a b", "am_logp": -1, "lm_logp": -1}\n'),
+    "hypothesis_empty_id": ("hypothesis",
+                            '{"utt": "u", "id": "", "am_logp": -1, "lm_logp": -1}\n'),
+    "hypothesis_swapped_keys": ("hypothesis",
+                                '{"id": "a", "utt": "u", "am_logp": -1, "lm_logp": -1}\n'),
+    "hypothesis_no_space": ("hypothesis",
+                            '{"utt":"u", "id": "a", "am_logp": -1, "lm_logp": -1}\n'),
+    "hypothesis_extra_key": ("hypothesis",
+                             '{"utt": "u", "id": "a", "am_logp": -1, "lm_logp": -1, "x": 0}\n'),
+    "hypothesis_duplicate_key": ("hypothesis",
+                                 '{"utt": "u", "id": "a", "id": "b", "am_logp": -1, "lm_logp": -1}\n'),
+    "hypothesis_garbage_prefix": ("hypothesis",
+                                  '{"utt": "u", "id": "a", "am_logp": -1, "lm_logp": -1}\n'
+                                  'xx{"utt": "u", "id": "b", "am_logp": -1, "lm_logp": -1}\n'),
+    "hypothesis_huge_integer": ("hypothesis",
+                                '{"utt": "u", "id": "a", "am_logp": -1, "lm_logp": -1}\n'
+                                '{"utt": "u", "id": "b", "am_logp": -' + "1" * 4301
+                                + ', "lm_logp": -1}\n'),
+    "hypothesis_string_score": ("hypothesis",
+                                '{"utt": "u", "id": "a", "am_logp": "-1", "lm_logp": -1}\n'),
+    "hypothesis_no_final_lf": ("hypothesis",
+                               '{"utt": "u", "id": "a", "am_logp": -1, "lm_logp": -1}'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_JSON_KERNEL))
+def test_other_json_spellings_read_line_by_line_as_reference_reads(name, tmp_path):
+    fmt, text = NOT_JSON_KERNEL[name]
+    reader, reference, kernel, _ = KERNEL_FORMATS[fmt]
+    path = tmp_path / "input.jsonl"
+    path.write_bytes(text.encode())
+    assert not kernel_takes(kernel, path)
+    read_as_reference_reads(reader, reference, path)
+
+
+#: Bytes a mutation inserts or writes over another: each format's own
+#: punctuation, digits, signs, whitespace, escapes and bytes that do not decode.
+MUTATION_BYTES = b'0123456789-+.eE,: "\\{}[]\t\n\r\x0b\x00\x7fatu\xc3\xff'
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(KERNEL_FORMATS)), st.sampled_from(["insert", "delete", "replace"]),
+       st.integers(0, 10**6), st.sampled_from(list(MUTATION_BYTES)))
+def test_one_byte_mutation_reads_as_reference_reads(tmp_path_factory, fmt, how, at, byte):
+    """A kernel-spelt file with one byte inserted, deleted or replaced gives the
+    reference's arrays or its error, and no other exception."""
+    reader, reference, _, text = KERNEL_FORMATS[fmt]
+    data = text.encode()
+    at %= len(data) + (how == "insert")
+    data = data[:at] + bytes([byte]) * (how != "delete") + data[at + (how != "insert"):]
+    path = tmp_path_factory.mktemp("mutation") / "input"
+    path.write_bytes(data)
+    read_as_reference_reads(reader, reference, path)
 
 
 class TestWriteTextAtomic:
