@@ -1,8 +1,9 @@
 """Command-line front end: every pipeline stage behind a stable subcommand.
 
 Exit codes: 0 on success, 2 on malformed input or bad parameters, 1 on
-internal errors. Diagnostics go to stderr; data goes to files or stdout.
-Output files are written atomically and are byte-stable across runs.
+internal errors, 141 when the reader of stdout closes it early. Diagnostics
+go to stderr; data goes to files or stdout. Output files are written
+atomically and are byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -47,17 +49,16 @@ def _parse_group(spec: str) -> Optional[int]:
     raise InvalidParameterError(f"--group must be 'pooled' or 'batch:SIZE', got {spec!r}")
 
 
-def _cmd_ece(args) -> int:
+def _cmd_ece(args) -> None:
     logits, labels = read_prediction_file(args.input)
     report = ece(softmax_t(logits), labels, args.rank, args.bins, _parse_group(args.group))
     write_text_atomic(args.out, (reliability_csv(report),))
     print(f"rank={args.rank} bins={args.bins} ece={_fmt6(report.ece)} n={report.n_total}")
-    return 0
 
 
 # ---------------------------------------------------------------- fit-temp
 
-def _cmd_fit_temp(args) -> int:
+def _cmd_fit_temp(args) -> None:
     logits, labels = read_prediction_file(args.val)
     fit = fit_temperature(logits, labels, bounds=(args.t_min, args.t_max))
     ece_before = ece(softmax_t(logits), labels, 1, args.bins).ece
@@ -67,12 +68,11 @@ def _cmd_fit_temp(args) -> int:
         f"nll_before={_fmt6(fit.nll_at_unit)} nll_after={_fmt6(fit.nll_at_t_star)} "
         f"ece_before={_fmt6(ece_before)} ece_after={_fmt6(ece_after)}"
     )
-    return 0
 
 
 # ---------------------------------------------------------------- combine
 
-def _cmd_combine(args) -> int:
+def _cmd_combine(args) -> None:
     utts, offsets, ids, scores = read_hypothesis_file(args.hyps)
     order, combined = combine_scores(scores[:, 0], scores[:, 1], args.t1, args.t2, offsets)
     ranked_ids = [ids[i] for i in order.tolist()]
@@ -85,12 +85,11 @@ def _cmd_combine(args) -> int:
             for position, i in enumerate(range(lo, hi), start=1)
         ]
     print("\n".join(out_lines))
-    return 0
 
 
 # ---------------------------------------------------------------- targets
 
-def _cmd_targets(args) -> int:
+def _cmd_targets(args) -> None:
     alignments = read_alignment_file(args.align)
     posts = args.posteriors or []
     maps = args.map or ["identity"] * len(posts)
@@ -105,7 +104,6 @@ def _cmd_targets(args) -> int:
     ])
     write_text_atomic(args.out, lines)
     print(f"utterances={len(alignments.utts)} frames={len(alignments.codes)} teachers={len(posts)}")
-    return 0
 
 
 # ---------------------------------------------------------------- train / sweep
@@ -171,7 +169,7 @@ def _build_sweep_config(cfg: dict[str, str], extra_keys: set[str]):
     )
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> None:
     from .toy import train_cell
 
     cfg = read_config_file(args.config)
@@ -198,10 +196,9 @@ def _cmd_train(args) -> int:
     }
     write_text_atomic(out_path, (json.dumps(model, sort_keys=True, indent=1) + "\n",))
     print(f"method={method} " + " ".join(f"{key}={_fmt6(v)}" for key, v in metrics.items()))
-    return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     from .toy import sweep_csv, sweep_lambda
 
     cfg = read_config_file(args.config)
@@ -215,7 +212,6 @@ def _cmd_sweep(args) -> int:
     rows = sweep_lambda(scfg, lambdas, methods, seeds)
     write_text_atomic(out_path, (sweep_csv(rows),))
     print(f"rows={len(rows)} out={out_path}")
-    return 0
 
 
 # ---------------------------------------------------------------- wiring
@@ -282,7 +278,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+        sys.stdout.flush()  # a reader gone before the end is seen here, not at exit
+        return 0
+    except BrokenPipeError:  # the end of output: the exit flush goes to devnull, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports such a writer
     except (DistilcalError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

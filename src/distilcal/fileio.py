@@ -29,10 +29,9 @@ or ``float``. For predictions and hypotheses the common way is the spelling of
 ``json.dumps``, which :mod:`distilcal._jsonl` describes. For posteriors it is
 an ASCII file of ``utt<TAB>index<TAB>values`` lines, each ended by an LF,
 whose ids hold no byte <= 0x20, whose indices are ASCII digits without a
-leading zero that count 0, 1, ... over each utterance's contiguous lines,
-whose values are K >= 2 decimals of one width with the ``.`` in one column and
-single spaces between them, and whose rows sum to 1 within
-``POSTERIOR_SUM_TOL``.
+leading zero, whose values are K >= 2 decimals of one width with the ``.`` in
+one column and single spaces between them, and whose rows sum to 1 within
+``POSTERIOR_SUM_TOL``; its lines may come in any order.
 """
 
 from __future__ import annotations
@@ -349,36 +348,29 @@ def _naturals(buf, starts, ends) -> Optional[np.ndarray]:
     return value
 
 
-def _utterance_starts(buf, starts, tab1, tab2) -> Optional[np.ndarray]:
-    """The first line of each utterance of a posterior file held in ``buf``,
-    from each line's start and first and second tab; None unless every id is
-    non-empty and holds no byte <= 0x20, every index is ASCII digits without
-    a leading zero, and each utterance's lines are contiguous with the
-    indices 0, 1, ... in order."""
-    id_len = tab1 - starts
-    index = _naturals(buf, tab1 + 1, tab2)
-    if id_len.min() < 1 or index is None:
-        return None
-    first = np.flatnonzero(index == 0)
-    if not len(first) or first[0]:
-        return None
-    if (index != np.arange(len(index)) - first[np.cumsum(index == 0) - 1]).any():
-        return None
-    same = index > 0  # the line goes on with the utterance of the line before
-    if (id_len[1:] != id_len[:-1])[same[1:]].any():
-        return None
-    ids = buf[np.repeat(starts + id_len - np.cumsum(id_len), id_len) + np.arange(id_len.sum())]
-    before = ids[np.arange(len(ids)) - np.repeat(id_len, id_len)]  # that byte a line before
-    if (ids <= ord(" ")).any() or (ids != before)[np.repeat(same, id_len)].any():
-        return None
-    return first
+def _posterior_table(utts: list[str], codes, index, mat) -> dict[str, np.ndarray] | str:
+    """``{utt: (T, K) rows}`` of the rows of ``mat``, row i of utterance
+    ``utts[codes[i]]`` at token index ``index[i]``, utterances in the order of
+    ``utts`` and rows by index; or, when some utterance's indices are not
+    0, 1, ..., T-1 (a repeat or a gap), the first such utterance's id. The
+    matrices are views of ``mat``, reordered only if the rows are not in order."""
+    counts = np.bincount(codes)
+    order = np.lexsort((index, codes))
+    by_utt = codes[order]
+    bad = index[order] != np.arange(len(order)) - (np.cumsum(counts) - counts)[by_utt]
+    if bad.any():
+        return utts[by_utt[bad.argmax()]]
+    if (order != np.arange(len(order))).any():
+        mat = mat[order]
+    bounds = [0, *np.cumsum(counts).tolist()]
+    return {utt: mat[lo:hi] for utt, lo, hi in zip(utts, bounds, bounds[1:])}
 
 
 def _posterior_kernel(data: bytes) -> Optional[dict[str, np.ndarray]]:
     """:func:`read_posterior_file`'s table of ``data`` (a file as :func:`_read`
     gives it) when it is spelt the common way that the module docstring
-    describes, else None. The values are read ``_BLOCK_ROWS`` lines at a time,
-    so that the temporaries do not grow with the file."""
+    describes, else None. No temporary outgrows the file: the values are read
+    ``_BLOCK_ROWS`` lines at a time, and the ids padded to one width must fit in it."""
     if not data.endswith(b"\n") or not data.isascii():
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
@@ -390,18 +382,27 @@ def _posterior_kernel(data: bytes) -> Optional[dict[str, np.ndarray]]:
     head = data[tab2[0] + 1 : ends[0]].partition(b" ")[0]  # the first value
     width, point = len(head), head.find(b".")
     span = ends - tab2  # a line's values and its line feed
+    id_len = tab1 - starts
     if (point < 0 or not 2 <= width <= _MAX_DIGITS + 1 or span[0] % (width + 1)
-            or span[0] == width + 1 or (span != span[0]).any()):
+            or span[0] == width + 1 or (span != span[0]).any() or id_len.min() < 1
+            or id_len.max() * len(ends) > len(buf)):
         return None
-    first = _utterance_starts(buf, starts, tab1, tab2)
-    if first is None:
+    index = _naturals(buf, tab1 + 1, tab2)
+    if index is None:
         return None
     n, k = len(ends), span[0] // (width + 1)
     runs = np.empty(2 * n, dtype=np.intp)  # per line, the lengths of its two parts
     runs[0::2], runs[1::2] = tab2 + 1 - starts, span
     mat = np.empty((n, k))
+    ids = np.empty((n, id_len.max()), dtype=np.uint8)
+    columns = np.arange(ids.shape[1])
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
+        in_id = columns < id_len[lo:hi, None]
+        got = buf[np.minimum(starts[lo:hi, None] + columns, len(buf) - 1)]
+        if (got[in_id] <= ord(" ")).any():
+            return None
+        np.multiply(got, in_id, out=ids[lo:hi])  # NUL past each id's end
         in_values = np.repeat(np.tile(_PREFIX_VALUES, hi - lo), runs[2 * lo : 2 * hi])
         cells = buf[starts[lo] : ends[hi - 1] + 1][in_values].reshape(hi - lo, k, width + 1)
         rows = _decimals(cells, point) if (cells[:, :-1, width] == ord(" ")).all() else None
@@ -411,28 +412,29 @@ def _posterior_kernel(data: bytes) -> Optional[dict[str, np.ndarray]]:
         if (np.abs(totals - 1.0) > POSTERIOR_SUM_TOL).any():
             return None
         np.divide(rows, totals[:, None], out=mat[lo:hi])
-    utts = [data[i:j].decode() for i, j in zip(starts[first].tolist(), tab1[first].tolist())]
-    if len(set(utts)) < len(utts):
-        return None
-    bounds = first.tolist() + [n]
-    return {utt: mat[lo:hi] for utt, lo, hi in zip(utts, bounds, bounds[1:])}
+    ids = ids.view(f"S{ids.shape[1]}").ravel()  # NUL-padded, yet apart: no id holds a NUL
+    distinct, first, codes = np.unique(ids, return_index=True, return_inverse=True)
+    by_use = np.argsort(first)  # the distinct ids in order of first use
+    table = _posterior_table([utt.decode() for utt in distinct[by_use].tolist()],
+                             np.argsort(by_use)[codes], index, mat)
+    return table if isinstance(table, dict) else None
 
 
 def read_posterior_file(path) -> dict[str, np.ndarray]:
     """Per-utterance ``(T, K)`` posterior matrices, rows ordered by token index.
 
-    Token indices must be contiguous from 0 within each utterance and all
-    vectors in the file must share one width. Each line is checked for its
+    Each utterance's token indices must be 0, 1, ..., T-1, in any line order,
+    and all vectors in the file must share one width. Each line is checked for its
     columns, token index, numbers, range, width, sum, then duplicate index.
-    The file is read once. If :func:`_posterior_kernel` takes it, each matrix
-    is a view of one ``(rows, K)`` array; else each value is read by ``float``.
+    The file is read once, by :func:`_posterior_kernel` or else with each value
+    read by ``float``, and both group its rows by :func:`_posterior_table`.
     """
     data = _read(path)
     table = _whole_file(_posterior_kernel, data)
     if table is not None:
         return table
     width = None  # of the first row
-    rows: dict[tuple[str, int], int] = {}  # (utt, token index) -> its row, in file order
+    keys: dict[tuple[str, int], None] = {}  # (utt, token index) of each row, in file order
 
     def check(chunk):
         nonlocal width
@@ -460,28 +462,24 @@ def read_posterior_file(path) -> dict[str, np.ndarray]:
         off = np.abs(totals - 1.0) > POSTERIOR_SUM_TOL
         if off.any():
             raise _Rejected(f"probabilities sum to {totals[off.argmax()]:.8f}, not 1")
-        keys = list(zip(map(str.strip, utts), indices))
-        if len(set(keys)) < len(keys) or not rows.keys().isdisjoint(keys):
+        new = dict.fromkeys(zip(map(str.strip, utts), indices))
+        if len(new) < len(chunk) or not keys.keys().isdisjoint(new):
             raise _Rejected(f"duplicate token index {indices[0]}")
         width = first
-        rows.update(zip(keys, range(len(rows), len(rows) + len(keys))))
+        keys.update(new)
         return mat / totals[:, None]
 
     parts = _checked(path, _lines(path, data), check)
     if not parts:
         raise FileFormatError(path, 0, "no posteriors found")
-    mat = np.concatenate(parts)
-    by_utt: dict[str, dict[int, int]] = {}  # utt -> token index -> row
-    for (utt, index), row in rows.items():
-        by_utt.setdefault(utt, {})[index] = row
-    out: dict[str, np.ndarray] = {}
-    for utt, by_index in by_utt.items():
-        if max(by_index) != len(by_index) - 1:
-            raise FileFormatError(
-                path, 0, f"utterance {utt!r} has gaps in its token indices"
-            )
-        out[utt] = mat[[by_index[i] for i in range(len(by_index))]]
-    return out
+    utts, indices = zip(*keys)
+    n = len(indices)  # an index past the row count leaves a gap as surely as n does
+    table = _posterior_table(*_first_use_codes(list(utts)),
+                             np.fromiter((min(i, n) for i in indices), np.int64, n),
+                             np.concatenate(parts))
+    if isinstance(table, str):
+        raise FileFormatError(path, 0, f"utterance {table!r} has gaps in its token indices")
+    return table
 
 
 def read_config_file(path) -> dict[str, str]:

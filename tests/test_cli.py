@@ -261,6 +261,22 @@ class TestCombineCommand:
         assert out1 == out2
         assert out1.splitlines()[0] == "u\tbest\tfirst"
 
+    def test_reader_closing_stdout_ends_output_quietly(self, tmp_path):
+        """A reader that closes the pipe after one line, as ``head -1`` does,
+        ends the output: exit 141 (128 + SIGPIPE) and nothing on stderr."""
+        fix = tmp_path / "hyps.jsonl"
+        fix.write_text("".join(
+            json.dumps({"utt": f"u{i // 10}", "id": f"h{i % 10}", "am_logp": -1.0, "lm_logp": -2.0})
+            + "\n" for i in range(20_000)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "distilcal.cli", "combine", "--hyps", str(fix)],
+            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"u0\tbest\th0\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert stderr == b""
+
     def test_non_finite_temperature_rejected(self, tmp_path):
         for temperature in ("--t2=nan", "--t2=inf", "--t1=-inf"):
             stdout, err = run_rejected(

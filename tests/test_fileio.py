@@ -41,6 +41,10 @@ POSTERIOR_ERRORS = {
                         "duplicate token index 0"),
     "gaps": ("u\t0\t0.5 0.5\nv\t0\t0.5 0.5\nv\t2\t0.5 0.5\n", 0,
              "utterance 'v' has gaps in its token indices"),
+    "index_past_int64": ("a\t0\t0.5 0.5\na\t99999999999999999999\t0.5 0.5\n", 0,
+                         "utterance 'a' has gaps in its token indices"),
+    "gaps_first_used_named": ("v\t0\t0.5 0.5\nu\t1\t0.5 0.5\nv\t5\t0.5 0.5\n", 0,
+                              "utterance 'v' has gaps in its token indices"),
     "empty": ("", 0, "no posteriors found"),
     "blank_only": ("\n  \n\t\n", 0, "no posteriors found"),
     "blank_lines_shift_numbers": ("\nu\t0\t0.5 0.5\n\n   \nu\t1\t0.5 0.6\n", 5,
@@ -189,9 +193,9 @@ def test_fixed_width_values_bit_identical_to_float(digits, data):
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 8, 40, 200]), st.integers(1, 40))
 def test_six_decimal_files_bit_identical_to_reference(tmp_path_factory, seed, width, n):
     """Rows at six decimals, as posterior dumps spell them, come out as the
-    line-at-a-time reader makes them. Interleaved utterances are read by the
-    checked path; the same rows with each utterance's lines together take the
-    whole-file path, with the same arrays."""
+    line-at-a-time reader makes them, with the utterances' lines interleaved;
+    the same rows with each utterance's lines together take the whole-file
+    path, with the same arrays."""
     rng = np.random.default_rng(seed)
     q = np.rint(rng.dirichlet(np.full(width, 0.3), size=n) * 1e6).astype(np.int64)
     q[:, 0] += 1_000_000 - q.sum(axis=1)  # may go negative: then the row is invalid
@@ -289,8 +293,6 @@ NOT_KERNEL = {
     "exponent": "\n".join([KERNEL_BASE[0], "a\t1\t1e-3 0.999", KERNEL_BASE[2]]) + "\n",
     "leading_zero_index": "".join(f"a\t{i:03d}\t0.500000 0.500000\n" for i in range(9)),
     "minus_zero_index": "\n".join(["a\t-0\t0.250000 0.750000", *KERNEL_BASE[1:]]) + "\n",
-    "split_utterance": "\n".join([KERNEL_BASE[0], KERNEL_BASE[2], KERNEL_BASE[1]]) + "\n",
-    "out_of_order": "\n".join([KERNEL_BASE[1], KERNEL_BASE[0], KERNEL_BASE[2]]) + "\n",
     "duplicate_index": "\n".join([KERNEL_BASE[0], KERNEL_BASE[0], KERNEL_BASE[2]]) + "\n",
     "gap": "\n".join([KERNEL_BASE[0], KERNEL_BASE[1].replace("\t1\t", "\t2\t")]) + "\n",
     "one_column": "\n".join([*KERNEL_BASE, "c\t0\t1.000000"]) + "\n",
@@ -301,6 +303,15 @@ NOT_KERNEL = {
         f"u\t{i}\t{'0.500000 0.600000' if i == 1500 else '0.500000 0.500000'}\n"
         for i in range(2100)),
     "id_repeated_after_other": "\n".join([*KERNEL_BASE, "a\t0\t0.500000 0.500000"]) + "\n",
+    "index_past_int64": "\n".join([*KERNEL_BASE, "b\t99999999999999999999\t0.500000 0.500000"]) + "\n",
+    "one_long_id": "\n".join([*KERNEL_BASE, "c" * 200 + "\t0\t0.500000 0.500000"]) + "\n",
+}
+
+#: name -> the base file with its lines in another order, which the
+#: whole-file path takes as well.
+KERNEL_ORDERS = {
+    "split_utterance": "\n".join([KERNEL_BASE[0], KERNEL_BASE[2], KERNEL_BASE[1]]) + "\n",
+    "out_of_order": "\n".join([KERNEL_BASE[1], KERNEL_BASE[0], KERNEL_BASE[2]]) + "\n",
 }
 
 
@@ -335,6 +346,34 @@ def assert_leaves_kernel_and_reads_as_reference_reads(path, text: str):
 @pytest.mark.parametrize("name", sorted(NOT_KERNEL))
 def test_other_spellings_read_line_by_line_as_reference_reads(name, tmp_path):
     assert_leaves_kernel_and_reads_as_reference_reads(tmp_path / "post.tsv", NOT_KERNEL[name])
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_ORDERS))
+def test_lines_in_any_order_take_the_whole_file_path(name, tmp_path, monkeypatch):
+    path = tmp_path / "post.tsv"
+    path.write_text(KERNEL_ORDERS[name])
+    want = ref_read_posterior_file(path)
+    fail_if_read_line_by_line(monkeypatch)
+    got = read_posterior_file(path)
+    assert list(got) == list(want)
+    assert all(got[utt].tobytes() == want[utt].tobytes() for utt in want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 40]),
+       st.lists(st.integers(1, 30), min_size=2, max_size=12))
+def test_shuffled_kernel_files_bit_identical_to_reference(tmp_path_factory, seed, width, lengths):
+    """The lines of a file spelt the common way, in any order, take the
+    whole-file path and give the reference's arrays; ids of several lengths,
+    some a prefix of another (``u1``, ``u10``), stay apart."""
+    rng = np.random.default_rng(seed)
+    rows = iter(simplex_rows(rng, sum(lengths), width))
+    ids = [f"{'spk-' * (u % 3)}u{u}" for u in range(len(lengths))]
+    lines = [f"{utt}\t{i}\t{next(rows)}\n" for utt, t in zip(ids, lengths) for i in range(t)]
+    path = tmp_path_factory.mktemp("shuffled") / "post.tsv"
+    path.write_text("".join(lines[i] for i in rng.permutation(len(lines))))
+    assert fileio._posterior_kernel(path.read_bytes()) is not None
+    assert_read_as_reference_reads(path)
 
 
 @pytest.mark.parametrize("name", sorted(NOT_FIXED))
