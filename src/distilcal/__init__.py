@@ -49,7 +49,9 @@ from .targets import interpolate_target, one_hot, smooth_label, soft_label
 from .tempscale import (
     DEFAULT_BOUNDS,
     TemperatureFit,
+    combine_ranking,
     combine_scores,
+    fit_summary,
     fit_temperature,
     nll_at_temperature,
 )
@@ -59,7 +61,7 @@ from .tempscale import (
 _TOY_NAMES = frozenset({
     "EvalResult", "SweepConfig", "SweepRow", "SyntheticTask", "ToyNetwork", "TrainConfig",
     "evaluate", "generate_data", "head_targets", "make_student", "make_task", "make_teacher",
-    "network_loss_and_grad", "sweep_csv", "sweep_lambda", "train", "train_cell",
+    "network_loss_and_grad", "sweep_csv", "sweep_lambda", "train", "train_cell", "train_model",
 })
 
 __all__ = sorted([name for name in dir() if not name.startswith("_")] + ["toy", *_TOY_NAMES])

@@ -9,8 +9,9 @@ atomically and are byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
-import json
+import gc
 import os
 import sys
 from typing import Optional, Sequence
@@ -31,7 +32,7 @@ from .fileio import (
     write_text_atomic,
 )
 from .probs import softmax_t
-from .tempscale import DEFAULT_BOUNDS, combine_scores, fit_temperature
+from .tempscale import DEFAULT_BOUNDS, combine_ranking, fit_summary
 
 
 # ---------------------------------------------------------------- ece
@@ -56,35 +57,15 @@ def _cmd_ece(args) -> None:
     print(f"rank={args.rank} bins={args.bins} ece={_fmt6(report.ece)} n={report.n_total}")
 
 
-# ---------------------------------------------------------------- fit-temp
+# ---------------------------------------------------------------- fit-temp / combine
 
 def _cmd_fit_temp(args) -> None:
-    logits, labels = read_prediction_file(args.val)
-    fit = fit_temperature(logits, labels, bounds=(args.t_min, args.t_max))
-    ece_before = ece(softmax_t(logits), labels, 1, args.bins).ece
-    ece_after = ece(softmax_t(logits, fit.t_star), labels, 1, args.bins).ece
-    print(
-        f"t_star={_fmt6(fit.t_star)} "
-        f"nll_before={_fmt6(fit.nll_at_unit)} nll_after={_fmt6(fit.nll_at_t_star)} "
-        f"ece_before={_fmt6(ece_before)} ece_after={_fmt6(ece_after)}"
-    )
+    print(fit_summary(*read_prediction_file(args.val), (args.t_min, args.t_max), args.bins))
 
-
-# ---------------------------------------------------------------- combine
 
 def _cmd_combine(args) -> None:
-    utts, offsets, ids, scores = read_hypothesis_file(args.hyps)
-    order, combined = combine_scores(scores[:, 0], scores[:, 1], args.t1, args.t2, offsets)
-    ranked_ids = [ids[i] for i in order.tolist()]
-    ranked = combined[order].tolist()
-    out_lines = []
-    for utt, lo, hi in zip(utts, offsets.tolist(), offsets[1:].tolist()):
-        out_lines.append(f"{utt}\tbest\t{ranked_ids[lo]}")
-        out_lines += [
-            f"{utt}\t{position}\t{ranked_ids[i]}\t{_fmt6(ranked[i])}"
-            for position, i in enumerate(range(lo, hi), start=1)
-        ]
-    print("\n".join(out_lines))
+    # print's newline is a second write: one write cut short by a closed pipe raises nothing
+    print(combine_ranking(read_hypothesis_file(args.hyps), args.t1, args.t2))
 
 
 # ---------------------------------------------------------------- targets
@@ -170,7 +151,7 @@ def _build_sweep_config(cfg: dict[str, str], extra_keys: set[str]):
 
 
 def _cmd_train(args) -> None:
-    from .toy import train_cell
+    from .toy import train_model
 
     cfg = read_config_file(args.config)
     scfg = _build_sweep_config(cfg, _TRAIN_ONLY_KEYS)
@@ -180,22 +161,9 @@ def _cmd_train(args) -> None:
     overrides = {f: _cast(cfg, key, _float) for key, f in _TRAIN_FLOATS.items() if key in cfg}
     if "lam" in overrides:
         _check_values("lambda", [overrides["lam"]], _unit_interval, "lambda must be in [0, 1]")
-    student, curve, ev = train_cell(scfg, method, seed, **overrides)
-    metrics = {"acc": ev.accuracy, **{f"ece{r}": ev.reports[r].ece for r in (1, 2, 3)}}
-    model = {
-        "method": method,
-        "architecture": {
-            "input_dim": student.input_dim,
-            "hidden_dim": student.hidden_dim,
-            "heads": student.head_dims,
-        },
-        "rng_seed": student.rng_seed,
-        "params": student.params.tolist(),
-        "loss_curve": curve,
-        "metrics": metrics,
-    }
-    write_text_atomic(out_path, (json.dumps(model, sort_keys=True, indent=1) + "\n",))
-    print(f"method={method} " + " ".join(f"{key}={_fmt6(v)}" for key, v in metrics.items()))
+    model, line = train_model(scfg, method, seed, **overrides)
+    write_text_atomic(out_path, (model,))
+    print(line)
 
 
 def _cmd_sweep(args) -> None:
@@ -275,6 +243,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    atexit.unregister(gc.freeze)  # register once; frozen objects skip the exit's last collection
+    atexit.register(gc.freeze)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

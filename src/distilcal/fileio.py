@@ -37,6 +37,7 @@ one column and single spaces between them, and whose rows sum to 1 within
 from __future__ import annotations
 
 import codecs
+import contextlib
 import json
 import os
 import re
@@ -505,23 +506,25 @@ def write_text_atomic(path, chunks: Iterable[str]) -> None:
     """Write the text ``chunks`` in turn to a temp file in the same directory,
     then rename it into place; if a chunk raises, ``path`` is left as it was.
     The file gets the mode ``open(path, "w")`` would leave: an existing file's
-    own, else 0666 less the umask."""
-    path = Path(path)
+    own, else 0666 less the umask. An ``OSError`` names ``path``, not the temp file."""
+    target, path = path, Path(path)
     try:
         mode = path.stat().st_mode & 0o777
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             os.fchmod(fd, mode)
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as e:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(e, OSError) and e.filename is not None and tmp in (None, e.filename):
+            raise type(e)(e.errno, e.strerror, os.fspath(target)) from None
         raise

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calibration import _fmt6, ece
 from .errors import InvalidInputError
-from .probs import _check_temperature, _row_gaps, as_logits, log_softmax_t
+from .probs import _check_temperature, _row_gaps, as_logits, log_softmax_t, softmax_t
 from .targets import _check_labels
 
 #: Default search bounds; wide enough for any temperature seen in practice.
@@ -137,6 +138,19 @@ def fit_temperature(
     )
 
 
+def fit_summary(logits, labels, bounds: tuple[float, float], num_bins: int) -> str:
+    """The ``fit-temp`` line: :func:`fit_temperature` of the labelled logits,
+    the NLL at t=1 and at the fitted t, and the rank-1 ECE over ``num_bins``
+    bins at each of the two, to six decimals."""
+    fit = fit_temperature(logits, labels, bounds)
+    before, after = (ece(softmax_t(logits, t), labels, 1, num_bins).ece for t in (1.0, fit.t_star))
+    return (
+        f"t_star={_fmt6(fit.t_star)} "
+        f"nll_before={_fmt6(fit.nll_at_unit)} nll_after={_fmt6(fit.nll_at_t_star)} "
+        f"ece_before={_fmt6(before)} ece_after={_fmt6(after)}"
+    )
+
+
 def combine_scores(
     am_logp, lm_logp, t1: float, t2: float, offsets=None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -170,3 +184,23 @@ def combine_scores(
         raise InvalidInputError("combined hypothesis scores must be finite")
     utterance = np.repeat(np.arange(len(edges) - 1), np.diff(edges))
     return np.lexsort((-scores, utterance)), scores
+
+
+def combine_ranking(hyps, t1: float, t2: float) -> str:
+    """The ``combine`` lines of a hypothesis file ``(utts, offsets, ids, scores)``,
+    as ``fileio.read_hypothesis_file`` returns it: per utterance a
+    ``utt<TAB>best<TAB>id`` line, then one ``utt<TAB>position<TAB>id<TAB>score``
+    line per hypothesis in :func:`combine_scores` order, scores to six decimals."""
+    utts, offsets, ids, scores = hyps
+    order, combined = combine_scores(scores[:, 0], scores[:, 1], t1, t2, offsets)
+    counts = np.diff(offsets)
+    ranked_ids = list(map(ids.__getitem__, order.tolist()))
+    lines = list(map("%s\t%d\t%s\t%.6f".__mod__, zip(
+        np.repeat(np.array(utts, dtype=object), counts).tolist(),
+        (np.arange(len(order)) - np.repeat(offsets[:-1], counts) + 1).tolist(),
+        ranked_ids,
+        (combined[order] + 0.0).tolist(),  # + 0.0 turns -0.0 into 0.0, as _fmt6 does
+    )))
+    for utt, lo in zip(utts, offsets.tolist()):
+        lines[lo] = f"{utt}\tbest\t{ranked_ids[lo]}\n{lines[lo]}"
+    return "\n".join(lines)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import math
 import os
 import zlib
@@ -661,6 +662,28 @@ def train_cell(
     """
     tcfg = _cell_config(cfg, method, seed, **overrides)
     return _run_cells(*_stack_jobs(cfg, [([tcfg], seed)])[0])[0]
+
+
+def train_model(cfg: SweepConfig, method: str, seed: int, **overrides) -> tuple[str, str]:
+    """The ``train`` outputs of :func:`train_cell`'s student: the ``model.json``
+    text (method, architecture, seed, parameters, loss curve and metrics) and
+    the line of its accuracy and rank-1 to rank-3 ECE, to six decimals."""
+    student, curve, ev = train_cell(cfg, method, seed, **overrides)
+    metrics = {"acc": ev.accuracy, **{f"ece{r}": ev.reports[r].ece for r in (1, 2, 3)}}
+    model = {
+        "method": method,
+        "architecture": {
+            "input_dim": student.input_dim,
+            "hidden_dim": student.hidden_dim,
+            "heads": student.head_dims,
+        },
+        "rng_seed": student.rng_seed,
+        "params": student.params.tolist(),
+        "loss_curve": curve,
+        "metrics": metrics,
+    }
+    line = " ".join([f"method={method}", *(f"{key}={_fmt6(v)}" for key, v in metrics.items())])
+    return json.dumps(model, sort_keys=True, indent=1) + "\n", line
 
 
 def _sweep_cells(job) -> list[SweepRow]:

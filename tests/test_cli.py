@@ -1099,6 +1099,16 @@ class TestTrainGoldens:
         assert out == stdout
         assert model.read_bytes() == (DATA / f"expected_train_{method}.json").read_bytes()
 
+    @pytest.mark.parametrize("method", sorted(GOLDEN_TRAIN))
+    def test_train_model_text_is_the_golden(self, method):
+        keys, stdout = GOLDEN_TRAIN[method]
+        scfg = SweepConfig(**FAST_TOY, hierarchical="hierarchical" in keys)
+        overrides = {f: keys[key] for key, f in (("lambda", "lam"), ("epsilon", "epsilon"))
+                     if key in keys}
+        model, line = toy.train_model(scfg, method, GOLDEN_TOY["seed"], **overrides)
+        assert line + "\n" == stdout
+        assert model.encode() == (DATA / f"expected_train_{method}.json").read_bytes()
+
     def test_sweep_csv_golden(self, capsys, tmp_path):
         cfg, csv = tmp_path / "sweep.cfg", tmp_path / "sweep.csv"
         write_config(cfg, lambdas="0,0.3,1", methods="lst,multitask", seeds="0,1",
@@ -1468,22 +1478,26 @@ class TestPlumbing:
             "EvalResult", "FileFormatError", "InvalidInputError", "InvalidParameterError",
             "ReliabilityReport", "Runs", "SweepConfig", "SweepRow", "SyntheticTask",
             "TemperatureFit", "ToyNetwork", "TrainConfig", "UnmappedTokenError", "alignment",
-            "as_logits", "as_probs", "calibration", "combine_scores",
+            "as_logits", "as_probs", "calibration", "combine_ranking", "combine_scores",
             "cross_entropy", "deduplicate", "ece", "entropy", "errors", "evaluate",
-            "fit_temperature", "generate_data", "grad_check", "head_targets",
+            "fit_summary", "fit_temperature", "generate_data", "grad_check", "head_targets",
             "interpolate_target", "kd_loss", "log_softmax_t", "losses", "make_student",
             "make_task", "make_teacher", "map_units", "multitask_loss", "network_loss_and_grad",
             "nll_at_temperature", "one_hot", "probs", "rank_confidence_correct",
             "reliability_csv", "smooth_label", "soft_label", "softmax_t", "sweep_csv",
             "sweep_lambda", "target_lines", "targets", "teacher_posteriors", "tempscale",
-            "top_n", "toy", "train", "train_cell",
+            "top_n", "toy", "train", "train_cell", "train_model",
         ]
         assert all(hasattr(distilcal, name) for name in distilcal.__all__)
 
     @pytest.mark.parametrize("argv", [
         ["--version"],
         ["ece", "--input", str(DATA / "predictions_hand4.jsonl"), "--out", "o.csv"],
-    ], ids=["version", "ece"])
+        ["fit-temp", "--val", str(DATA / "predictions_hand4.jsonl")],
+        ["combine", "--hyps", str(DATA / "hyps_flip.jsonl")],
+        ["targets", "--align", str(DATA / "align_three.tsv"),
+         "--posteriors", str(DATA / "post_fine.tsv"), "--out", "t.tsv"],
+    ], ids=["version", "ece", "fit-temp", "combine", "targets"])
     def test_commands_that_train_nothing_never_import_toy(self, tmp_path, argv):
         proc = subprocess.run(
             [sys.executable, "-X", "importtime", "-m", "distilcal.cli", *argv],
@@ -1492,6 +1506,57 @@ class TestPlumbing:
         assert proc.returncode == 0, proc.stderr
         imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
         assert "distilcal.fileio" in imported and "distilcal.toy" not in imported
+
+    @pytest.mark.parametrize("argv", [
+        ["--version"],
+        ["combine", "--hyps", str(DATA / "hyps_flip.jsonl")],
+    ], ids=["version", "combine"])
+    def test_exit_skips_the_last_collection(self, tmp_path, argv):
+        # atexit runs last in, first out: this handler runs after any that main registers.
+        code = ("import atexit, gc, sys\n"
+                "from distilcal.cli import main\n"
+                "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+                "sys.exit(main(sys.argv[1:]))\n")
+        proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path,
+                              env=child_env(), capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("\nfrozen True\n")
+
+    def test_exit_hook_is_registered_once(self):
+        code = ("import atexit, contextlib, gc, io\n"
+                "freezes = []\n"
+                "gc.freeze = lambda: freezes.append(1)\n"
+                "atexit.register(lambda: print('freezes', len(freezes)))\n"
+                "from distilcal.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    for _ in range(3):\n"
+                "        main(['combine', '--hyps', r'%s'])\n" % (DATA / "hyps_flip.jsonl"))
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "freezes 1\n"
+
+    @pytest.mark.parametrize("command", ["ece", "targets", "train"])
+    def test_write_error_names_the_output_path(self, tmp_path, command):
+        out = os.path.join("missing", "out.txt")
+        argv = {
+            "ece": ["--input", DATA / "predictions_hand4.jsonl", "--out", out],
+            "targets": ["--align", DATA / "align_three.tsv",
+                        "--posteriors", DATA / "post_fine.tsv", "--out", out],
+            "train": ["--config", "train.cfg"],
+        }[command]
+        write_config(tmp_path / "train.cfg", method="baseline", out=out, **FAST_TOY)
+        runs = [run_rejected(tmp_path, command, *argv) for _ in range(2)]
+        assert runs[0] == runs[1]
+        assert runs[0][1] == f"error: [Errno 2] No such file or directory: {out!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.cfg"]
+
+    def test_output_path_that_is_a_directory_is_named(self, tmp_path):
+        (tmp_path / "d").mkdir()
+        _, err = run_rejected(tmp_path, "ece", "--input", DATA / "predictions_hand4.jsonl",
+                              "--out", "d")
+        assert err == "error: [Errno 21] Is a directory: 'd'\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["d"]
 
     def test_help_on_every_subcommand(self, capsys):
         for sub in ("ece", "fit-temp", "combine", "targets", "train", "sweep"):

@@ -1,18 +1,25 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from distilcal import (
+    DEFAULT_BOUNDS,
     InvalidInputError,
     InvalidParameterError,
+    combine_ranking,
     combine_scores,
+    fit_summary,
     fit_temperature,
     nll_at_temperature,
 )
 from distilcal import tempscale
+from distilcal.fileio import read_hypothesis_file, read_prediction_file
 
 from oracles import dense_grid_temperature
+
+DATA = Path(__file__).parent / "data"
 
 
 def random_validation(seed, n=80, k=6, scale=3.0):
@@ -246,3 +253,36 @@ class TestCombineScores:
                            ([-1e308], [-1.0], 0.5)):
             with pytest.raises(InvalidInputError):
                 combine_scores(am, lm, t1, 1.0)
+
+
+class TestOutputText:
+    @pytest.mark.parametrize("t2, golden", [(1.0, "expected_combine_unit.txt"),
+                                            (4.0, "expected_combine_flip.txt")])
+    def test_combine_ranking_is_the_golden(self, t2, golden):
+        text = combine_ranking(read_hypothesis_file(DATA / "hyps_flip.jsonl"), 1.0, t2)
+        assert (text + "\n").encode() == (DATA / golden).read_bytes()
+
+    def test_combine_ranking_prints_negative_zero_as_zero(self):
+        hyps = (["u", "v"], np.array([0, 2, 3]), ["a", "b", "c"],
+                np.array([[-0.0, -0.0], [-1.0, 0.5], [2.0, -4.0]]))
+        assert combine_ranking(hyps, 1.0, 2.0) == (
+            "u\tbest\ta\nu\t1\ta\t0.000000\nu\t2\tb\t-0.750000\n"
+            "v\tbest\tc\nv\t1\tc\t0.000000"
+        )
+
+    @pytest.mark.parametrize("fixture, bounds, bins, line", [
+        ("predictions_hand4", (0.05, 20.0), 15, "t_star=20.000000 nll_before=200.288796 "
+         "nll_after=10.501265 ece_before=0.475000 ece_after=0.615493"),
+        ("predictions_hand4", (0.05, 3.0), 2, "t_star=3.000000 nll_before=200.288796 "
+         "nll_after=67.078558 ece_before=0.425000 ece_after=0.401298"),
+        ("predictions_group7", (0.05, 20.0), 15, "t_star=2.497257 nll_before=1.141908 "
+         "nll_after=1.034478 ece_before=0.487947 ece_after=0.423547"),
+    ])
+    def test_fit_summary_line(self, fixture, bounds, bins, line):
+        logits, labels = read_prediction_file(DATA / f"{fixture}.jsonl")
+        assert fit_summary(logits, labels, bounds, bins) == line
+
+    def test_fit_summary_pins_confident_logits_to_the_lower_bound(self):
+        logits = 8.0 * np.eye(4)[np.arange(40) % 4]
+        line = fit_summary(logits, np.argmax(logits, axis=1), DEFAULT_BOUNDS, 15)
+        assert line.startswith("t_star=0.050000 ")
