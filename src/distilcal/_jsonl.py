@@ -5,13 +5,13 @@ files, so that no other command compiles it at start-up. A kernel takes a
 file spelt as ``json.dumps`` spells these records by default and gives the
 arrays that the line-at-a-time check gives, bit for bit. It gives None for
 any other file, a bad one too, and that check then reads the file and names
-its bad line. The spelling is an ASCII file of lines each ended by an LF, the
-keys in the order that ``fileio`` lists them, with ``", "`` and ``": "``
-between items:
+its bad line. The spelling is an ASCII file of lines each ended by an LF
+(``fileio._read`` adds one to a file that lacks it), the keys in the order
+that ``fileio`` lists them, with ``", "`` and ``": "`` between items:
 
-* numbers spelt ``-?(0|[1-9][0-9]*)(\\.[0-9]+)?`` but not ``-0``, of at most 15
-  digits once their fractions are padded to the longest in their block of
-  lines, read through ``fileio._decimals``;
+* numbers spelt ``-?(0|[1-9][0-9]*)(\\.[0-9]+)?`` but not ``-0``, each of at
+  most 15 digits, its integer part and fraction read by the digit walk of
+  ``fileio._digits`` that also reads labels;
 * labels without a sign or a leading zero, in range, and K >= 2 logits on
   every line;
 * utterance and hypothesis ids without ``"``, ``\\`` or a byte <= 0x20.
@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fileio import _BLOCK_ROWS, _CHUNK, _MAX_DIGITS, _decimals, _naturals
+from .fileio import _BLOCK_ROWS, _CHUNK, _MAX_DIGITS, _digits, _naturals
 
 #: The bytes of a prediction line before its logits and between them and its label.
 LOGITS_OPEN = np.frombuffer(b'{"logits": [', dtype=np.uint8)
@@ -37,34 +37,23 @@ HYPOTHESIS_LINE = (r'\{"utt": "([^"\\\x00-\x20]+)", "id": "([^"\\\x00-\x20]+)", 
 
 def json_numbers(buf, starts, ends) -> Optional[np.ndarray]:
     """The JSON numbers ``buf[starts[i]:ends[i]]`` as ``float`` reads them, when
-    each is spelt ``-?(0|[1-9][0-9]*)(\\.[0-9]+)?`` but not ``-0`` (an integer,
-    which reads as +0.0), else None. Each number's fraction is padded with
-    zeros to the longest one, which leaves its value as it is, and its
-    integer part with leading zeros, to cells for ``_decimals``; so the
-    padded width must keep to its 15 digits, or None."""
+    each is spelt ``-?(0|[1-9][0-9]*)(\\.[0-9]+)?`` in at most 15 digits but
+    not ``-0`` (an integer, which reads as +0.0), else None. A number whose
+    digits spell the integer q, k of them after the point, is ``q / 10**k``:
+    both are exact doubles, so the correctly rounded quotient is what
+    ``float`` reads."""
     minus = buf[starts] == ord("-")
     first = starts + minus
     points = np.flatnonzero(buf == ord("."))
     point = np.minimum(np.append(points, len(buf))[np.searchsorted(points, first)], ends)
-    whole, frac = point - first, ends - point - 1  # frac is -1 without a point
-    zero = buf.take(first, mode="clip") == ord("0")
-    if whole.min() < 1 or (frac == 0).any() or (zero & ((whole > 1) | minus & (frac < 0))).any():
+    places = np.maximum(ends - point - 1, 0)  # 0 without a point
+    if (point + 1 == ends).any() or (point - first + places).max() > _MAX_DIGITS:
         return None
-    frac = np.maximum(frac, 0)
-    digits, places = int(whole.max()), int(frac.max())
-    if digits + places > _MAX_DIGITS:
+    whole, fraction = _naturals(buf, first, point), _digits(buf, ends - places, ends)
+    if whole is None or fraction is None or (minus & (point == ends) & (whole == 0)).any():
         return None
-    offsets = np.arange(-digits, places + 2)  # from the point: digits, point, places, a spare byte
-    inside = ((offsets >= -np.arange(digits + 1)[:, None, None])  # by integer and fraction length
-              & (offsets <= np.arange(places + 1)[:, None])).reshape(-1, len(offsets))
-    inside = inside.take(whole * (places + 1) + frac, axis=0)
-    pad = np.zeros(len(offsets), dtype=np.uint8)  # so that every window lies in the buffer
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((pad, buf, pad)), len(offsets))
-    cells = windows[point - digits + len(pad)] * inside  # a byte outside the number is 0,
-    cells |= ~inside * np.uint8(ord("0"))  # and then "0"
-    cells[:, digits] = ord(".")
-    values = _decimals(cells, digits)  # None if another byte stands where a digit should
-    return None if values is None else np.copysign(values, 0.5 - minus)  # -0.0 too
+    scale = 10**places
+    return np.copysign((whole * scale + fraction) / scale, 0.5 - minus)  # -0.0 too
 
 
 def prediction_kernel(data: bytes) -> Optional[list[tuple[np.ndarray, np.ndarray]]]:

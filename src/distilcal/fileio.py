@@ -13,7 +13,8 @@ Formats (one record per line throughout):
 
 Only LF ends a line, blank lines are skipped but counted, and one byte rule
 (:func:`_read`) drops a UTF-8 byte-order mark that starts a file, one CR
-before each LF and one CR that ends the file. Parse errors raise
+before each LF and one CR that ends the file, and adds an LF that the file
+lacks at its end. Parse errors raise
 :class:`FileFormatError` with the offending line number. The prediction,
 hypothesis and posterior formats each have one check, which runs on the file
 a chunk of lines at a time; a chunk it rejects is checked again line by line,
@@ -22,16 +23,18 @@ vectors may be off the simplex by up to 1e-6 (6-decimal files round); they
 are renormalized on load, anything worse is rejected.
 
 A file of these three formats spelt the common way, with CRLF, a byte-order
-mark or blank lines too, is read whole by a kernel, each number's digits as an
-integer (:func:`_decimals`), with the same arrays bit for bit. Any other file,
-a bad one too, goes to the one check above, which reads with ``json.loads``
-or ``float``. For predictions and hypotheses the common way is the spelling of
-``json.dumps``, which :mod:`distilcal._jsonl` describes. For posteriors it is
-an ASCII file of ``utt<TAB>index<TAB>values`` lines, each ended by an LF,
-whose ids hold no byte <= 0x20, whose indices are ASCII digits without a
-leading zero, whose values are K >= 2 decimals of one width with the ``.`` in
-one column and single spaces between them, and whose rows sum to 1 within
-``POSTERIOR_SUM_TOL``; its lines may come in any order.
+mark, blank lines or no final LF too, is read whole by a kernel, each number's
+digits as an integer, with the same arrays bit for bit: a posterior file's
+fixed-width values by :func:`_decimals`, and its indices, labels and JSON
+numbers, each of at most 15 digits, by the digit walk :func:`_digits`. Any
+other file, a bad one too, goes to the one check above, which reads with
+``json.loads`` or ``float``. For predictions and hypotheses the common way is
+the spelling of ``json.dumps``, which :mod:`distilcal._jsonl` describes. For
+posteriors it is an ASCII file of ``utt<TAB>index<TAB>values`` lines, each
+ended by an LF, whose ids hold no byte <= 0x20, whose indices are ASCII
+digits without a leading zero, whose values are K >= 2 decimals of one width
+with the ``.`` in one column and single spaces between them, and whose rows
+sum to 1 within ``POSTERIOR_SUM_TOL``; its lines may come in any order.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ _CHUNK = 4096
 #: integer is an optional ``-`` and then ASCII digits, and a float is ASCII
 #: text without ``_`` or whitespace that ``float`` reads.
 _INT_CHARS = frozenset("-0123456789")
-#: Digits of a fixed-width decimal read by integer arithmetic; 10**15 < 2**53.
+#: Digits of a number read by integer arithmetic; 10**15 < 2**53.
 _MAX_DIGITS = 15
 #: Lines of a file whose values a whole-file kernel reads at a time.
 _BLOCK_ROWS = 1024
@@ -93,11 +96,12 @@ def _float(text: str) -> float:
 
 def _read(path) -> bytes:
     """The file at ``path`` less a UTF-8 byte-order mark that starts it, one CR
-    before each LF and one CR that ends it; no LF goes, so no line number moves."""
+    before each LF and one CR that ends it, and ended by an LF unless empty; no
+    LF goes and a final one ends no line, so no line number moves."""
     data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     if b"\r" in data:  # the replace takes a pass even when it finds nothing
         data = data.replace(b"\r\n", b"\n").removesuffix(b"\r")
-    return data
+    return data if not data or data.endswith(b"\n") else data + b"\n"
 
 
 def _whole_file(kernel, data: bytes):
@@ -331,11 +335,11 @@ def _decimals(cells: np.ndarray, point: int) -> Optional[np.ndarray]:
     return q / float(10 ** (width - 1 - point))
 
 
-def _naturals(buf, starts, ends) -> Optional[np.ndarray]:
-    """The integers ``buf[starts[i]:ends[i]]`` as int64, when each is 1 to 15
-    ASCII digits without a leading zero, else None."""
+def _digits(buf, starts, ends) -> Optional[np.ndarray]:
+    """The integers ``buf[starts[i]:ends[i]]`` as int64, when each is at most
+    15 ASCII digits, leading zeros too (no digits read as 0), else None."""
     length = ends - starts
-    if length.min() < 1 or length.max() > _MAX_DIGITS:
+    if length.max() > _MAX_DIGITS:
         return None
     value = np.zeros(len(starts), dtype=np.int64)
     for j in range(length.max()):  # the digit of 10**j, where the number has one
@@ -344,7 +348,13 @@ def _naturals(buf, starts, ends) -> Optional[np.ndarray]:
         if (digit > 9).any():
             return None
         value[has] += digit.astype(np.int64) * 10**j
-    if (buf[starts] == ord("0"))[length > 1].any():
+    return value
+
+
+def _naturals(buf, starts, ends) -> Optional[np.ndarray]:
+    """:func:`_digits`, when each integer is 1 to 15 digits without a leading zero."""
+    value, length = _digits(buf, starts, ends), ends - starts
+    if value is None or length.min() < 1 or (buf[starts] == ord("0"))[length > 1].any():
         return None
     return value
 

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distilcal import FileFormatError
@@ -278,7 +278,6 @@ KERNEL_BASE = ["a\t0\t0.250000 0.750000", "a\t1\t0.500000 0.500000", "b\t0\t1.00
 #: name -> a file that leaves the whole-file path for the line-at-a-time
 #: one: the base file spelt another way, or not valid at all.
 NOT_KERNEL = {
-    "no_final_lf": "\n".join(KERNEL_BASE),
     "non_ascii_id": "\n".join(line.replace("b", "\u00e9") for line in KERNEL_BASE) + "\n",
     "space_padded_id": "\n".join([" a" + line[1:] for line in KERNEL_BASE[:2]]) + "\n",
     "space_in_id": "\n".join(["a b" + line[1:] for line in KERNEL_BASE[:2]]) + "\n",
@@ -339,7 +338,7 @@ NOT_FIXED = {
 
 def assert_leaves_kernel_and_reads_as_reference_reads(path, text: str):
     path.write_bytes(text.encode())
-    assert fileio._posterior_kernel(path.read_bytes()) is None
+    assert fileio._posterior_kernel(fileio._read(path)) is None
     assert_read_as_reference_reads(path)
 
 
@@ -721,12 +720,11 @@ KERNEL_NUMBER = re.compile(r"(-?)(0|[1-9][0-9]*)(?:\.([0-9]+))?")
 
 def kernel_reads_numbers(tokens) -> bool:
     """Whether the kernels read these number tokens: each in the narrowed JSON
-    grammar, none the integer ``-0``, and the longest integer part and the
-    longest fraction together at most 15 digits."""
+    grammar, none the integer ``-0``, and each of at most 15 digits."""
     parts = [KERNEL_NUMBER.fullmatch(t) for t in tokens]
     if not all(parts) or any(m[1] and m[2] == "0" and m[3] is None for m in parts):
         return False
-    return max(len(m[2]) for m in parts) + max(len(m[3] or "") for m in parts) <= 15
+    return all(len(m[2]) + len(m[3] or "") <= 15 for m in parts)
 
 
 #: Numbers as ``json.dumps`` spells a float or an int, or as ``%.Nf`` does.
@@ -816,12 +814,14 @@ def test_bench_shaped_json_files_take_the_whole_file_path(spelling, tmp_path, mo
                                fileio._CHUNK, fileio._CHUNK + 1])
 def test_json_kernels_at_block_edges(n, tmp_path, monkeypatch):
     """Files of one line less, as many and one more than a kernel's block of
-    lines read as the reference reads them, without the line-at-a-time path."""
+    lines read as the reference reads them, without the line-at-a-time path.
+    Every line holds a number of 11 integer digits and one of 14 fraction
+    digits, each of at most 15 digits, so that every block mixes the two."""
     texts = {
-        "prediction": "".join(f'{{"logits": [-{i % 9}.5, {i % 7}, 0.{i}], "label": {i % 3}}}\n'
-                              for i in range(n)),
-        "hypothesis": "".join(f'{{"utt": "u{i % 13}", "id": "h{i}", "am_logp": -{i}.25, '
-                              f'"lm_logp": -{i % 7 + 1}}}\n' for i in range(n)),
+        "prediction": "".join(f'{{"logits": [-{i % 9}.5, {i % 7}, 0.{i}, 1{i:010d}.5, '
+                              f'-0.{i:014d}], "label": {i % 3}}}\n' for i in range(n)),
+        "hypothesis": "".join(f'{{"utt": "u{i % 13}", "id": "h{i}", "am_logp": -1{i:010d}.25, '
+                              f'"lm_logp": -{i % 7 + 1}.{i:014d}}}\n' for i in range(n)),
     }
     wants = {}
     for fmt, text in texts.items():
@@ -859,8 +859,6 @@ NOT_JSON_KERNEL = {
     "prediction_exponent": ("prediction", '{"logits": [1e-3, 1.5], "label": 0}\n'),
     "prediction_sixteen_digits": ("prediction",
                                   '{"logits": [0.123456789012345, 1.5], "label": 1}\n'),
-    "prediction_padded_sixteen": ("prediction",
-                                  '{"logits": [12345678901.5, 0.12345], "label": 1}\n'),
     "prediction_true": ("prediction", '{"logits": [true, 1.5], "label": 0}\n'),
     "prediction_true_label": ("prediction", '{"logits": [0.5, 1.5], "label": true}\n'),
     "prediction_swapped_keys": ("prediction", '{"label": 0, "logits": [0.5, 1.5]}\n'),
@@ -883,7 +881,6 @@ NOT_JSON_KERNEL = {
                                         '{"logits": [0.5, 1.5, 2], "label": 0}\n'),
     "prediction_point_only": ("prediction", '{"logits": [1., 1.5], "label": 0}\n'),
     "prediction_nested": ("prediction", '{"logits": [[0.5], 1.5], "label": 0}\n'),
-    "prediction_no_final_lf": ("prediction", '{"logits": [0.5, 1.5], "label": 0}'),
     "prediction_no_closing_brace": ("prediction", '{"logits": [0.5, 1.5], "label": 0]\n'),
     "prediction_commas_of_a_short_line": ("prediction", '{"logits": [0.5, 1.5], "label": 0}\n'
                                                         '{"logits": [0.5, 1.5, 2, 3], "label": 0}\nx\n'),
@@ -922,8 +919,6 @@ NOT_JSON_KERNEL = {
                                 + ', "lm_logp": -1}\n'),
     "hypothesis_string_score": ("hypothesis",
                                 '{"utt": "u", "id": "a", "am_logp": "-1", "lm_logp": -1}\n'),
-    "hypothesis_no_final_lf": ("hypothesis",
-                               '{"utt": "u", "id": "a", "am_logp": -1, "lm_logp": -1}'),
 }
 
 
@@ -935,6 +930,49 @@ def test_other_json_spellings_read_line_by_line_as_reference_reads(name, tmp_pat
     path.write_bytes(text.encode())
     assert not kernel_takes(kernel, path)
     read_as_reference_reads(reader, reference, path)
+
+
+#: name -> (format, a file spelt otherwise than the kernel files above, which
+#: a whole-file kernel takes all the same).
+KERNEL_SPELLINGS = {
+    "prediction_padded_sixteen": ("prediction",
+                                  '{"logits": [12345678901.5, 0.12345], "label": 1}\n'),
+    "prediction_no_final_lf": ("prediction", '{"logits": [0.5, 1.5], "label": 0}'),
+    "prediction_crlf_no_final_lf": ("prediction", '{"logits": [0.5, 1.5], "label": 0}\r\n'
+                                                  '{"logits": [2, -0.0], "label": 1}\r'),
+    "hypothesis_no_final_lf": ("hypothesis",
+                               '{"utt": "u", "id": "a", "am_logp": -1, "lm_logp": -1}'),
+    "posterior_no_final_lf": ("posterior", "\n".join(KERNEL_BASE)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPELLINGS))
+def test_kernel_spellings_take_the_whole_file_path(name, tmp_path, monkeypatch):
+    fmt, text = KERNEL_SPELLINGS[name]
+    reader, reference = KERNEL_FORMATS[fmt][:2]
+    path = tmp_path / "input"
+    path.write_bytes(text.encode())
+    want = comparable(reference(path))
+    fail_if_read_line_by_line(monkeypatch)
+    assert comparable(reader(path)) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(json_number,
+                          st.from_regex(r"-?[0-9]{1,9}(\.[0-9]{0,9})?", fullmatch=True)),
+                min_size=1, max_size=8))
+@example(["12345678901.5", "0.12345"])
+def test_json_numbers_read_as_float_reads_them(tokens):
+    """``json_numbers`` gives each token's ``float`` bits, so its sign bit too
+    (``-0.0``), when the kernels read these tokens, and None otherwise."""
+    buf = np.frombuffer((",".join(tokens) + ",").encode(), dtype=np.uint8)
+    commas = np.flatnonzero(buf == ord(","))
+    got = _jsonl.json_numbers(buf, np.concatenate(([0], commas[:-1] + 1)), commas)
+    if not kernel_reads_numbers(tokens):
+        assert got is None
+        return
+    want = np.array(list(map(float, tokens)))
+    assert got is not None and got.tobytes() == want.tobytes()
 
 
 #: Bytes a mutation inserts or writes over another: each format's own
