@@ -17,6 +17,9 @@ import dataclasses
 import json
 import math
 import os
+import pickle
+import signal
+import threading
 import zlib
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -62,7 +65,11 @@ class SyntheticTask:
                 f"cluster_means shape {means.shape} does not match "
                 f"({self.num_classes}, {self.input_dim})"
             )
-        if len(np.unique(means, axis=0)) != self.num_classes:
+        # Equal rows sort next to each other (lexsort needs a column). As in
+        # np.unique, rows are equal when every entry compares equal: -0.0
+        # equals 0.0 and a NaN equals nothing.
+        rows = means[np.lexsort(means.T)] if self.input_dim else means
+        if np.all(rows[1:] == rows[:-1], axis=1).any():
             raise InvalidInputError("cluster means must be distinct")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
             raise InvalidParameterError(
@@ -554,26 +561,83 @@ class SweepRow:
 
 
 def _parallel_map(fn, jobs: Sequence) -> list:
-    """``[fn(job) for job in jobs]``, spread over forked worker processes.
+    """``[fn(job) for job in jobs]``, each job in its own forked child.
 
-    Each job must be a pure function of its picklable argument. The jobs run
-    here when there is one job or one usable CPU, when the platform cannot
-    fork, or when another thread runs, whose locks a forked child would
-    inherit held. Forked workers skip a fresh NumPy import.
+    At most one child per usable CPU is alive at a time. A child runs its job,
+    writes the pickled result or exception to a pipe and leaves by
+    ``os._exit``, so it runs no ``atexit`` handler and flushes none of the
+    stdio buffers it inherited. The parent reads each pipe to its end before
+    it reaps that child, in job order, and returns the results in job order.
+    A job's exception is raised here unchanged, and a child that ends without
+    a result raises ``RuntimeError`` naming its job. Either way no further job
+    starts and the children still running are killed. Every child is reaped
+    before this returns or raises.
+
+    Each job must be a pure function of its argument, with a result that
+    pickles. The jobs run here when there is one job or one usable CPU, when
+    the platform cannot fork, or when another thread runs, whose locks a
+    forked child would inherit held. Forked children skip a fresh NumPy import.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    if len(jobs) < 2 or cpus < 2:
+    if len(jobs) < 2 or cpus < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [fn(job) for job in jobs]
-    import multiprocessing
-    import threading
-    from concurrent.futures import ProcessPoolExecutor
+    children = []  # (pid, read end of its pipe) per child not yet reaped, in job order
+    results = []
+    try:
+        for job in jobs:
+            if len(children) == cpus:
+                results.append(_join_child(children, len(results)))
+            children.append(_fork_child(fn, job))
+        while children:
+            results.append(_join_child(children, len(results)))
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
 
-    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
-        return [fn(job) for job in jobs]
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(min(len(jobs), cpus), mp_context=context) as pool:
-        return list(pool.map(fn, jobs))
+
+def _fork_child(fn, job) -> tuple:
+    """Start ``fn(job)`` in a forked child; its pid and the read end of its pipe."""
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            try:
+                payload = pickle.dumps((True, fn(job)))
+            except BaseException as exc:  # raised again in the parent
+                payload = pickle.dumps((False, exc))
+            with open(write_end, "wb") as pipe:
+                pipe.write(payload)
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
+def _join_child(children: list, index: int):
+    """The result of job ``index``, whose child is ``children[0]``.
+
+    The pipe is read to its end before the child is reaped: a child blocks
+    while its result exceeds the pipe's buffer, until the parent reads it.
+    """
+    pid, pipe = children[0]
+    with pipe:
+        payload = pipe.read()
+    del children[0]
+    _, status = os.waitpid(pid, 0)
+    if not payload:
+        raise RuntimeError(
+            f"worker of job {index} ended without a result "
+            f"(exit code {os.waitstatus_to_exitcode(status)})"
+        )
+    ok, value = pickle.loads(payload)
+    if not ok:
+        raise value
+    return value
 
 
 def _unit_levels(task: SyntheticTask, cfg: SweepConfig, methods: Sequence[str]) -> list[str]:

@@ -1,16 +1,24 @@
 import dataclasses
 import itertools
 import os
+import signal
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from distilcal import (
     ConfigurationError,
     InvalidInputError,
     InvalidParameterError,
     SweepConfig,
+    SyntheticTask,
     ToyNetwork,
     TrainConfig,
     evaluate,
@@ -71,6 +79,38 @@ class TestTaskValidation:
                          ("noise_sigma", float("nan")), ("mean_scale", float("inf"))):
             with pytest.raises(InvalidParameterError, match=key):
                 SweepConfig(**{key: bad})
+
+    @pytest.mark.parametrize("rows", [
+        [[0.0, 1.0], [2.0, 3.0], [0.0, 1.0]],
+        [[0.0, 1.0], [-0.0, 1.0]],
+        [[1.0, 0.0, 2.0], [3.0, 4.0, 5.0], [1.0, -0.0, 2.0]],
+        np.zeros((2, 0)),
+    ], ids=["repeat", "signed-zero", "signed-zero-inside", "no-columns"])
+    def test_duplicate_cluster_means_rejected(self, rows):
+        with pytest.raises(InvalidInputError, match="cluster means must be distinct"):
+            task_with_means(rows)
+
+    def test_nan_means_are_never_equal(self):
+        with pytest.raises(InvalidInputError, match="cluster means must be finite"):
+            task_with_means([[np.nan, 1.0], [np.nan, 1.0]])
+
+
+def task_with_means(rows) -> SyntheticTask:
+    means = np.asarray(rows, dtype=np.float64)
+    return SyntheticTask(num_classes=means.shape[0], input_dim=means.shape[1],
+                         cluster_means=means, noise_sigma=1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=5),
+              elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])))
+def test_distinct_means_check_matches_unique(means):
+    try:
+        task_with_means(means)
+        accepted = True
+    except InvalidInputError:
+        accepted = False
+    assert accepted == (len(np.unique(means, axis=0)) == len(means))
 
 
 class TestForward:
@@ -531,6 +571,34 @@ def _raise_job(job):
     return job
 
 
+def _big_array(job):
+    return np.full(1 << 17, float(job))  # 1 MiB, many times a pipe's buffer
+
+
+def _exit_job(job):
+    if job == 1:
+        os._exit(3)
+    return job
+
+
+def _mark_job(job):
+    """Raise ``job`` if it is an exception, else leave a file named after it."""
+    if isinstance(job, Exception):
+        raise job
+    index, directory = job
+    (directory / str(index)).touch()
+    return index
+
+
+def _fresh_env() -> dict:
+    """This environment with ``src`` first on ``PYTHONPATH`` and stdout buffered."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def _one_cpu(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
@@ -570,4 +638,69 @@ class TestWorkerProcesses:
             toy._parallel_map(_raise_job, [0, error, 2])
         assert type(exc.value) is InvalidInputError
         assert str(exc.value) == "job 1 is malformed"
+
+    def test_results_larger_than_a_pipe_buffer_come_back_in_order(self):
+        # A parent that reaps a child before it drains the pipe waits forever;
+        # the alarm turns that into a failure.
+        def timed_out(signum, frame):
+            raise TimeoutError("results of 1 MiB did not come back within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(60)
+        try:
+            results = toy._parallel_map(_big_array, [0, 1, 2])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(results) == 3
+        for job, result in enumerate(results):
+            assert result.nbytes >= 1 << 20
+            assert np.array_equal(result, _big_array(job))
+
+    def test_child_without_a_result_raises_and_every_child_is_reaped(self):
+        with pytest.raises(RuntimeError) as exc:
+            toy._parallel_map(_exit_job, [0, 1, 2])
+        assert str(exc.value).startswith("worker of job 1 ended without a result")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_job_starts_no_further_job(self, tmp_path):
+        jobs = [InvalidInputError("job 0 is malformed")]
+        jobs += [(index, tmp_path) for index in range(1, USABLE_CPUS + 3)]
+        with pytest.raises(InvalidInputError, match="job 0 is malformed"):
+            toy._parallel_map(_mark_job, jobs)
+        # Jobs 0 to USABLE_CPUS - 1 start before job 0's result is read.
+        assert {int(p.name) for p in tmp_path.iterdir()} <= set(range(1, USABLE_CPUS))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_children_flush_nothing_and_run_no_exit_handler(self):
+        code = ("import atexit, sys\n"
+                "from distilcal import toy\n"
+                "sys.stdout.write('before\\n')\n"
+                "atexit.register(lambda: sys.stdout.write('at exit\\n'))\n"
+                "sys.stdout.write(f'{toy._parallel_map(abs, [-1, -2, -3])}\\n')\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "before\n[1, 2, 3]\nat exit\n"
+
+    @pytest.mark.parametrize("command,keys", [
+        ("train", "method=multitask\nlambda=0.5\nout=model.json\n"),
+        ("sweep", "lambdas=0.5\nmethods=lst,multitask\nseeds=0,1\nout=sweep.csv\n"),
+    ], ids=["train", "sweep"])
+    def test_training_loads_no_process_pool_or_masked_arrays(self, tmp_path, command, keys):
+        (tmp_path / "run.cfg").write_text(
+            "n_train=200\nn_test=200\nepochs=3\nhidden_dim=8\nteacher_epochs=2\n"
+            "teacher_data_multiplier=2\nnoise_sigma=1.0\nhierarchical=1\n" + keys)
+        code = ("import sys\n"
+                "from distilcal.cli import main\n"
+                "assert main(sys.argv[1:]) == 0\n"
+                "print([m for m in ('multiprocessing', 'concurrent.futures', 'numpy.ma')"
+                " if m in sys.modules])\n")
+        proc = subprocess.run([sys.executable, "-c", code, command, "--config", "run.cfg"],
+                              cwd=tmp_path, env=_fresh_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
