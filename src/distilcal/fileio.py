@@ -28,13 +28,20 @@ digits as an integer, with the same arrays bit for bit: a posterior file's
 fixed-width values by :func:`_decimals`, and its indices, labels and JSON
 numbers, each of at most 15 digits, by the digit walk :func:`_digits`. Any
 other file, a bad one too, goes to the one check above, which reads with
-``json.loads`` or ``float``. For predictions and hypotheses the common way is
-the spelling of ``json.dumps``, which :mod:`distilcal._jsonl` describes. For
-posteriors it is an ASCII file of ``utt<TAB>index<TAB>values`` lines, each
-ended by an LF, whose ids hold no byte <= 0x20, whose indices are ASCII
-digits without a leading zero, whose values are K >= 2 decimals of one width
-with the ``.`` in one column and single spaces between them, and whose rows
-sum to 1 within ``POSTERIOR_SUM_TOL``; its lines may come in any order.
+``json.loads`` or ``float``. Every kernel reads ``_BLOCK_ROWS`` lines at a
+time, so that its temporaries do not grow with the file.
+
+For predictions and hypotheses the common way is the spelling of
+``json.dumps``: an ASCII file of LF-ended lines, the keys in the order listed
+above with ``", "`` and ``": "`` between items, numbers spelt
+``-?(0|[1-9][0-9]*)(\\.[0-9]+)?`` but not ``-0``, labels without a sign or a
+leading zero and in range, K >= 2 logits on every line, and ids without
+``"``, ``\\`` or a byte <= 0x20. For posteriors it is an ASCII file of
+``utt<TAB>index<TAB>values`` lines, each ended by an LF, whose ids hold no
+byte <= 0x20, whose indices are ASCII digits without a leading zero, whose
+values are K >= 2 decimals of one width with the ``.`` in one column and
+single spaces between them, and whose rows sum to 1 within
+``POSTERIOR_SUM_TOL``; its lines may come in any order.
 """
 
 from __future__ import annotations
@@ -76,6 +83,13 @@ _BLOCK_ROWS = 1024
 _LINE_BREAKS = np.array([9, 9, 10], dtype=np.uint8)
 #: A line's ``utt<TAB>index<TAB>`` and values, as a mask repeats them.
 _PREFIX_VALUES = np.array([False, True])
+#: The bytes of a prediction line before its logits and between them and its label.
+_LOGITS_OPEN = np.frombuffer(b'{"logits": [', dtype=np.uint8)
+_LABEL_OPEN = np.frombuffer(b'], "label": ', dtype=np.uint8)
+#: A hypothesis line spelt as ``json.dumps`` spells it, its scores checked after;
+#: compiled on first use, so that only ``combine`` pays for it.
+_HYPOTHESIS_LINE = (r'\{"utt": "([^"\\\x00-\x20]+)", "id": "([^"\\\x00-\x20]+)", '
+                    r'"am_logp": ([-.0-9]+), "lm_logp": ([-.0-9]+)\}\n')
 
 
 def _float_chars(text: str) -> bool:
@@ -180,6 +194,47 @@ def _finite_array(rows, message: str) -> np.ndarray:
     return arr
 
 
+def _prediction_kernel(data: bytes) -> Optional[list[tuple[np.ndarray, np.ndarray]]]:
+    """``read_prediction_file``'s ``(logits, labels)`` parts of ``data`` (a
+    file as ``_read`` gives it) when it is spelt as the module docstring
+    describes, else None; ``_BLOCK_ROWS`` lines at a time."""
+    if not data.endswith(b"\n") or not data.isascii():
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    k = data.count(b",", 0, ends[0])  # the first line's logits: one comma after each
+    if k < 2:
+        return None
+    parts = []
+    for lo in range(0, len(ends), _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, len(ends))
+        block = buf[starts[lo] : ends[hi - 1] + 1]
+        start, end = starts[lo:hi] - starts[lo], ends[lo:hi] - starts[lo]
+        commas = np.flatnonzero(block == ord(","))
+        if len(commas) != k * (hi - lo):
+            return None
+        commas = commas.reshape(-1, k)
+        first, close = start + len(_LOGITS_OPEN), commas[:, -1] - 1  # first logit, "]"
+        label = close + len(_LABEL_OPEN)
+        # each line's first comma after its "[" and room for a label digit and "}": so each
+        # line holds its own commas and is long enough for the gathers below
+        if (commas[:, 0] < first).any() or (label >= end - 1).any():
+            return None
+        if not ((block[start[:, None] + np.arange(len(_LOGITS_OPEN))] == _LOGITS_OPEN).all()
+                and (block[close[:, None] + np.arange(len(_LABEL_OPEN))] == _LABEL_OPEN).all()
+                and (block[commas[:, :-1] + 1] == ord(" ")).all()
+                and (block[end - 1] == ord("}")).all()):
+            return None
+        logits = _json_numbers(block, np.column_stack((first, commas[:, :-1] + 2)).ravel(),
+                               np.column_stack((commas[:, :-1], close)).ravel())
+        labels = _naturals(block, label, end - 1)
+        if logits is None or labels is None or labels.max() >= k:
+            return None
+        parts.append((logits.reshape(-1, k), labels))
+    return parts
+
+
 def read_prediction_file(path) -> tuple[np.ndarray, np.ndarray]:
     """Logit matrix and label vector from a JSON-lines prediction file."""
     width = None  # of the first row
@@ -205,10 +260,8 @@ def read_prediction_file(path) -> tuple[np.ndarray, np.ndarray]:
         width = first
         return logits, np.array(labels)
 
-    from . import _jsonl  # imported here, so that only the commands reading JSON lines compile it
-
     data = _read(path)
-    parts = _whole_file(_jsonl.prediction_kernel, data) or _checked(path, _lines(path, data), check)
+    parts = _whole_file(_prediction_kernel, data) or _checked(path, _lines(path, data), check)
     if not parts:
         raise FileFormatError(path, 0, "no prediction records found")
     logits, labels = zip(*parts)
@@ -239,12 +292,33 @@ def _check_hypotheses(chunk) -> tuple[list[str], list[str], np.ndarray]:
     return utts, ids, _finite_array([am, lm], message).T
 
 
+def _hypothesis_kernel(data: bytes) -> Optional[list[tuple[list[str], list[str], np.ndarray]]]:
+    """``read_hypothesis_file``'s ``(utts, ids, scores)`` parts of ``data`` (a
+    file as ``_read`` gives it) when it is spelt as the module docstring
+    describes, else None; ``_BLOCK_ROWS`` lines at a time."""
+    if not data.endswith(b"\n") or not data.isascii():
+        return None
+    line_ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")) + 1
+    cuts = [0, *line_ends[_BLOCK_ROWS - 1 : -1 : _BLOCK_ROWS].tolist(), len(data)]
+    parts = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        fields = re.split(_HYPOTHESIS_LINE, data[lo:hi].decode())
+        if any(fields[::5]):  # text between the lines that the pattern matched
+            return None
+        numbers = ",".join([*fields[3::5], *fields[4::5], ""]).encode()  # a comma after each
+        commas = np.flatnonzero(np.frombuffer(numbers, dtype=np.uint8) == ord(","))
+        scores = _json_numbers(np.frombuffer(numbers, dtype=np.uint8),
+                               np.concatenate(([0], commas[:-1] + 1)), commas)
+        if scores is None:
+            return None
+        parts.append((fields[1::5], fields[2::5], scores.reshape(2, -1).T))
+    return parts
+
+
 def read_hypothesis_file(path) -> Hypotheses:
     """All hypotheses of a JSON-lines file, grouped by utterance."""
-    from . import _jsonl  # imported here, so that only the commands reading JSON lines compile it
-
     data = _read(path)
-    parts = (_whole_file(_jsonl.hypothesis_kernel, data)
+    parts = (_whole_file(_hypothesis_kernel, data)
              or _checked(path, _lines(path, data), _check_hypotheses))
     if not parts:
         raise FileFormatError(path, 0, "no hypotheses found")
@@ -357,6 +431,27 @@ def _naturals(buf, starts, ends) -> Optional[np.ndarray]:
     if value is None or length.min() < 1 or (buf[starts] == ord("0"))[length > 1].any():
         return None
     return value
+
+
+def _json_numbers(buf, starts, ends) -> Optional[np.ndarray]:
+    """The JSON numbers ``buf[starts[i]:ends[i]]`` as ``float`` reads them, when
+    each is spelt ``-?(0|[1-9][0-9]*)(\\.[0-9]+)?`` in at most 15 digits but
+    not ``-0`` (an integer, which reads as +0.0), else None. A number whose
+    digits spell the integer q, k of them after the point, is ``q / 10**k``:
+    both are exact doubles, so the correctly rounded quotient is what
+    ``float`` reads."""
+    minus = buf[starts] == ord("-")
+    first = starts + minus
+    points = np.flatnonzero(buf == ord("."))
+    point = np.minimum(np.append(points, len(buf))[np.searchsorted(points, first)], ends)
+    places = np.maximum(ends - point - 1, 0)  # 0 without a point
+    if (point + 1 == ends).any() or (point - first + places).max() > _MAX_DIGITS:
+        return None
+    whole, fraction = _naturals(buf, first, point), _digits(buf, ends - places, ends)
+    if whole is None or fraction is None or (minus & (point == ends) & (whole == 0)).any():
+        return None
+    scale = 10**places
+    return np.copysign((whole * scale + fraction) / scale, 0.5 - minus)  # -0.0 too
 
 
 def _posterior_table(utts: list[str], codes, index, mat) -> dict[str, np.ndarray] | str:

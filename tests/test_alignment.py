@@ -132,6 +132,11 @@ class TestTeacherStream:
         with pytest.raises(InvalidInputError, match="one width"):
             stream(("a", "b"), None, [P1, np.full(3, 1 / 3)])
 
+    def test_one_dimensional_posterior_rows_rejected(self):
+        message = r"posteriors must stack to a \(tokens, classes\) matrix"
+        with pytest.raises(InvalidInputError, match=message):
+            stream(("a", "b"), None, P3)
+
     def test_off_simplex_posterior_rejected(self):
         with pytest.raises(InvalidInputError):
             stream(("a", "b"), None, [P1, np.array([0.5, 0.6])])

@@ -997,6 +997,26 @@ def test_targets_error_message_and_order(name, capsys, tmp_path):
     assert not out.exists()
 
 
+#: name -> (command, its input file's lines, the line and message reported);
+#: ``@`` in a line stands for the output path.
+FILE_LINE_ERRORS = {
+    "config_without_equals": ("train", ["out=@", "epochs 3"], 2, "expected 'key=value'"),
+    "config_empty_key": ("train", ["out=@", "=3"], 2, "empty key"),
+    "alignment_without_id": ("targets", ["u1\ta b", "\tc d"], 2, "missing utterance id"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FILE_LINE_ERRORS))
+def test_file_error_names_path_and_line(name, tmp_path):
+    command, lines, line_no, message = FILE_LINE_ERRORS[name]
+    path, out = tmp_path / "input", tmp_path / "out"
+    path.write_text("".join(f"{line}\n" for line in lines).replace("@", str(out)))
+    argv = ["--config", path] if command == "train" else ["--align", path, "--out", out]
+    stdout, stderr = run_rejected(tmp_path, command, *argv)
+    assert (stdout, stderr) == ("", f"error: {path}:{line_no}: {message}\n")
+    assert not out.exists()
+
+
 def write_config(path, **kv):
     path.write_text("".join(f"{k}={v}\n" for k, v in kv.items()))
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distilcal import FileFormatError
-from distilcal import _jsonl, fileio
+from distilcal import fileio
 from distilcal.fileio import read_hypothesis_file, read_posterior_file, read_prediction_file
 
 from oracles import ref_read_hypothesis_file, ref_read_posterior_file, ref_read_prediction_file
@@ -670,10 +670,10 @@ def test_long_files_bit_identical_to_reference(tmp_path):
 #: format -> (its reader, the reference reader, its whole-file kernel, a file
 #: the kernel takes).
 KERNEL_FORMATS = {
-    "prediction": (read_prediction_file, ref_read_prediction_file, _jsonl.prediction_kernel,
+    "prediction": (read_prediction_file, ref_read_prediction_file, fileio._prediction_kernel,
                    '{"logits": [0.25, -1.5, 3], "label": 2}\n'
                    '{"logits": [-0.0000, 10.0, 0.125], "label": 0}\n'),
-    "hypothesis": (read_hypothesis_file, ref_read_hypothesis_file, _jsonl.hypothesis_kernel,
+    "hypothesis": (read_hypothesis_file, ref_read_hypothesis_file, fileio._hypothesis_kernel,
                    '{"utt": "u1", "id": "a", "am_logp": -10.25, "lm_logp": -2}\n'
                    '{"utt": "u2", "id": "b", "am_logp": -0.0, "lm_logp": 0}\n'
                    '{"utt": "u1", "id": "c", "am_logp": -7.5, "lm_logp": -1.75}\n'),
@@ -963,11 +963,11 @@ def test_kernel_spellings_take_the_whole_file_path(name, tmp_path, monkeypatch):
                 min_size=1, max_size=8))
 @example(["12345678901.5", "0.12345"])
 def test_json_numbers_read_as_float_reads_them(tokens):
-    """``json_numbers`` gives each token's ``float`` bits, so its sign bit too
+    """``_json_numbers`` gives each token's ``float`` bits, so its sign bit too
     (``-0.0``), when the kernels read these tokens, and None otherwise."""
     buf = np.frombuffer((",".join(tokens) + ",").encode(), dtype=np.uint8)
     commas = np.flatnonzero(buf == ord(","))
-    got = _jsonl.json_numbers(buf, np.concatenate(([0], commas[:-1] + 1)), commas)
+    got = fileio._json_numbers(buf, np.concatenate(([0], commas[:-1] + 1)), commas)
     if not kernel_reads_numbers(tokens):
         assert got is None
         return

@@ -326,6 +326,28 @@ class TestTrainFiniteness:
         with pytest.raises(InvalidInputError, match="classes"):
             train(net, x, y, TrainConfig(method="lst", epochs=1), {"fine": np.zeros((16, 3))})
 
+    def test_one_dimensional_teacher_logits_rejected(self):
+        task = tiny_task()
+        _, y = generate_data(task, 16, seed=0)
+        net = make_student(task, 4, seed=0)
+        message = r"teacher 'fine' logits must be an \(n, K\) matrix"
+        with pytest.raises(InvalidInputError, match=message):
+            head_targets(net, y, TrainConfig(method="lst", epochs=1), {"fine": np.zeros(16)})
+
+    def test_logit_spread_past_the_float_range_raises_loss_must_be_finite(self, steps):
+        """Finite logits whose spread passes the float range give an infinite
+        loss, which the epoch's end rejects."""
+        task = tiny_task()
+        x, y = generate_data(task, 32, seed=0)
+        net = ToyNetwork(3, 4, {"sl": 4}, rng_seed=0)
+        net._views["sl.W"][...] = 0.0
+        net._views["sl.b"][...] = [1e308, -1e308, 0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="the training loss must be finite"):
+                train(net, x, y, TrainConfig(method="baseline", epochs=1, batch_size=32))
+        assert steps == [1]
+
 
 class TestEndToEndGradients:
     @pytest.mark.parametrize("method,kwargs", [
