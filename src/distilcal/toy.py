@@ -50,13 +50,13 @@ def _derive_seed(seed: int, tag: str) -> int:
 
 @dataclass(frozen=True)
 class SyntheticTask:
-    """Gaussian-cluster classification task with an optional coarse relabeling."""
+    """Gaussian clusters plus ``unit_maps``: per level, a unit per fine class, ``"fine"`` first."""
 
     num_classes: int
     input_dim: int
     cluster_means: np.ndarray
     noise_sigma: float
-    coarse_map: Optional[np.ndarray] = None
+    unit_maps: Optional[Mapping[str, np.ndarray]] = None
 
     def __post_init__(self):
         means = np.asarray(self.cluster_means, dtype=np.float64)
@@ -78,21 +78,17 @@ class SyntheticTask:
         if not np.all(np.isfinite(means)):
             raise InvalidInputError("cluster means must be finite")
         object.__setattr__(self, "cluster_means", means)
-        if self.coarse_map is not None:
-            cm = np.asarray(self.coarse_map, dtype=np.int64)
-            if cm.shape != (self.num_classes,):
-                raise InvalidInputError("coarse_map needs one entry per fine class")
-            if set(cm.tolist()) != set(range(int(cm.max()) + 1)):
-                raise InvalidInputError("coarse_map must be surjective onto 0..max")
-            object.__setattr__(self, "coarse_map", cm)
-
-    @property
-    def unit_maps(self) -> dict[str, np.ndarray]:
-        """Class map per unit level: ``"fine"`` (identity), plus ``"coarse"`` if set."""
-        maps = {"fine": np.arange(self.num_classes)}
-        if self.coarse_map is not None:
-            maps["coarse"] = self.coarse_map
-        return maps
+        fine = np.arange(self.num_classes)
+        levels = {"fine": fine} if self.unit_maps is None else dict(self.unit_maps)
+        for level, m in levels.items():
+            levels[level] = m = np.asarray(m)
+            if m.shape != (self.num_classes,) or not np.issubdtype(m.dtype, np.integer):
+                raise InvalidInputError(f"unit map {level!r} needs an integer per fine class")
+            if (units := set(m.tolist())) != set(range(len(units))):
+                raise InvalidInputError(f"unit map {level!r} must be surjective onto 0..max")
+        if list(levels)[:1] != ["fine"] or not np.array_equal(levels["fine"], fine):
+            raise InvalidInputError("unit map 'fine' must come first, as the identity")
+        object.__setattr__(self, "unit_maps", levels)
 
 
 def make_task(
@@ -109,19 +105,19 @@ def make_task(
         means = mean_scale * rng.standard_normal((num_classes, input_dim))
     if not np.isfinite(means).all():
         raise InvalidParameterError(f"mean_scale must give finite cluster means, got {mean_scale}")
-    coarse = None
+    levels = {"fine": np.arange(num_classes)}
     if coarse_classes is not None:
         if not 2 <= coarse_classes <= num_classes:
             raise InvalidParameterError(
                 f"coarse_classes must be None or in [2, {num_classes}], got {coarse_classes}"
             )
-        coarse = np.arange(num_classes) % coarse_classes
+        levels["coarse"] = np.arange(num_classes) % coarse_classes
     return SyntheticTask(
         num_classes=num_classes,
         input_dim=input_dim,
         cluster_means=means,
         noise_sigma=noise_sigma,
-        coarse_map=coarse,
+        unit_maps=levels,
     )
 
 
@@ -274,10 +270,9 @@ class TrainConfig:
             raise InvalidParameterError(
                 f"learning_rate must be positive and finite, got {self.learning_rate}"
             )
-        if not 0.0 <= self.lam <= 1.0:
-            raise InvalidParameterError(f"lam must be in [0, 1], got {self.lam}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise InvalidParameterError(f"epsilon must be in [0, 1], got {self.epsilon}")
+        for key in ("lam", "epsilon"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise InvalidParameterError(f"{key} must be in [0, 1], got {getattr(self, key)}")
         _check_temperature(self.temperature)
 
 
@@ -526,17 +521,15 @@ class SweepConfig:
     def __post_init__(self):
         if self.num_classes < 3:  # results report the ECE at ranks 1 to 3
             raise InvalidParameterError(f"num_classes must be >= 3, got {self.num_classes}")
-        if self.input_dim < 1:
-            raise InvalidParameterError(f"input_dim must be >= 1, got {self.input_dim}")
         counts = (
-            "n_train", "n_test", "epochs", "batch_size", "hidden_dim",
+            "input_dim", "n_train", "n_test", "epochs", "batch_size", "hidden_dim",
             "teacher_hidden_multiplier", "teacher_data_multiplier",
             "teacher_epochs", "eval_bins",
         )
         for key in counts:
             if getattr(self, key) < 1:
                 raise InvalidParameterError(f"{key} must be >= 1, got {getattr(self, key)}")
-        for key in ("num_classes", "input_dim", *counts):
+        for key in ("num_classes", *counts):
             value = getattr(self, key)
             if value > MAX_COUNT:
                 raise InvalidParameterError(f"{key} must be <= {MAX_COUNT}, got {value}")
@@ -546,6 +539,8 @@ class SweepConfig:
             value = getattr(self, key)
             if not (math.isfinite(value) and value > 0.0):
                 raise InvalidParameterError(f"{key} must be positive and finite, got {value}")
+        if self.hierarchical and self.coarse_classes is None:
+            raise InvalidParameterError("hierarchical needs coarse_classes, got None")
         _sweep_task(self)
 
 
@@ -642,11 +637,10 @@ def _join_child(children: list, index: int):
 
 def _unit_levels(task: SyntheticTask, cfg: SweepConfig, methods: Sequence[str]) -> list[str]:
     """The unit levels ``methods`` distil from: fine for ``lst`` and ``multitask``,
-    plus coarse for hierarchical ``multitask`` on a task with a coarse map."""
-    levels = ["fine"] if {"lst", "multitask"} & set(methods) else []
-    if cfg.hierarchical and "multitask" in methods and "coarse" in task.unit_maps:
-        levels.append("coarse")
-    return levels
+    every level of the task for hierarchical ``multitask``."""
+    if cfg.hierarchical and "multitask" in methods:
+        return list(task.unit_maps)
+    return ["fine"] if {"lst", "multitask"} & set(methods) else []
 
 
 def _teacher_logits(job) -> np.ndarray:

@@ -1235,6 +1235,17 @@ class TestConfigValidation:
             assert f"bad value for config key 'hierarchical': '{value}'" in err
             assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_hierarchical_without_coarse_level_rejected(self, tmp_path, command):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "out"
+        own = (dict(method="multitask") if command == "train"
+               else dict(methods="multitask", lambdas="0.5", seeds="0"))
+        write_config(cfg, out=out, **{**FAST_TOY, **own, "coarse_classes": "none",
+                                      "hierarchical": "true"})
+        _, err = run_rejected(tmp_path, command, "--config", cfg)
+        assert err == "error: hierarchical needs coarse_classes, got None\n"
+        assert not out.exists()
+
     def test_hierarchical_accepts_exactly_six_words(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         for value, want in (("1", True), ("TRUE", True), ("Yes", True),
@@ -1585,6 +1596,7 @@ class TestPlumbing:
             assert exc.value.code == 0
 
     @pytest.mark.parametrize("demo", ["01_soft_targets_and_losses.py",
+                                      "02_topn_calibration.py",
                                       "03_temperature_scaling.py",
                                       "04_hierarchical_targets.py"])
     def test_fast_demo_runs_cleanly(self, tmp_path, demo):

@@ -94,11 +94,52 @@ class TestTaskValidation:
         with pytest.raises(InvalidInputError, match="cluster means must be finite"):
             task_with_means([[np.nan, 1.0], [np.nan, 1.0]])
 
+    @pytest.mark.parametrize("levels,message", [
+        ({"fine": [0, 1, 2], "coarse": [0, 1]},
+         "unit map 'coarse' needs an integer per fine class"),
+        ({"fine": [0, 1, 2], "coarse": [0, 2, 0]},
+         "unit map 'coarse' must be surjective onto 0..max"),
+        ({"fine": [0, 1, 2], "coarse": [-1, 0, 0]},
+         "unit map 'coarse' must be surjective onto 0..max"),
+        ({"fine": [0, 1, 2], "coarse": [0.5, 1.7, 0.2]},
+         "unit map 'coarse' needs an integer per fine class"),
+        ({"fine": [0, 1, 2], "coarse": [True, False, True]},
+         "unit map 'coarse' needs an integer per fine class"),
+        ({"fine": [0, 2, 1], "coarse": [0, 1, 0]},
+         "unit map 'fine' must come first, as the identity"),
+        ({"coarse": [0, 1, 0], "fine": [0, 1, 2]},
+         "unit map 'fine' must come first, as the identity"),
+        ({}, "unit map 'fine' must come first, as the identity"),
+    ], ids=["wrong-length", "not-onto", "negative", "not-integer", "boolean",
+            "fine-not-identity", "fine-not-first", "no-levels"])
+    def test_bad_unit_map_rejected_naming_level(self, levels, message):
+        with pytest.raises(InvalidInputError) as exc:
+            task_with_means(np.eye(3), levels)
+        assert str(exc.value) == message
 
-def task_with_means(rows) -> SyntheticTask:
+    def test_unit_maps_are_the_stored_table(self):
+        alone = task_with_means(np.eye(3))
+        assert list(alone.unit_maps) == ["fine"]
+        np.testing.assert_array_equal(alone.unit_maps["fine"], [0, 1, 2])
+        task = make_task(num_classes=5, input_dim=2, coarse_classes=2)
+        again = dataclasses.replace(task, noise_sigma=0.5)
+        assert list(task.unit_maps) == list(again.unit_maps) == ["fine", "coarse"]
+        for level, unit in task.unit_maps.items():
+            np.testing.assert_array_equal(again.unit_maps[level], unit)
+        np.testing.assert_array_equal(task.unit_maps["coarse"], [0, 1, 0, 1, 0])
+        assert list(make_task(coarse_classes=None).unit_maps) == ["fine"]
+
+    def test_hierarchical_needs_a_coarse_level(self):
+        with pytest.raises(InvalidParameterError,
+                           match="hierarchical needs coarse_classes, got None"):
+            SweepConfig(hierarchical=True, coarse_classes=None)
+        SweepConfig(hierarchical=False, coarse_classes=None)
+
+
+def task_with_means(rows, levels=None) -> SyntheticTask:
     means = np.asarray(rows, dtype=np.float64)
     return SyntheticTask(num_classes=means.shape[0], input_dim=means.shape[1],
-                         cluster_means=means, noise_sigma=1.0)
+                         cluster_means=means, noise_sigma=1.0, unit_maps=levels)
 
 
 @settings(max_examples=300, deadline=None)
@@ -650,7 +691,7 @@ class TestWorkerProcesses:
         _one_cpu(monkeypatch)
         [(*_, serial)] = toy._stack_jobs(HIER_SWEEP, stacks)
         assert list(forked) == list(serial) == ["fine", "coarse"]
-        assert serial["coarse"].shape == (HIER_SWEEP.n_train, int(task.coarse_map.max()) + 1)
+        assert serial["coarse"].shape == (HIER_SWEEP.n_train, int(task.unit_maps["coarse"].max()) + 1)
         for kind in serial:
             assert np.array_equal(forked[kind], serial[kind])
 
