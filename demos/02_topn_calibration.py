@@ -7,7 +7,7 @@ overconfident at rank 1; the smoothed model is far better calibrated at
 rank 1 but systematically *under*-confident at ranks 2 and 3, because
 smoothing pushes all non-top probabilities toward a single small value.
 
-Run:  python demos/02_topn_calibration.py   (about 30 s)
+Run:  python demos/02_topn_calibration.py   (about 3 s)
 """
 
 import distilcal as dc

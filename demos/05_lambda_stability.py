@@ -6,7 +6,7 @@ accuracy moves substantially with the mixing factor (its training target
 itself changes), while the multi-task student, whose supervised head always
 sees clean one-hot targets, stays in a narrower band.
 
-Run:  python demos/05_lambda_stability.py   (about 30 s; pass --full for the
+Run:  python demos/05_lambda_stability.py   (about 2 s; pass --full for the
 full nine-point grid over three seeds used by the acceptance suite)
 """
 

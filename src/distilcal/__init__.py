@@ -61,7 +61,8 @@ from .tempscale import (
 _TOY_NAMES = frozenset({
     "EvalResult", "SweepConfig", "SweepRow", "SyntheticTask", "ToyNetwork", "TrainConfig",
     "evaluate", "generate_data", "head_targets", "make_student", "make_task", "make_teacher",
-    "network_loss_and_grad", "sweep_csv", "sweep_lambda", "train", "train_cell", "train_model",
+    "network_loss_and_grad", "pooled_gap", "sweep_csv", "sweep_lambda", "train", "train_cell",
+    "train_model",
 })
 
 __all__ = sorted([name for name in dir() if not name.startswith("_")] + ["toy", *_TOY_NAMES])

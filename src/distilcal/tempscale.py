@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import _fmt6, ece
+from .calibration import _FMT6, _fmt6, ece
 from .errors import InvalidInputError
 from .probs import _check_temperature, _row_gaps, as_logits, log_softmax_t, softmax_t
 from .targets import _check_labels
@@ -195,7 +195,7 @@ def combine_ranking(hyps, t1: float, t2: float) -> str:
     order, combined = combine_scores(scores[:, 0], scores[:, 1], t1, t2, offsets)
     counts = np.diff(offsets)
     ranked_ids = list(map(ids.__getitem__, order.tolist()))
-    lines = list(map("%s\t%d\t%s\t%.6f".__mod__, zip(
+    lines = list(map(f"%s\t%d\t%s\t{_FMT6}".__mod__, zip(
         np.repeat(np.array(utts, dtype=object), counts).tolist(),
         (np.arange(len(order)) - np.repeat(offsets[:-1], counts) + 1).tolist(),
         ranked_ids,

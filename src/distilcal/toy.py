@@ -22,7 +22,6 @@ import signal
 import threading
 import zlib
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -331,7 +330,7 @@ def network_loss_and_grad(
     net: ToyNetwork,
     inputs: np.ndarray,
     targets: Mapping[str, np.ndarray],
-    cfg: TrainConfig,
+    lam: float | np.ndarray | None,
     out: Optional[ToyNetwork] = None,
 ) -> tuple[float, np.ndarray]:
     """Mean loss over the batch and its gradient w.r.t. the flat parameters.
@@ -339,15 +338,15 @@ def network_loss_and_grad(
     ``inputs`` is a float64 (B, d) batch and ``targets`` holds the same B
     samples' rows of :func:`head_targets`; neither is checked again here.
     Only the heads in ``targets`` get logits, and non-finite ones are
-    rejected. On a stack of C networks (:meth:`ToyNetwork._like`) the loss
-    is a (C,) array, ``cfg.lam`` may be a (C, 1, 1) array and ``"sl"`` may
-    have (C, B, K) rows. ``out``, a zeroed gradient buffer from
-    ``net._like``, receives the gradient; slots of ungraded heads keep theirs.
+    rejected. ``lam`` weighs ``"sl"`` against the other heads, None if it is
+    graded alone. On a stack of C networks the loss is a (C,) array, ``lam``
+    may be (C, 1, 1) and ``"sl"`` (C, B, K); ``out``, a zeroed gradient
+    buffer from ``net._like``, receives it; ungraded heads' slots keep theirs.
     """
     grad = net._like(np.zeros_like(net.params)) if out is None else out
     views, gviews = net._views, grad._views
     hidden = net._hidden(inputs)
-    b = inputs.shape[0]
+    b = inputs.shape[-2]
     value, dlogits = None, {}
     for head, target in targets.items():  # multitask_loss's order: "sl" first
         z = net._logits(hidden, head)
@@ -356,11 +355,11 @@ def network_loss_and_grad(
         z -= z.max(axis=-1, keepdims=True)
         values, dl = _cross_entropy(z, target)
         mean = np.add.reduce(values, axis=-2, keepdims=True) / b
-        if cfg.method == "multitask":
-            value = _add_head(value, head, mean, dl, cfg.lam, len(targets) - 1, b)
-        else:
+        if lam is None:
             value = mean
             dl /= b
+        else:
+            value = _add_head(value, head, mean, dl, lam, len(targets) - 1, b)
         dlogits[head] = dl
 
     d_hidden = None
@@ -407,18 +406,17 @@ def train(
         raise InvalidInputError(f"got {n} inputs but labels of shape {y.shape}")
     stacked = net.params.ndim == 2
     cells = list(cfg) if stacked else [cfg]
-    first = step_cfg = cells[0]
+    first = cells[0]
     if stacked and (
         len(cells) != len(net.params)
         or any(dataclasses.replace(c, lam=first.lam) != first for c in cells)
     ):
         raise ConfigurationError("a stack needs one config per cell, equal but for lam")
     targets = head_targets(net, y, first, teacher_logits)
-    if stacked:
-        if first.method == "lst":
-            targets["sl"] = np.stack([head_targets(net, y, c, teacher_logits)["sl"] for c in cells])
-        lams = np.array([c.lam for c in cells])[:, None, None]
-        step_cfg = SimpleNamespace(method=first.method, lam=lams)
+    if stacked and first.method == "lst":
+        targets["sl"] = np.stack([head_targets(net, y, c, teacher_logits)["sl"] for c in cells])
+    lams = np.array([c.lam for c in cells])[:, None, None] if stacked else first.lam
+    lam = lams if first.method == "multitask" else None  # None: "sl" is graded alone
     grad = net._like(np.zeros_like(net.params))
     rng = np.random.default_rng(first.seed)
     curve: list = []
@@ -429,7 +427,7 @@ def train(
             for start in range(0, n, first.batch_size):
                 idx = perm[start : start + first.batch_size]
                 batch = {head: t.take(idx, -2) for head, t in targets.items()}
-                value, g = network_loss_and_grad(net, x.take(idx, 0), batch, step_cfg, grad)
+                value, g = network_loss_and_grad(net, x.take(idx, 0), batch, lam, grad)
                 g *= first.learning_rate
                 net.params -= g
                 epoch_loss += value * len(idx)

@@ -3,7 +3,8 @@
 The calibration and temperature oracles are deliberately written in plain
 Python (lists, ``sorted``, sequential sums) so they share no code path with
 the numpy implementations they verify. ``alignments_of`` builds the array
-form of an alignment from plain token lists. The reference readers and the
+form of an alignment from plain token lists, and ``ref_teacher_posteriors_error``
+checks teacher posteriors utterance by utterance. The reference readers and the
 reference trainer at the end are earlier versions kept as they were, for
 bit-identity checks.
 """
@@ -12,12 +13,18 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import groupby
 from typing import Mapping, Optional
 
 import numpy as np
 
 from distilcal.alignment import Alignments
-from distilcal.errors import ConfigurationError, FileFormatError, InvalidInputError
+from distilcal.errors import (
+    ConfigurationError,
+    FileFormatError,
+    InvalidInputError,
+    UnmappedTokenError,
+)
 from distilcal.fileio import _lines
 from distilcal.probs import as_logits, log_softmax_t, softmax_t
 
@@ -29,6 +36,33 @@ def alignments_of(frames_by_utt: Mapping[str, tuple]) -> Alignments:
     offsets = np.cumsum([0, *map(len, frames_by_utt.values())])
     codes = np.array([vocab.index(t) for t in tokens], dtype=np.intp)
     return Alignments(list(frames_by_utt), offsets, vocab, codes)
+
+
+def ref_teacher_posteriors_error(frames_by_utt: Mapping[str, tuple], teachers):
+    """The error ``teacher_posteriors`` raises for ``{utt: frame tokens}`` and
+    ``(tid, mapping or None, {utt: rows})`` teachers, or None, from a plain loop
+    over the utterances with frames. In each: a teacher missing the utterance,
+    the first such teacher; then teacher by teacher, its first unmapped token,
+    then its row count against the utterance's deduplicated tokens."""
+    for utt, frames in frames_by_utt.items():
+        if not frames:
+            continue
+        for tid, _, table in teachers:
+            if utt not in table:
+                return InvalidInputError(
+                    f"utterance {utt!r} missing from posterior file for teacher {tid}"
+                )
+        for tid, mapping, table in teachers:
+            units = list(frames) if mapping is None else [mapping.get(t) for t in frames]
+            for frame, unit in zip(frames, units):
+                if unit is None:
+                    return UnmappedTokenError(frame, "fine", tid)
+            tokens = len([unit for unit, _ in groupby(units)])
+            if len(table[utt]) != tokens:
+                return InvalidInputError(
+                    f"got {len(table[utt])} posteriors for {tokens} deduplicated labels"
+                )
+    return None
 
 
 def brute_force_ece(prob_rows, labels, rank: int, num_bins: int) -> float:

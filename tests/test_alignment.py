@@ -15,7 +15,7 @@ from distilcal import (
 )
 from distilcal import alignment
 
-from oracles import alignments_of
+from oracles import alignments_of, ref_teacher_posteriors_error
 
 P1 = np.array([1.0, 0.0])
 P2 = np.array([0.0, 1.0])
@@ -277,3 +277,37 @@ def test_runs_never_cross_utterance_boundaries(case):
     eye = np.eye(max(len(mapped.vocab), 1))
     back = np.repeat(eye[runs.labels], runs.runs, axis=0).argmax(axis=1)
     np.testing.assert_array_equal(back, mapped.codes)
+
+
+@st.composite
+def posterior_tables(draw):
+    """1-3 utterances over the tokens a, b and x, some without frames, and 1-3
+    teachers, each the identity or a map of some of the tokens. A teacher
+    lacks an utterance now and then, and otherwise gives it the row count of
+    its deduplicated tokens, or one off it."""
+    token = st.sampled_from("abx")
+    utts = {f"u{u}": draw(st.lists(token, max_size=4)) for u in range(draw(st.integers(1, 3)))}
+    teachers = []
+    for t in range(draw(st.integers(1, 3))):
+        mapping = draw(st.none() | st.dictionaries(token, st.sampled_from("AB")))
+        table = {}
+        for utt, frames in utts.items():
+            units = frames if mapping is None else [mapping.get(f) for f in frames]
+            count = len([unit for unit, _ in groupby(units)]) + draw(st.sampled_from([0, 0, -1, 1]))
+            if draw(st.integers(0, 4)):
+                table[utt] = [[0.5, 0.5]] * max(count, 0)
+        teachers.append((f"t{t}", mapping, table))
+    return utts, teachers
+
+
+@settings(max_examples=300, deadline=None)
+@given(posterior_tables())
+def test_teacher_posteriors_raises_the_first_error_of_a_per_utterance_loop(case):
+    utts, teachers = case
+    try:
+        teacher_posteriors(alignments_of(utts), teachers)
+        raised = None
+    except InvalidInputError as exc:
+        raised = exc
+    expected = ref_teacher_posteriors_error(utts, teachers)
+    assert (type(raised), str(raised)) == (type(expected), str(expected))

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -1017,6 +1018,38 @@ def test_file_error_names_path_and_line(name, tmp_path):
     assert not out.exists()
 
 
+#: name -> (input files by name, the command line, the one error reported);
+#: every path is relative to the command's working directory.
+COMMAND_ERRORS = {
+    "two_maps_one_posterior_file": (
+        {"align.tsv": "u1\ta b\n", "post.tsv": posterior_rows("u1", 2)},
+        ["targets", "--align", "align.tsv", "--map", "identity", "--map", "identity",
+         "--posteriors", "post.tsv", "--out", "out"],
+        "got 2 --map but 1 --posteriors"),
+    "blank_alignment_file": (
+        {"align.tsv": "\n\n"}, ["targets", "--align", "align.tsv", "--out", "out"],
+        "align.tsv:0: no alignments found"),
+    "blank_unit_map": (
+        {"align.tsv": "u1\ta b\n", "post.tsv": posterior_rows("u1", 2), "t0.map": "\n\n"},
+        ["targets", "--align", "align.tsv", "--map", "t0.map", "--posteriors", "post.tsv",
+         "--out", "out"],
+        "t0.map:0: empty unit map"),
+    "unknown_train_method": (
+        {"train.cfg": "method=bogus\nout=out\n"}, ["train", "--config", "train.cfg"],
+        "method must be one of ('baseline', 'label_smooth', 'lst', 'multitask'), got 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_ERRORS))
+def test_command_error_message(name, tmp_path):
+    files, argv, message = COMMAND_ERRORS[name]
+    for file_name, text in files.items():
+        (tmp_path / file_name).write_text(text)
+    stdout, stderr = run_rejected(tmp_path, *argv)
+    assert (stdout, stderr) == ("", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def write_config(path, **kv):
     path.write_text("".join(f"{k}={v}\n" for k, v in kv.items()))
 
@@ -1514,12 +1547,19 @@ class TestPlumbing:
             "fit_summary", "fit_temperature", "generate_data", "grad_check", "head_targets",
             "interpolate_target", "kd_loss", "log_softmax_t", "losses", "make_student",
             "make_task", "make_teacher", "map_units", "multitask_loss", "network_loss_and_grad",
-            "nll_at_temperature", "one_hot", "probs", "rank_confidence_correct",
+            "nll_at_temperature", "one_hot", "pooled_gap", "probs", "rank_confidence_correct",
             "reliability_csv", "smooth_label", "soft_label", "softmax_t", "sweep_csv",
             "sweep_lambda", "target_lines", "targets", "teacher_posteriors", "tempscale",
             "top_n", "toy", "train", "train_cell", "train_model",
         ]
         assert all(hasattr(distilcal, name) for name in distilcal.__all__)
+
+    def test_lazy_toy_names_are_toys_public_functions_and_classes(self):
+        defined = {name for name, obj in vars(toy).items()
+                   if not name.startswith("_")
+                   and (inspect.isfunction(obj) or inspect.isclass(obj))
+                   and obj.__module__ == toy.__name__}
+        assert distilcal._TOY_NAMES == defined
 
     @pytest.mark.parametrize("argv", [
         ["--version"],
@@ -1598,7 +1638,8 @@ class TestPlumbing:
     @pytest.mark.parametrize("demo", ["01_soft_targets_and_losses.py",
                                       "02_topn_calibration.py",
                                       "03_temperature_scaling.py",
-                                      "04_hierarchical_targets.py"])
+                                      "04_hierarchical_targets.py",
+                                      "05_lambda_stability.py"])
     def test_fast_demo_runs_cleanly(self, tmp_path, demo):
         proc = subprocess.run([sys.executable, str(DEMOS / demo)], cwd=tmp_path,
                               env=child_env(), capture_output=True, text=True, timeout=120)

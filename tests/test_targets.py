@@ -30,6 +30,10 @@ class TestOneHot:
         with pytest.raises(InvalidInputError):
             one_hot([-1], 4)
 
+    def test_single_class_rejected(self):
+        with pytest.raises(InvalidParameterError, match=r"^need at least 2 classes, got 1$"):
+            one_hot([0, 0], 1)
+
 
 class TestSmoothLabel:
     def test_hand_evaluated(self):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -79,6 +80,26 @@ class TestTaskValidation:
                          ("noise_sigma", float("nan")), ("mean_scale", float("inf"))):
             with pytest.raises(InvalidParameterError, match=key):
                 SweepConfig(**{key: bad})
+
+    @pytest.mark.parametrize("make,error,message", [
+        (lambda: generate_data(tiny_task(), 0, 1), InvalidParameterError,
+         "need n >= 1, got 0"),
+        (lambda: ToyNetwork(3, 0, {"sl": 4}, 0), InvalidParameterError,
+         "input_dim and hidden_dim must be >= 1"),
+        (lambda: ToyNetwork(3, 4, {}, 0), InvalidParameterError, "need at least one head"),
+        (lambda: ToyNetwork(3, 4, {"sl": 1}, 0), InvalidParameterError,
+         "head 'sl' needs >= 2 classes, got 1"),
+        (lambda: TrainConfig("baseline", epochs=0), InvalidParameterError,
+         "epochs and batch_size must be >= 1"),
+        (lambda: sweep_lambda(SweepConfig(), [], ["lst"], [0]), InvalidInputError,
+         "lambdas, methods, and seeds must be non-empty"),
+        (lambda: SyntheticTask(4, 3, np.zeros((3, 3)), 1.0), InvalidInputError,
+         "cluster_means shape (3, 3) does not match (4, 3)"),
+    ], ids=["no-samples", "no-hidden-units", "no-heads", "one-class-head", "no-epochs",
+            "empty-sweep", "means-shape"])
+    def test_bad_argument_rejected_with_its_message(self, make, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            make()
 
     @pytest.mark.parametrize("rows", [
         [[0.0, 1.0], [2.0, 3.0], [0.0, 1.0]],
@@ -292,7 +313,7 @@ class TestMatchesReferenceTrainer:
             teachers = {tid: rng.normal(size=(41, k)) for tid, k in widths.items()}
             lean, ref = ToyNetwork(3, 5, heads, seed), ToyNetwork(3, 5, heads, seed)
             targets = head_targets(lean, y, cfg, teachers)
-            value, grad = network_loss_and_grad(lean, x, targets, cfg)
+            value, grad = network_loss_and_grad(lean, x, targets, cfg.lam)
             ref_value, ref_grad = ref_network_loss_and_grad(ref, x, y, cfg, teachers)
             assert value == ref_value
             np.testing.assert_array_equal(grad, ref_grad)
@@ -408,17 +429,18 @@ class TestEndToEndGradients:
                         "coarse": rng.normal(size=(5, 2))}
         cfg = TrainConfig(method=method, **kwargs)
         targets = head_targets(net, y, cfg, teachers)
-        _, grad = network_loss_and_grad(net, x, targets, cfg)
+        lam = cfg.lam if method == "multitask" else None
+        _, grad = network_loss_and_grad(net, x, targets, lam)
         h = 1e-5
         p0 = net.params.copy()
         worst = 0.0
         for i in range(net.params.size):
             net.params[:] = p0
             net.params[i] += h
-            up, _ = network_loss_and_grad(net, x, targets, cfg)
+            up, _ = network_loss_and_grad(net, x, targets, lam)
             net.params[:] = p0
             net.params[i] -= h
-            down, _ = network_loss_and_grad(net, x, targets, cfg)
+            down, _ = network_loss_and_grad(net, x, targets, lam)
             numeric = (up - down) / (2 * h)
             worst = max(worst, abs(grad[i] - numeric) / max(1.0, abs(numeric)))
         net.params[:] = p0
