@@ -331,7 +331,7 @@ def read_hypothesis_file(path) -> Hypotheses:
                       np.concatenate(scores)[order])
 
 
-def _first_use_codes(items: list[str]) -> tuple[list[str], np.ndarray]:
+def _first_use_codes(items: list) -> tuple[list, np.ndarray]:
     """The distinct ``items`` in order of first use, and each item's index in them."""
     distinct = list(dict.fromkeys(items))
     index = dict(zip(distinct, range(len(distinct))))
@@ -475,8 +475,7 @@ def _posterior_table(utts: list[str], codes, index, mat) -> dict[str, np.ndarray
 def _posterior_kernel(data: bytes) -> Optional[dict[str, np.ndarray]]:
     """:func:`read_posterior_file`'s table of ``data`` (a file as :func:`_read`
     gives it) when it is spelt the common way that the module docstring
-    describes, else None. No temporary outgrows the file: the values are read
-    ``_BLOCK_ROWS`` lines at a time, and the ids padded to one width must fit in it."""
+    describes, else None; the values ``_BLOCK_ROWS`` lines at a time."""
     if not data.endswith(b"\n") or not data.isascii():
         return None
     buf = np.frombuffer(data, dtype=np.uint8)
@@ -488,10 +487,11 @@ def _posterior_kernel(data: bytes) -> Optional[dict[str, np.ndarray]]:
     head = data[tab2[0] + 1 : ends[0]].partition(b" ")[0]  # the first value
     width, point = len(head), head.find(b".")
     span = ends - tab2  # a line's values and its line feed
-    id_len = tab1 - starts
     if (point < 0 or not 2 <= width <= _MAX_DIGITS + 1 or span[0] % (width + 1)
-            or span[0] == width + 1 or (span != span[0]).any() or id_len.min() < 1
-            or id_len.max() * len(ends) > len(buf)):
+            or span[0] == width + 1 or (span != span[0]).any() or (tab1 == starts).any()):
+        return None
+    ids = [data[start:tab] for start, tab in zip(starts.tolist(), tab1.tolist())]
+    if np.frombuffer(b"".join(ids), dtype=np.uint8).min() <= ord(" "):
         return None
     index = _naturals(buf, tab1 + 1, tab2)
     if index is None:
@@ -500,15 +500,8 @@ def _posterior_kernel(data: bytes) -> Optional[dict[str, np.ndarray]]:
     runs = np.empty(2 * n, dtype=np.intp)  # per line, the lengths of its two parts
     runs[0::2], runs[1::2] = tab2 + 1 - starts, span
     mat = np.empty((n, k))
-    ids = np.empty((n, id_len.max()), dtype=np.uint8)
-    columns = np.arange(ids.shape[1])
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
-        in_id = columns < id_len[lo:hi, None]
-        got = buf[np.minimum(starts[lo:hi, None] + columns, len(buf) - 1)]
-        if (got[in_id] <= ord(" ")).any():
-            return None
-        np.multiply(got, in_id, out=ids[lo:hi])  # NUL past each id's end
         in_values = np.repeat(np.tile(_PREFIX_VALUES, hi - lo), runs[2 * lo : 2 * hi])
         cells = buf[starts[lo] : ends[hi - 1] + 1][in_values].reshape(hi - lo, k, width + 1)
         rows = _decimals(cells, point) if (cells[:, :-1, width] == ord(" ")).all() else None
@@ -518,11 +511,8 @@ def _posterior_kernel(data: bytes) -> Optional[dict[str, np.ndarray]]:
         if (np.abs(totals - 1.0) > POSTERIOR_SUM_TOL).any():
             return None
         np.divide(rows, totals[:, None], out=mat[lo:hi])
-    ids = ids.view(f"S{ids.shape[1]}").ravel()  # NUL-padded, yet apart: no id holds a NUL
-    distinct, first, codes = np.unique(ids, return_index=True, return_inverse=True)
-    by_use = np.argsort(first)  # the distinct ids in order of first use
-    table = _posterior_table([utt.decode() for utt in distinct[by_use].tolist()],
-                             np.argsort(by_use)[codes], index, mat)
+    distinct, codes = _first_use_codes(ids)
+    table = _posterior_table([utt.decode() for utt in distinct], codes, index, mat)
     return table if isinstance(table, dict) else None
 
 

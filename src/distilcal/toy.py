@@ -759,19 +759,24 @@ def sweep_lambda(
 ) -> list[SweepRow]:
     """Train and evaluate every (method, lambda, seed) cell of the grid.
 
-    Every cell's configuration is checked before :func:`_stack_jobs` draws
-    the data and trains the teachers, each seed's shared by its cells. The
-    lambda cells of one (method, seed) train in lockstep as one stack from
-    the seed's student, the stacks spread over worker processes, so the
-    output is deterministic. Rows are ordered by method, lambda, then seed.
+    No list may repeat a value, and every cell's configuration is checked,
+    before :func:`_stack_jobs` draws the data and trains the teachers, each
+    seed's shared by its cells. The lambda cells of one (method, seed) train
+    in lockstep as one stack from the seed's student, the stacks spread over
+    worker processes, so the output is deterministic. Rows are ordered by
+    method, lambda, then seed.
     """
     if not lambdas or not methods or not seeds:
         raise InvalidInputError("lambdas, methods, and seeds must be non-empty")
     for m in methods:
         if m not in ("lst", "multitask"):
             raise InvalidParameterError(f"sweep methods are 'lst'/'multitask', got {m!r}")
-    seeds = [int(s) for s in seeds]
-    stacks = [([_cell_config(cfg, m, s, lam=float(lam)) for lam in lambdas], s)
+    lambdas, seeds = [float(lam) for lam in lambdas], [int(s) for s in seeds]
+    for name, values in (("lambdas", lambdas), ("methods", methods), ("seeds", seeds)):
+        for i, value in enumerate(values):
+            if value in values[:i]:  # by ==, so -0.0 repeats 0.0
+                raise InvalidParameterError(f"{name} must not repeat a value, got {value!r} again")
+    stacks = [([_cell_config(cfg, m, s, lam=lam) for lam in lambdas], s)
               for m in methods for s in seeds]
     rows = _parallel_map(_sweep_cells, _stack_jobs(cfg, stacks))
     return [

@@ -1243,6 +1243,21 @@ class TestConfigValidation:
         assert run(capsys, command, "--config", cfg) == (2, "", f"error: {message}\n")
         assert drawn == [] and not out.exists()
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("lambdas", "0.5, 0, 0.5", "lambdas must not repeat a value, got 0.5 again"),
+        ("methods", "lst,multitask,lst", "methods must not repeat a value, got 'lst' again"),
+        ("seeds", "0,0", "seeds must not repeat a value, got 0 again"),
+    ])
+    def test_repeated_grid_value_exits_2_naming_key(self, capsys, monkeypatch, tmp_path, key,
+                                                    value, message):
+        drawn = []
+        monkeypatch.setattr(toy, "generate_data", lambda *a: drawn.append(a))
+        cfg, out = tmp_path / "sweep.cfg", tmp_path / "s.csv"
+        write_config(cfg, out=out, **{**FAST_TOY, "methods": "lst", "lambdas": "0.5",
+                                      "seeds": "0", key: value})
+        assert run(capsys, "sweep", "--config", cfg) == (2, "", f"error: {message}\n")
+        assert drawn == [] and not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "sweep"])
     @pytest.mark.parametrize("key", ["hidden_dim", "teacher_hidden_multiplier",
                                      "teacher_data_multiplier", "epochs", "n_train"])

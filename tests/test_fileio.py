@@ -303,7 +303,6 @@ NOT_KERNEL = {
         for i in range(2100)),
     "id_repeated_after_other": "\n".join([*KERNEL_BASE, "a\t0\t0.500000 0.500000"]) + "\n",
     "index_past_int64": "\n".join([*KERNEL_BASE, "b\t99999999999999999999\t0.500000 0.500000"]) + "\n",
-    "one_long_id": "\n".join([*KERNEL_BASE, "c" * 200 + "\t0\t0.500000 0.500000"]) + "\n",
 }
 
 #: name -> the base file with its lines in another order, which the
@@ -943,6 +942,8 @@ KERNEL_SPELLINGS = {
     "hypothesis_no_final_lf": ("hypothesis",
                                '{"utt": "u", "id": "a", "am_logp": -1, "lm_logp": -1}'),
     "posterior_no_final_lf": ("posterior", "\n".join(KERNEL_BASE)),
+    "posterior_one_long_id": ("posterior", "\n".join(
+        [*KERNEL_BASE, "c" * 200 + "\t0\t0.500000 0.500000"]) + "\n"),
 }
 
 

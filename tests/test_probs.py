@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -166,6 +167,15 @@ class TestTopN:
 
     def test_vector_is_a_batch_of_one(self):
         assert top_n_lists([0.7, 0.2, 0.1], 2) == ([1], [0.2])
+
+    @pytest.mark.parametrize("probs,n,error,message", [
+        ([[0.2, 0.3, 0.5]], True, InvalidParameterError, "rank must be an integer, got True"),
+        (np.zeros((0, 3)), 1, InvalidInputError,
+         "need a non-empty (N, K) probability matrix, got shape (0, 3)"),
+    ], ids=["bool-rank", "no-rows"])
+    def test_bad_argument_rejected_with_its_message(self, probs, n, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            top_n(probs, n)
 
     def test_empty_or_deep_input_rejected(self):
         for probs in (np.empty((0, 3)), np.full((2, 2, 2), 0.5)):

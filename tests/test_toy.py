@@ -95,8 +95,16 @@ class TestTaskValidation:
          "lambdas, methods, and seeds must be non-empty"),
         (lambda: SyntheticTask(4, 3, np.zeros((3, 3)), 1.0), InvalidInputError,
          "cluster_means shape (3, 3) does not match (4, 3)"),
+        (lambda: ToyNetwork(3, 4, {"sl": 4}, 0).forward_batch(np.zeros((2, 5))),
+         InvalidInputError, "expected inputs of shape (B, 3), got (2, 5)"),
+        (lambda: train(ToyNetwork(3, 4, {"sl": 4}, 0), np.zeros((8, 3)), np.zeros(5, dtype=int),
+                       TrainConfig("baseline")),
+         InvalidInputError, "got 8 inputs but labels of shape (5,)"),
+        (lambda: head_targets(ToyNetwork(3, 4, {"sl": 4, "kd_fine": 4}, 0), np.arange(8) % 4,
+                              TrainConfig("multitask"), {"fine": np.zeros((8, 3))}),
+         InvalidInputError, "teacher 'fine' emits 3 classes, head 'kd_fine' has 4"),
     ], ids=["no-samples", "no-hidden-units", "no-heads", "one-class-head", "no-epochs",
-            "empty-sweep", "means-shape"])
+            "empty-sweep", "means-shape", "input-width", "label-count", "teacher-width"])
     def test_bad_argument_rejected_with_its_message(self, make, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             make()
@@ -529,6 +537,15 @@ class TestSweep:
     def test_rejects_bad_method(self):
         with pytest.raises(Exception):
             sweep_lambda(FAST_SWEEP, [0.5], ["baseline"], [0])
+
+    def test_repeated_value_rejected_before_any_teacher_trains(self, monkeypatch):
+        mapped = []
+        monkeypatch.setattr(toy, "_parallel_map",
+                            lambda fn, jobs: mapped.append(fn) or [fn(job) for job in jobs])
+        message = "lambdas must not repeat a value, got -0.0 again"
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+            sweep_lambda(FAST_SWEEP, [0.0, 0.5, -0.0], ["lst"], [0])
+        assert mapped == []
 
     def test_bad_lambda_rejected_before_any_teacher_trains(self, monkeypatch):
         mapped = []
