@@ -396,6 +396,7 @@ def train(
     A stack of C networks (``net.params`` of shape (C, P)) trains C cells in
     lockstep, each bit for bit as it would train alone: ``cfg`` then holds
     one config per cell, equal but for ``lam``, and the curve one per cell.
+    A plain network trains as a stack of one, through a view of its params.
     """
     x = net._as_inputs(inputs)
     if not np.all(np.isfinite(x)):
@@ -404,20 +405,21 @@ def train(
     y = np.asarray(labels)
     if y.shape[:1] != (n,):
         raise InvalidInputError(f"got {n} inputs but labels of shape {y.shape}")
-    stacked = net.params.ndim == 2
-    cells = list(cfg) if stacked else [cfg]
+    plain = net.params.ndim == 1
+    stack, cells = (net._like(net.params[None]), [cfg]) if plain else (net, list(cfg))
     first = cells[0]
-    if stacked and (
-        len(cells) != len(net.params)
-        or any(dataclasses.replace(c, lam=first.lam) != first for c in cells)
+    if len(cells) != len(stack.params) or any(
+        dataclasses.replace(c, lam=first.lam) != first for c in cells
     ):
         raise ConfigurationError("a stack needs one config per cell, equal but for lam")
-    targets = head_targets(net, y, first, teacher_logits)
-    if stacked and first.method == "lst":
-        targets["sl"] = np.stack([head_targets(net, y, c, teacher_logits)["sl"] for c in cells])
-    lams = np.array([c.lam for c in cells])[:, None, None] if stacked else first.lam
+    # (1, N, K) rows: NumPy broadcasts a unit axis faster than a missing one
+    targets = {head: t[None] for head, t in head_targets(stack, y, first, teacher_logits).items()}
+    if first.method == "lst":
+        targets["sl"] = np.stack([head_targets(stack, y, c, teacher_logits)["sl"] for c in cells])
+    lams = np.array([c.lam for c in cells])[:, None, None]
+    lams = first.lam if (lams == first.lam).all() else lams  # a shared lam: scalar cost, same bits
     lam = lams if first.method == "multitask" else None  # None: "sl" is graded alone
-    grad = net._like(np.zeros_like(net.params))
+    grad = stack._like(np.zeros_like(stack.params))
     rng = np.random.default_rng(first.seed)
     curve: list = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -427,14 +429,15 @@ def train(
             for start in range(0, n, first.batch_size):
                 idx = perm[start : start + first.batch_size]
                 batch = {head: t.take(idx, -2) for head, t in targets.items()}
-                value, g = network_loss_and_grad(net, x.take(idx, 0), batch, lam, grad)
+                value, g = network_loss_and_grad(stack, x.take(idx, 0), batch, lam, grad)
                 g *= first.learning_rate
-                net.params -= g
+                stack.params -= g
                 epoch_loss += value * len(idx)
             curve.append(epoch_loss / n)
             if not np.isfinite(curve[-1]).all():
                 raise InvalidInputError("the training loss must be finite" + _FINITE_HINT)
-    return net, (np.array(curve).T.tolist() if stacked else curve)
+    curves = np.array(curve).T.tolist()
+    return net, (curves[0] if plain else curves)
 
 
 @dataclass
@@ -672,21 +675,16 @@ def _run_cells(task, cfg: SweepConfig, tcfgs: Sequence[TrainConfig], seed: int, 
     """Train the students of one seed's cells ``tcfgs``, equal but for ``lam``,
     and evaluate each; return a (student, loss curve, evaluation) per cell.
 
-    One cell trains alone and several train in lockstep as one stack; either
-    way each starts from the seed's student and gives the same bits.
+    The cells train in lockstep as one stack, each from the seed's student,
+    and give the same bits as each would alone.
     """
     x_train, y_train, x_test, y_test = data
     student = make_student(task, cfg.hidden_dim, _derive_seed(seed, "student"))
-    if len(tcfgs) == 1:
-        _, curve = train(student, x_train, y_train, tcfgs[0], streams)
-        cells = [(student, curve)]
-    else:
-        stack = student._like(np.repeat(student.params[None], len(tcfgs), axis=0))
-        _, curves = train(stack, x_train, y_train, tcfgs, streams)
-        cells = [(stack._like(params), curve) for params, curve in zip(stack.params, curves)]
+    stack = student._like(np.repeat(student.params[None], len(tcfgs), axis=0))
+    _, curves = train(stack, x_train, y_train, tcfgs, streams)
     return [
         (net, curve, evaluate(net, x_test, y_test, ranks=(1, 2, 3), num_bins=cfg.eval_bins))
-        for net, curve in cells
+        for net, curve in zip(map(stack._like, stack.params), curves)
     ]
 
 

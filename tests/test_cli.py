@@ -1037,6 +1037,13 @@ COMMAND_ERRORS = {
     "unknown_train_method": (
         {"train.cfg": "method=bogus\nout=out\n"}, ["train", "--config", "train.cfg"],
         "method must be one of ('baseline', 'label_smooth', 'lst', 'multitask'), got 'bogus'"),
+    "bogus_ece_group": (
+        {"pred.jsonl": (DATA / "predictions_hand4.jsonl").read_text()},
+        ["ece", "--input", "pred.jsonl", "--group", "bogus", "--out", "out"],
+        "--group must be 'pooled' or 'batch:SIZE', got 'bogus'"),
+    "unknown_train_config_key": (
+        {"train.cfg": "method=baseline\nbogus=1\nout=out\n"}, ["train", "--config", "train.cfg"],
+        "unknown config keys: ['bogus']"),
 }
 
 

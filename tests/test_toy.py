@@ -651,6 +651,33 @@ class TestLockstep:
         assert calls == [stack.params.shape] * 6  # 2 epochs of 3 batches
         assert len(curves) == 3 and all(len(c) == 2 for c in curves)
 
+    @pytest.mark.parametrize("method", ["lst", "multitask"])
+    def test_shared_lam_stack_cells_match_cells_alone(self, monkeypatch, method):
+        # sweep_lambda rejects a repeated lambda, so only a direct call builds
+        # such a stack; the cells differ in their starting parameters instead.
+        lams = []
+        step = toy.network_loss_and_grad
+        monkeypatch.setattr(toy, "network_loss_and_grad",
+                            lambda *a: lams.append(a[3]) or step(*a))
+        task = tiny_task()
+        x, y = generate_data(task, 70, seed=1)
+        rng = np.random.default_rng(2)
+        teachers = {"fine": 3.0 * rng.normal(size=(70, 4)),
+                    "coarse": 3.0 * rng.normal(size=(70, 2))}
+        cfg = TrainConfig(method=method, epochs=3, learning_rate=0.2, batch_size=16,
+                          seed=5, lam=0.3, temperature=2.5)
+        alone = [make_student(task, 6, seed=s) for s in (7, 8)]
+        stack = alone[0]._like(np.stack([net.params for net in alone]))
+        _, curves = train(stack, x, y, [cfg, cfg], teachers)
+        for params, curve, net in zip(stack.params, curves, alone):
+            _, alone_curve = train(net, x, y, cfg, teachers)
+            np.testing.assert_array_equal(params, net.params)
+            assert curve == alone_curve
+        # 3 epochs of 5 batches for the stack, then for each cell alone; a
+        # shared lam reaches every step as the config's float.
+        expected = cfg.lam if method == "multitask" else None
+        assert len(lams) == 45 and all(lam is expected for lam in lams)
+
     def test_stack_needs_one_config_per_cell_equal_but_for_lam(self):
         task = tiny_task()
         x, y = generate_data(task, 16, seed=0)
